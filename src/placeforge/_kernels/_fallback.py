@@ -5,6 +5,8 @@ explicitly disabled.  Exponents are machine-word integers with overflow
 detection at 2**62.
 """
 
+from ..ordgroup import quad_sign_int
+
 EXP_LIMIT = 2**62
 
 
@@ -48,18 +50,6 @@ def mul_terms(ea, ca, eb, cb, p):
     return out
 
 
-def _quad_sign_int(a, b, d):
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    sa = 1 if a > 0 else -1
-    sb = 1 if b > 0 else -1
-    if sa == sb:
-        return sa
-    return sa if a * a > b * b * d else sb
-
-
 def term_mins(exps, levels):
     """Indices of the terms of minimal weighted value, plus that minimum.
 
@@ -90,7 +80,7 @@ def term_mins(exps, levels):
         row = pairs[i]
         cmp = 0
         for (sa, sb), (ba, bb), (arow, brow, d) in zip(row, best, levels):
-            cmp = _quad_sign_int(sa - ba, sb - bb, d)
+            cmp = quad_sign_int(sa - ba, sb - bb, d)
             if cmp:
                 break
         if cmp < 0:

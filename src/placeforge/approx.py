@@ -29,7 +29,6 @@ from .ordgroup import (
 )
 from .places import (
     INFINITY,
-    CompositePlace,
     MonomialPlace,
     Place,
     compose,
@@ -203,12 +202,6 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def _place_weights(place: Place):
-    if isinstance(place, CompositePlace):
-        return place.effective_weights
-    return place.weights
-
-
 def _rational_collapse(place: Place, iteration: int):
     """Rational weight vector approximating the place's weights.
 
@@ -217,7 +210,7 @@ def _rational_collapse(place: Place, iteration: int):
     geometrically decaying positive factors, so for fine enough iteration
     every lexicographic sign condition transfers to the rational vector.
     """
-    weights = _place_weights(place)
+    weights = place.flat_place.weights
     eps = Fraction(1, 2**iteration)
     q = [Fraction(0)] * place.arity
     factor = Fraction(1)
@@ -390,7 +383,7 @@ def _rank_two_candidate(field, n, q, place: Place, iteration: int):
     every signature equality still vanishes on it.
     """
     d = place.ambient.ds[0]
-    weights = _place_weights(place)
+    weights = place.flat_place.weights
     bvec = [w.coords[0].b for w in weights]
     avec = [w.coords[0].a for w in weights]
     scale = Fraction(1, 2**iteration)
@@ -544,7 +537,7 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
                 "value preservation with a dimension drop needs mode "
                 "preserve_values and class composite_drop together"
             )
-        return _goodify_composite_drop(place, elems, shape, max_iter)
+        return _goodify_composite_drop(place, elems, shape)
 
     if _class_invariant_report(place, shape) is None:
         # Already in the target class: the place is its own replacement.
@@ -568,15 +561,7 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
     )
 
 
-def _outer_weight_candidates(num_gens: int, max_weight: int):
-    """Deterministic enumeration of the outer-place data: which generator
-    is consumed, and with which positive weight (1, 2, 3, ...)."""
-    for weight in range(1, max_weight + 1):
-        for consumed in range(num_gens):
-            yield consumed, weight
-
-
-def _goodify_composite_drop(place: Place, elems, shape: TargetShape, max_iter: int):
+def _goodify_composite_drop(place: Place, elems, shape: TargetShape):
     inv = place.invariants()
     n = place.arity
     if inv.dim == 0:
@@ -605,10 +590,13 @@ def _goodify_composite_drop(place: Place, elems, shape: TargetShape, max_iter: i
         coeffs = lattice.express_int(basis_rows, row)
         emat.append(tuple(coeffs))
 
+    # The outer place gives weight 1 to one consumed generator.  A larger
+    # weight c scales every beta by c, which changes neither the unit
+    # condition (linear and homogeneous) nor the order-embedding verdict.
     k = place.residue_desc().num_gens
     field = place.field
-    for attempt, (consumed, weight) in enumerate(_outer_weight_candidates(k, max_iter), start=1):
-        level = [weight if i == consumed else 0 for i in range(k)]
+    for attempt, consumed in enumerate(range(k), start=1):
+        level = [1 if i == consumed else 0 for i in range(k)]
         outer = _build_monomial(field, k, [level])
         tower = compose(place, outer)
         images = [tower.value(f) for f in nonzero]

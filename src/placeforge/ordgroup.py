@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from . import lattice
 
@@ -40,21 +40,14 @@ def is_squarefree(d: int) -> bool:
     return True
 
 
-def _sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def quad_sign_int(a: int, b: int, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for integers a, b and nonsquare d >= 2."""
     if b == 0:
-        return _sign(a)
+        return (a > 0) - (a < 0)
     if a == 0:
-        return _sign(b)
-    sa, sb = _sign(a), _sign(b)
+        return (b > 0) - (b < 0)
+    sa = 1 if a > 0 else -1
+    sb = 1 if b > 0 else -1
     if sa == sb:
         return sa
     return sa if a * a > b * b * d else sb
@@ -237,13 +230,6 @@ class GroupElem:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
 
 
-def elem_from_qvec(ambient: AmbientGroup, qvec) -> GroupElem:
-    coords = []
-    for i, d in enumerate(ambient.ds):
-        coords.append(QuadScalar(Fraction(qvec[2 * i]), Fraction(qvec[2 * i + 1]), d))
-    return GroupElem(ambient, tuple(coords))
-
-
 def combine(elems, coeffs, ambient: AmbientGroup = None) -> GroupElem:
     """Integer (or rational) linear combination of group elements."""
     if ambient is None:
@@ -396,24 +382,6 @@ def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
         if m and src.sign() != img.sign():
             return EmbeddingVerdict("order_violated", tuple(w))
     return EmbeddingVerdict("ok")
-
-
-def normalize_int_vector(fracs):
-    """Scale a rational vector to coprime integers, keeping direction.
-
-    Returns the zero vector unchanged.
-    """
-    fracs = [Fraction(x) for x in fracs]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
 
 
 def sqrt_convergent(d: int, min_den: int) -> Fraction:

@@ -56,9 +56,14 @@ def default_names(arity: int, prefix: str = "x"):
 
 
 class _Parser:
+    # Each parenthesis level costs four stack frames (expr, term, factor,
+    # base); this keeps deep inputs well inside the interpreter's limit.
+    MAX_DEPTH = 128
+
     def __init__(self, tokens, field: BaseField, arity: int, names):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.field = field
         self.arity = arity
         self.index_of = {name: k for k, name in enumerate(names)}
@@ -149,8 +154,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos)
             return RatFunc.variable(self.field, self.arity, idx)
         if kind == "op" and value == "(":
+            if self.depth == self.MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {self.MAX_DEPTH}", pos)
+            self.depth += 1
             out = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return out
         raise ParseError("expected a number, variable or parenthesis", pos)
 

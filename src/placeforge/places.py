@@ -6,6 +6,8 @@ of a value-zero element is the ratio of the surviving initial terms
 rewritten in the kernel-lattice coordinates.  Composite places stack a
 place on top of the residue field of another; their values live in the
 lexicographic concatenation of the two value groups, inner levels dominant.
+A tower's value is a monomial valuation in the values of the variables, so
+every place evaluates through one flattened monomial place.
 """
 
 from __future__ import annotations
@@ -95,7 +97,11 @@ def _validate_match(place: "Place", f: RatFunc):
 
 
 class Place:
-    """Common surface of monomial and composite places."""
+    """Common surface of monomial and composite places.
+
+    Every place evaluates through one monomial place, `flat_place`: term
+    values, initial forms and the kernel lattice all come from it.
+    """
 
     field: BaseField
     arity: int
@@ -107,13 +113,10 @@ class Place:
     def residue(self, f: RatFunc):
         raise NotImplementedError
 
-    def section(self, v: GroupElem):
+    def _raw_section(self, v: GroupElem):
         raise NotImplementedError
 
     def residue_desc(self) -> ResidueFieldDesc:
-        raise NotImplementedError
-
-    def kernel_lattice(self):
         raise NotImplementedError
 
     def value_group(self) -> Subgroup:
@@ -122,21 +125,29 @@ class Place:
     def to_json(self):
         raise NotImplementedError
 
-    def monomial_value(self, evec) -> GroupElem:
-        """Value of the Laurent monomial x^evec (a group homomorphism)."""
+    @property
+    def flat_place(self) -> "MonomialPlace":
+        """The monomial place this place evaluates through."""
         raise NotImplementedError
 
     # -- shared derived operations -------------------------------------
 
-    def _term_levels(self):
-        raise NotImplementedError
+    def monomial_value(self, evec) -> GroupElem:
+        """Value of the Laurent monomial x^evec (a group homomorphism)."""
+        return self.flat_place.monomial_value(evec)
 
-    def _min_data(self, poly: Poly):
-        """Canonical minimizing exponent and the sub-dict of minimal terms."""
-        exps = list(poly.terms)
-        argmins, _ = term_mins(exps, self._term_levels())
-        mins = {exps[i]: poly.terms[exps[i]] for i in argmins}
-        return min(mins), mins
+    def kernel_lattice(self):
+        """HNF basis of the integer vectors m with v(x^m) = 0."""
+        return self.flat_place._kernel
+
+    def section(self, v: GroupElem):
+        """Canonical integer vector m with v(x^m) = v.
+
+        The raw section gives one solution; it is then reduced to the
+        balanced representative modulo the kernel lattice, so equal inputs
+        always produce the same vector.
+        """
+        return lattice.reduce_mod_lattice(self._raw_section(v), list(self.kernel_lattice()))
 
     def initial_form(self, f: RatFunc):
         """Minimal-value terms of numerator and denominator.
@@ -149,8 +160,8 @@ class Place:
         _validate_match(self, f)
         if f.is_zero():
             raise ValueError("the zero function has no initial form")
-        _, num_mins = self._min_data(f.num)
-        _, den_mins = self._min_data(f.den)
+        _, num_mins = self.flat_place._min_data(f.num)
+        _, den_mins = self.flat_place._min_data(f.den)
         return num_mins, den_mins
 
     def invariants(self) -> PlaceInvariants:
@@ -192,6 +203,10 @@ class MonomialPlace(Place):
         ambient = AmbientGroup((2,))
         return MonomialPlace(field, arity, ambient, (ambient.zero(),) * arity)
 
+    @property
+    def flat_place(self) -> "MonomialPlace":
+        return self
+
     @cached_property
     def _levels(self):
         """Per level: integer numerator rows (a, b) over a cleared denominator."""
@@ -204,8 +219,12 @@ class MonomialPlace(Place):
             out.append((arow, brow, d))
         return tuple(out)
 
-    def _term_levels(self):
-        return self._levels
+    def _min_data(self, poly: Poly):
+        """Canonical minimizing exponent and the sub-dict of minimal terms."""
+        exps = list(poly.terms)
+        argmins, _ = term_mins(exps, self._levels)
+        mins = {exps[i]: poly.terms[exps[i]] for i in argmins}
+        return min(mins), mins
 
     @cached_property
     def _weight_data(self):
@@ -220,10 +239,6 @@ class MonomialPlace(Place):
     def _kernel(self):
         rows, _, _, _ = self._weight_data
         return tuple(tuple(row) for row in lattice.row_kernel(rows))
-
-    def kernel_lattice(self):
-        """HNF basis of the integer vectors m with v(x^m) = 0."""
-        return self._kernel
 
     def monomial_value(self, evec) -> GroupElem:
         return combine(self.weights, evec, self.ambient)
@@ -253,15 +268,6 @@ class MonomialPlace(Place):
                 for j in range(self.arity):
                     m[j] += c * urow[j]
         return tuple(m)
-
-    def section(self, v: GroupElem):
-        """Canonical integer vector m with v(x^m) = v.
-
-        The HNF coordinates give one solution; it is then reduced to the
-        balanced representative modulo the kernel lattice, so equal inputs
-        always produce the same vector.
-        """
-        return lattice.reduce_mod_lattice(self._raw_section(v), list(self._kernel))
 
     def residue_desc(self) -> ResidueFieldDesc:
         return ResidueFieldDesc(self.field, self.arity, self._kernel)
@@ -379,42 +385,25 @@ class CompositePlace(Place):
 
     @cached_property
     def effective_weights(self):
-        """Values of the variables; they generate the term-value homomorphism."""
-        return tuple(
-            self.value(RatFunc.variable(self.field, self.arity, i))
-            for i in range(self.arity)
-        )
+        """Values of the variables; they generate the term-value homomorphism.
 
-    @cached_property
-    def _eff_levels(self):
+        x_i has the inner value w_i; dividing it by the inner section of w_i
+        leaves an inner unit, whose residue the outer place values.
+        """
         out = []
-        for lv, d in enumerate(self.ambient.ds):
-            rows = [[w.coords[lv].a, w.coords[lv].b] for w in self.effective_weights]
-            cleared, _ = lattice.clear_denominators(rows) if rows else ([], 1)
-            arow = tuple(r[0] for r in cleared)
-            brow = tuple(r[1] for r in cleared)
-            out.append((arow, brow, d))
+        for i, w in enumerate(self.inner.flat_place.weights):
+            section = self.inner._raw_section(w)
+            unit = tuple(int(j == i) - c for j, c in enumerate(section))
+            r = self.inner.residue(RatFunc.monomial(self.field, self.arity, unit))
+            out.append(self._pair(w, self.outer.value(r)))
         return tuple(out)
 
-    def _term_levels(self):
-        return self._eff_levels
-
-    def monomial_value(self, evec) -> GroupElem:
-        return combine(self.effective_weights, evec, self.ambient)
+    @cached_property
+    def flat_place(self) -> MonomialPlace:
+        return MonomialPlace(self.field, self.arity, self.ambient, self.effective_weights)
 
     def value(self, f: RatFunc):
-        _validate_match(self, f)
-        if f.is_zero():
-            return INFINITY
-        v1 = self.inner.value(f)
-        if v1.sign() == 0:
-            unit = f
-        else:
-            correction = self.inner._raw_section(v1)
-            unit = f * RatFunc.monomial(self.field, self.arity, tuple(-x for x in correction))
-        r = self.inner.residue(unit)
-        v2 = self.outer.value(r)
-        return self._pair(v1, v2)
+        return self.flat_place.value(f)
 
     def residue(self, f: RatFunc):
         k = self.residue_desc().num_gens
@@ -431,6 +420,8 @@ class CompositePlace(Place):
         return self.outer.residue(r)
 
     def _raw_section(self, v: GroupElem):
+        """The inner section hits the inner part; a kernel-lattice correction
+        whose residue image is the outer section makes up the outer part."""
         v1, v2 = self._split(v)
         m0 = self.inner._raw_section(v1)
         coords = self.outer._raw_section(v2)
@@ -441,23 +432,6 @@ class CompositePlace(Place):
                 for j in range(self.arity):
                     m[j] += c * gen[j]
         return tuple(m)
-
-    def section(self, v: GroupElem):
-        """Canonical Laurent monomial with the given composite value.
-
-        The inner section hits the inner part; a kernel-lattice correction
-        whose residue image is the outer section makes up the outer part.
-        The result is balanced-reduced modulo the composite kernel.
-        """
-        return lattice.reduce_mod_lattice(self._raw_section(v), list(self._kernel))
-
-    @cached_property
-    def _kernel(self):
-        rows, _ = lattice.clear_denominators([w.qvec() for w in self.effective_weights])
-        return tuple(tuple(row) for row in lattice.row_kernel(rows))
-
-    def kernel_lattice(self):
-        return self._kernel
 
     def residue_desc(self) -> ResidueFieldDesc:
         igens = self.inner.residue_desc().gens

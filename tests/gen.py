@@ -56,6 +56,22 @@ def random_composite_place(rng, field, arity):
     return compose(inner, outer)
 
 
+def random_tower(rng, field, arity, irrational_inner, depth=1):
+    """Monomial inner place (rational weights, or weights that all have a
+    sqrt part) under `depth` random monomial places, each one on the
+    residue field of the tower below it."""
+    if irrational_inner:
+        tower = random_irrational_place(rng, field, arity, d=rng.choice([2, 3, 5]))
+    else:
+        tower = random_monomial_place(rng, field, arity, irrational=False)
+    for _ in range(depth):
+        k = tower.residue_desc().num_gens
+        outer = random_monomial_place(rng, field, k, levels=rng.choice([1, 2]),
+                                      irrational=rng.random() < 0.5)
+        tower = compose(tower, outer)
+    return tower
+
+
 def random_place(rng, field, arity):
     if rng.random() < 0.5:
         return random_monomial_place(rng, field, arity, levels=rng.choice([1, 1, 2]))

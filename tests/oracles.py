@@ -5,6 +5,10 @@ minima with 128-bit interval arithmetic and falling back to an exact
 integer comparison whenever an interval straddles zero.  It shares no code
 with the library's comparison or minimization path.
 
+`tower_value` evaluates a composite place the way its definition reads,
+through the inner value, the inner section and residue, and the outer
+value, so the library's single flattened evaluation is checked against it.
+
 The lattice oracles decide small membership and rank questions by brute
 force / plain fraction elimination.
 """
@@ -14,7 +18,7 @@ from itertools import product
 
 import mpmath
 
-from placeforge import INFINITY, RatFunc
+from placeforge import INFINITY, CompositePlace, RatFunc
 from placeforge.ordgroup import GroupElem
 
 iv = mpmath.iv
@@ -64,8 +68,23 @@ def elem_cmp(x: GroupElem, y: GroupElem) -> int:
     return elem_sign(x - y)
 
 
+def tower_value(place, f: RatFunc):
+    """Value through the tower: the inner value v1 of f, then the outer value
+    of the inner residue of f / x^s, where x^s is an inner section of v1."""
+    if not isinstance(place, CompositePlace):
+        return place.value(f)
+    if f.is_zero():
+        return INFINITY
+    v1 = tower_value(place.inner, f)
+    if v1.sign() != 0:
+        correction = place.inner._raw_section(v1)
+        f = f * RatFunc.monomial(place.field, place.arity, tuple(-x for x in correction))
+    v2 = tower_value(place.outer, place.inner.residue(f))
+    return GroupElem(place.ambient, v1.coords + v2.coords)
+
+
 def _variable_values(place):
-    return [place.value(RatFunc.variable(place.field, place.arity, i))
+    return [tower_value(place, RatFunc.variable(place.field, place.arity, i))
             for i in range(place.arity)]
 
 

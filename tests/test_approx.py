@@ -201,6 +201,25 @@ class TestGoodify:
             goodify(P_10, [q2("x1"), q2("x1*x2")],
                     TargetShape("preserve_values", "composite_drop", r1=2, d1=0))
 
+    def test_composite_drop_tries_each_generator_once(self, monkeypatch):
+        # x1*x2 and x1*x3 force the corrected units x2 and x3; whichever
+        # generator the outer place consumes, one of them stops being a
+        # unit, and scaling the outer weight cannot change that.
+        from placeforge import approx
+
+        place = gauss_place(1, 0, 0)
+        attempts = []
+
+        def counting_compose(inner, outer):
+            attempts.append(outer)
+            return compose(inner, outer)
+
+        monkeypatch.setattr(approx, "compose", counting_compose)
+        elems = [parse_expr(t, 3, QQ) for t in ("x1", "x1*x2", "x1*x3")]
+        with pytest.raises(InfeasibleShapeError):
+            goodify(place, elems, TargetShape("preserve_values", "composite_drop", r1=2, d1=1))
+        assert len(attempts) == place.residue_desc().num_gens == 2
+
     def test_goodify_composite_input(self):
         tower = compose(P_10, gauss_place(1))
         elems = [q2("x1 + x2"), q2("x1*x2")]

@@ -1,13 +1,19 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
+import jsonschema
 import pytest
 
+import placeforge
 from placeforge.cli import main
 
 HERE = pathlib.Path(__file__).parent
 JOBS = sorted((HERE / "jobs").glob("*.json"))
+PACKAGE = pathlib.Path(placeforge.__file__).parent
 
 
 def run_cli(capsys, *args):
@@ -22,6 +28,15 @@ def test_golden_reports(job, capsys):
     code, out = run_cli(capsys, "--spec", str(job))
     assert code == 0
     assert out == golden
+
+
+@pytest.mark.parametrize("job", JOBS, ids=lambda p: p.stem)
+def test_golden_reports_match_schemas(job):
+    report = json.loads((HERE / "golden" / job.name).read_text())
+    report_schema = json.loads((PACKAGE / "schemas" / "report.schema.json").read_text())
+    place_schema = json.loads((PACKAGE / "schemas" / "place.schema.json").read_text())
+    jsonschema.validate(report, report_schema)
+    jsonschema.validate(report["place"], place_schema)
 
 
 @pytest.mark.parametrize("job", JOBS, ids=lambda p: p.stem)
@@ -76,6 +91,25 @@ def test_exit_code_on_parse_error(capsys):
         capsys, "value", "--place", json.dumps(spec["place"]), "--elem", "x1 + ?"
     )
     assert code == 1
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    place = json.dumps(json.loads((HERE / "jobs" / "value.json").read_text())["place"])
+    code, out = run_cli(capsys, "value", "--place", place, "--elem", "(" * 100 + "x1" + ")" * 100)
+    assert code == 0
+    assert json.loads(out)["results"][0]["sign"] == "+"
+    # a fresh process shows exactly what a user sees
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "placeforge.cli", "value", "--place", place,
+         "--elem", "(" * 3000 + "x1" + ")" * 3000],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "nested deeper than" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_exit_code_on_infeasible_shape(capsys):

@@ -20,10 +20,18 @@ from placeforge import (
     place_from_json,
     subgroup_member,
 )
+from placeforge import lattice
 from placeforge.places import NotInValueGroupError
 
-from gen import random_composite_place, random_monomial_place, random_place, random_ratfunc
-from oracles import oracle_value, values_agree
+from gen import (
+    random_composite_place,
+    random_monomial_place,
+    random_place,
+    random_poly,
+    random_ratfunc,
+    random_tower,
+)
+from oracles import oracle_value, tower_value, values_agree
 
 QQ = BaseField(0)
 F5 = BaseField(5)
@@ -319,3 +327,45 @@ class TestAgainstIntervalOracle:
             place = random_place(rng, field, n)
             f = random_ratfunc(rng, field, n)
             assert values_agree(place.value(f), oracle_value(place, f))
+
+
+class TestFlatTowerValue:
+    """Composite places evaluate through their flattened monomial place;
+    the recursive tower value is the reference."""
+
+    @staticmethod
+    def inner_tie(rng, tower):
+        """A random term times 1 + (kernel monomials): every term has the
+        same inner value, so the inner residue is not a monomial."""
+        field, n = tower.field, tower.arity
+        gens = tower.inner.residue_desc().gens
+        tie = RatFunc.const(field, n, 1)
+        for gen in rng.sample(gens, min(len(gens), 3)):
+            tie = tie + RatFunc.monomial(field, n, gen, rng.randint(1, 4))
+        base = random_poly(rng, field, n, max_degree=3, max_terms=1, nonzero=True)
+        den = random_poly(rng, field, n, nonzero=True)
+        return RatFunc.from_poly(base) * tie / RatFunc.from_poly(den)
+
+    def test_flat_value_matches_tower_value(self):
+        rng = random.Random(12)
+        count = 0
+        for field in (QQ, F5):
+            for n in range(2, 6):
+                for irrational_inner in (False, True):
+                    for depth in (1, 2):
+                        for _ in range(3):
+                            tower = random_tower(rng, field, n, irrational_inner, depth)
+                            elems = [random_ratfunc(rng, field, n),
+                                     random_ratfunc(rng, field, n, nonzero=True),
+                                     self.inner_tie(rng, tower),
+                                     self.inner_tie(rng, tower)]
+                            for f in elems:
+                                assert tower.value(f) == tower_value(tower, f)
+                            xs = [RatFunc.variable(field, n, i) for i in range(n)]
+                            rows, _ = lattice.clear_denominators(
+                                [tower_value(tower, x).qvec() for x in xs])
+                            kernel = tuple(lattice.row_kernel(rows))
+                            assert tower.kernel_lattice() == kernel
+                            assert tuple(lattice.hnf(tower.residue_desc().gens)) == kernel
+                            count += 1
+        assert count == 96
