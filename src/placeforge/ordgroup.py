@@ -10,11 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from . import lattice
 
 Rat = Fraction
+
+# Largest radicand accepted: squarefreeness is decided by trial division up
+# to sqrt(d), about half a million steps at this bound.
+MAX_RADICAND = 10**12
 
 
 def rat_to_str(r: Fraction) -> str:
@@ -27,6 +32,7 @@ def rat_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
+@lru_cache(maxsize=256)
 def is_squarefree(d: int) -> bool:
     if d < 2:
         return False
@@ -38,6 +44,14 @@ def is_squarefree(d: int) -> bool:
             return False
         f += 2
     return True
+
+
+def check_radicand(d: int):
+    """Refuse a radicand above MAX_RADICAND or one that is not squarefree."""
+    if d > MAX_RADICAND:
+        raise ValueError(f"radicand {d} exceeds MAX_RADICAND = {MAX_RADICAND}")
+    if not is_squarefree(d):
+        raise ValueError(f"radicand must be squarefree and >= 2, got {d}")
 
 
 def quad_sign_int(a: int, b: int, d: int) -> int:
@@ -70,8 +84,7 @@ class QuadScalar:
         return QuadScalar(Fraction(0), Fraction(scale), d)
 
     def __post_init__(self):
-        if not is_squarefree(self.d):
-            raise ValueError(f"radicand must be squarefree and >= 2, got {self.d}")
+        check_radicand(self.d)
 
     def _check(self, other: "QuadScalar"):
         if self.d != other.d:
@@ -133,8 +146,7 @@ class AmbientGroup:
         if not self.ds:
             raise ValueError("ambient group needs at least one level")
         for d in self.ds:
-            if not is_squarefree(d):
-                raise ValueError(f"radicand must be squarefree and >= 2, got {d}")
+            check_radicand(d)
 
     @property
     def num_levels(self) -> int:

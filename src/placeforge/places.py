@@ -21,10 +21,12 @@ from ._kernels import term_mins
 from .ordgroup import (
     AmbientGroup,
     GroupElem,
+    QuadScalar,
     Subgroup,
     combine,
     concat_ambients,
     convex_rank,
+    quad_sign_int,
     rational_rank,
 )
 from .ratfunc import BaseField, Poly, RatFunc
@@ -160,8 +162,8 @@ class Place:
         _validate_match(self, f)
         if f.is_zero():
             raise ValueError("the zero function has no initial form")
-        _, num_mins = self.flat_place._min_data(f.num)
-        _, den_mins = self.flat_place._min_data(f.den)
+        _, num_mins, _ = self.flat_place._min_data(f.num)
+        _, den_mins, _ = self.flat_place._min_data(f.den)
         return num_mins, den_mins
 
     def invariants(self) -> PlaceInvariants:
@@ -197,6 +199,17 @@ class MonomialPlace(Place):
         self.arity = arity
         self.ambient = ambient
         self.weights = weights
+        # Per level: integer numerator rows (a, b) of the weights over a
+        # cleared denominator, the form term_mins takes; the denominators
+        # turn the kernel's integer minima back into group values.
+        levels, dens = [], []
+        for lv, d in enumerate(ambient.ds):
+            rows = [[w.coords[lv].a, w.coords[lv].b] for w in weights]
+            cleared, den = lattice.clear_denominators(rows) if rows else ([], 1)
+            levels.append((tuple(r[0] for r in cleared), tuple(r[1] for r in cleared), d))
+            dens.append(den)
+        self._levels = tuple(levels)
+        self._dens = tuple(dens)
 
     @staticmethod
     def trivial(field: BaseField, arity: int) -> "MonomialPlace":
@@ -207,24 +220,30 @@ class MonomialPlace(Place):
     def flat_place(self) -> "MonomialPlace":
         return self
 
-    @cached_property
-    def _levels(self):
-        """Per level: integer numerator rows (a, b) over a cleared denominator."""
-        out = []
-        for lv, d in enumerate(self.ambient.ds):
-            rows = [[w.coords[lv].a, w.coords[lv].b] for w in self.weights]
-            cleared, _ = lattice.clear_denominators(rows) if rows else ([], 1)
-            arow = tuple(r[0] for r in cleared)
-            brow = tuple(r[1] for r in cleared)
-            out.append((arow, brow, d))
-        return tuple(out)
-
     def _min_data(self, poly: Poly):
-        """Canonical minimizing exponent and the sub-dict of minimal terms."""
+        """Canonical minimizing exponent, the sub-dict of minimal terms, and
+        the minimal term value as term_mins found it: per level the integer
+        (a, b) numerators over that level's denominator in `_dens`."""
         exps = list(poly.terms)
-        argmins, _ = term_mins(exps, self._levels)
+        argmins, best = term_mins(exps, self._levels)
         mins = {exps[i]: poly.terms[exps[i]] for i in argmins}
-        return min(mins), mins
+        return min(mins), mins, best
+
+    def _difference(self, hi, lo) -> GroupElem:
+        """The group element hi - lo for two kernel minima; the only place
+        a value's scalars are built."""
+        return GroupElem(self.ambient, tuple(
+            QuadScalar(Fraction(ha - la, den), Fraction(hb - lb, den), d)
+            for (ha, hb), (la, lb), (_, _, d), den in zip(hi, lo, self._levels, self._dens)
+        ))
+
+    def _difference_sign(self, hi, lo) -> int:
+        """Sign of hi - lo for two kernel minima, decided on the integers."""
+        for (ha, hb), (la, lb), (_, _, d) in zip(hi, lo, self._levels):
+            s = quad_sign_int(ha - la, hb - lb, d)
+            if s:
+                return s
+        return 0
 
     @cached_property
     def _weight_data(self):
@@ -244,12 +263,14 @@ class MonomialPlace(Place):
         return combine(self.weights, evec, self.ambient)
 
     def value(self, f: RatFunc):
+        """v(f): the difference of the kernel minima of numerator and
+        denominator, turned into a group element only on return."""
         _validate_match(self, f)
         if f.is_zero():
             return INFINITY
-        num_canon, _ = self._min_data(f.num)
-        den_canon, _ = self._min_data(f.den)
-        return self.monomial_value(num_canon) - self.monomial_value(den_canon)
+        _, _, num_best = self._min_data(f.num)
+        _, _, den_best = self._min_data(f.den)
+        return self._difference(num_best, den_best)
 
     def _raw_section(self, v: GroupElem):
         """The HNF-coordinate section: additive in v, so composite values
@@ -282,20 +303,20 @@ class MonomialPlace(Place):
         """Image of f in the residue field K(u_1..u_k), or 0 / infinity.
 
         Positive value gives 0, negative value the infinity sentinel; the
-        zero function has residue 0 by convention.  For value zero the
-        minimal terms of numerator and denominator are shifted by the
-        denominator's canonical minimizer and rewritten in kernel-basis
-        coordinates; distinct exponents stay distinct, so the denominator
-        image is never zero.
+        zero function has residue 0 by convention.  The sign of the value
+        is read off the integer kernel minima; no group element is built.
+        For value zero the minimal terms of numerator and denominator are
+        shifted by the denominator's canonical minimizer and rewritten in
+        kernel-basis coordinates; distinct exponents stay distinct, so the
+        denominator image is never zero.
         """
         _validate_match(self, f)
         k = len(self._kernel)
         if f.is_zero():
             return RatFunc.zero(self.field, k)
-        num_canon, num_mins = self._min_data(f.num)
-        den_canon, den_mins = self._min_data(f.den)
-        v = self.monomial_value(num_canon) - self.monomial_value(den_canon)
-        s = v.sign()
+        _, num_mins, num_best = self._min_data(f.num)
+        den_canon, den_mins, den_best = self._min_data(f.den)
+        s = self._difference_sign(num_best, den_best)
         if s > 0:
             return RatFunc.zero(self.field, k)
         if s < 0:
@@ -388,14 +409,17 @@ class CompositePlace(Place):
         """Values of the variables; they generate the term-value homomorphism.
 
         x_i has the inner value w_i; dividing it by the inner section of w_i
-        leaves an inner unit, whose residue the outer place values.
+        leaves an inner unit, whose residue is a Laurent monomial u^c that
+        the outer place values as v(u^c).
         """
         out = []
         for i, w in enumerate(self.inner.flat_place.weights):
             section = self.inner._raw_section(w)
             unit = tuple(int(j == i) - c for j, c in enumerate(section))
             r = self.inner.residue(RatFunc.monomial(self.field, self.arity, unit))
-            out.append(self._pair(w, self.outer.value(r)))
+            (top,), (bottom,) = r.num.terms, r.den.terms
+            c = tuple(x - y for x, y in zip(top, bottom))
+            out.append(self._pair(w, self.outer.monomial_value(c)))
         return tuple(out)
 
     @cached_property

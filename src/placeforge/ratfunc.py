@@ -15,6 +15,8 @@ from math import gcd
 from ._kernels import mul_terms
 
 EXP_LIMIT = 2**62
+# Largest number of term pairs one polynomial product may multiply out.
+MAX_TERM_PAIRS = 10**6
 
 
 def _is_prime(n: int) -> bool:
@@ -190,6 +192,11 @@ class Poly:
         if not self.terms or not other.terms:
             return Poly.zero(self.field, self.arity)
         ea, eb = list(self.terms), list(other.terms)
+        if len(ea) * len(eb) > MAX_TERM_PAIRS:
+            raise ValueError(
+                f"product of {len(ea)} by {len(eb)} terms exceeds "
+                f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS}"
+            )
         if self.field.p:
             ca = [self.terms[e] for e in ea]
             cb = [other.terms[e] for e in eb]

@@ -93,23 +93,45 @@ def test_exit_code_on_parse_error(capsys):
     assert code == 1
 
 
+def run_fresh(*args):
+    """Run the CLI in a fresh process, which shows exactly what a user sees;
+    every input must be settled within 5 s."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-m", "placeforge.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=5)
+
+
+def assert_one_line_error(proc, message):
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_deep_nesting_is_a_parse_error(capsys):
     place = json.dumps(json.loads((HERE / "jobs" / "value.json").read_text())["place"])
     code, out = run_cli(capsys, "value", "--place", place, "--elem", "(" * 100 + "x1" + ")" * 100)
     assert code == 0
     assert json.loads(out)["results"][0]["sign"] == "+"
-    # a fresh process shows exactly what a user sees
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "placeforge.cli", "value", "--place", place,
-         "--elem", "(" * 3000 + "x1" + ")" * 3000],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert "nested deeper than" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    proc = run_fresh("value", "--place", place, "--elem", "(" * 3000 + "x1" + ")" * 3000)
+    assert_one_line_error(proc, "nested deeper than")
+
+
+def test_radicand_over_budget_is_refused():
+    place = {
+        "kind": "monomial", "base": "Q", "arity": 2,
+        "ambient": {"levels": [{"d": 10**18 + 3}]},
+        "weights": [[{"a": "1", "b": "0"}], [{"a": "0", "b": "1"}]],
+    }
+    proc = run_fresh("classify", "--place", json.dumps(place))
+    assert_one_line_error(proc, "MAX_RADICAND")
+
+
+def test_product_over_term_budget_is_refused():
+    place = json.dumps(json.loads((HERE / "jobs" / "value.json").read_text())["place"])
+    proc = run_fresh("value", "--place", place, "--elem", "(x1+x2+1)^400")
+    assert_one_line_error(proc, "MAX_TERM_PAIRS")
 
 
 def test_exit_code_on_infeasible_shape(capsys):

@@ -1,17 +1,14 @@
-"""The compiled and pure kernels must be observationally identical."""
+"""The compiled and pure kernels must be observationally identical.
+
+The compiled module comes from the `speedups` fixture (conftest.py), which
+builds the committed C source when no compiled module is installed.
+"""
 
 import random
 
 import pytest
 
 from placeforge._kernels import _fallback, backend
-
-try:
-    from placeforge._kernels import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
 
 
 def rand_terms(rng, n, count, emax, cmax, p):
@@ -27,8 +24,7 @@ def rand_terms(rng, n, count, emax, cmax, p):
     return exps, coeffs
 
 
-@needs_compiled
-def test_mul_terms_agreement_across_envelope():
+def test_mul_terms_agreement_across_envelope(speedups):
     rng = random.Random(101)
     for _ in range(400):
         n = rng.randint(1, 6)
@@ -37,11 +33,10 @@ def test_mul_terms_agreement_across_envelope():
         cmax = rng.choice([10, 10**30])
         ea, ca = rand_terms(rng, n, rng.randint(1, 8), emax, cmax, p)
         eb, cb = rand_terms(rng, n, rng.randint(1, 8), emax, cmax, p)
-        assert _fallback.mul_terms(ea, ca, eb, cb, p) == _speedups.mul_terms(ea, ca, eb, cb, p)
+        assert _fallback.mul_terms(ea, ca, eb, cb, p) == speedups.mul_terms(ea, ca, eb, cb, p)
 
 
-@needs_compiled
-def test_term_mins_agreement_across_envelope():
+def test_term_mins_agreement_across_envelope(speedups):
     rng = random.Random(102)
     for _ in range(400):
         n = rng.randint(1, 6)
@@ -55,15 +50,19 @@ def test_term_mins_agreement_across_envelope():
             arow = tuple(rng.randint(-wmax, wmax) for _ in range(n))
             brow = tuple(rng.randint(-wmax, wmax) for _ in range(n))
             levels.append((arow, brow, rng.choice([2, 3, 5, 7])))
-        assert _fallback.term_mins(exps, levels) == _speedups.term_mins(exps, levels)
+        assert _fallback.term_mins(exps, levels) == speedups.term_mins(exps, levels)
 
 
 def test_overflow_detection():
     with pytest.raises(OverflowError):
         _fallback.mul_terms([(2**61,)], [1], [(2**61,)], [1], 0)
-    if _speedups is not None:
-        with pytest.raises(OverflowError):
-            _speedups.mul_terms([(2**61,)], [1], [(2**61,)], [1], 0)
+
+
+def test_compiled_edge_cases(speedups):
+    assert speedups.backend() == "compiled"
+    with pytest.raises(OverflowError):
+        speedups.mul_terms([(2**61,)], [1], [(2**61,)], [1], 0)
+    assert speedups.mul_terms([], [], [(0,)], [1], 0) == {}
 
 
 def test_backend_reports_a_name():
@@ -72,8 +71,6 @@ def test_backend_reports_a_name():
 
 def test_mul_terms_empty():
     assert _fallback.mul_terms([], [], [(0,)], [1], 0) == {}
-    if _speedups is not None:
-        assert _speedups.mul_terms([], [], [(0,)], [1], 0) == {}
 
 
 def test_cancellation_drops_terms():

@@ -18,7 +18,7 @@ from placeforge import (
     rational_rank,
     subgroup_member,
 )
-from placeforge.ordgroup import GroupElem, sqrt_convergent
+from placeforge.ordgroup import MAX_RADICAND, GroupElem, sqrt_convergent
 
 from oracles import elem_sign, fraction_rank
 
@@ -228,3 +228,12 @@ def test_sqrt_convergents():
     for d in (2, 3, 5, 7, 11):
         c = sqrt_convergent(d, 1000)
         assert abs(c * c - d) < Fraction(1, 1000)
+
+
+@pytest.mark.parametrize("d", [12, 1, MAX_RADICAND + 3])
+def test_radicand_is_checked(d):
+    message = "MAX_RADICAND" if d > MAX_RADICAND else "squarefree"
+    with pytest.raises(ValueError, match=message):
+        AmbientGroup((2, d))
+    with pytest.raises(ValueError, match=message):
+        QuadScalar.rational(1, d)

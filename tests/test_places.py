@@ -369,3 +369,34 @@ class TestFlatTowerValue:
                             assert tuple(lattice.hnf(tower.residue_desc().gens)) == kernel
                             count += 1
         assert count == 96
+
+
+def test_value_from_kernel_minimum_matches_combine():
+    """v(f) taken from the kernel's integer minima equals the homomorphism
+    x^e -> v(x^e) applied to the canonical minimizers, and the residue is 0
+    or infinity exactly when that value is positive or negative."""
+    rng = random.Random(41)
+    count = 0
+    for field in (QQ, F5):
+        for n in (2, 3, 4):
+            places = [random_monomial_place(rng, field, n, levels=levels)
+                      for levels in (1, 2, 3)]
+            places += [random_tower(rng, field, n, irrational_inner, rng.choice([1, 2]))
+                       for irrational_inner in (False, True)]
+            for place in places:
+                flat = place.flat_place
+                for _ in range(6):
+                    g = random_ratfunc(rng, field, n, nonzero=True)
+                    canon, _, _ = flat._min_data(g.num)
+                    unit = g / RatFunc.monomial(field, n, canon)
+                    for f in (g, unit):
+                        num_canon, _, _ = flat._min_data(f.num)
+                        den_canon, _, _ = flat._min_data(f.den)
+                        v = place.value(f)
+                        assert v == place.monomial_value(num_canon) - place.monomial_value(den_canon)
+                        r = place.residue(f)
+                        s = v.sign()
+                        assert (r is INFINITY) == (s < 0)
+                        assert (r is not INFINITY and r.is_zero()) == (s > 0)
+                        count += 1
+    assert count == 2 * 3 * 5 * 6 * 2
