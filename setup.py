@@ -1,6 +1,6 @@
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 
 ext_modules = []
 if os.environ.get("PLACEFORGE_PURE") != "1":
@@ -12,7 +12,9 @@ if os.environ.get("PLACEFORGE_PURE") != "1":
             language_level=3,
         )
     except ImportError:
-        # No Cython: install pure-Python only, the fallback kernels take over.
-        ext_modules = []
+        # No Cython: build the committed C translation of the .pyx.
+        ext_modules = [
+            Extension("placeforge._kernels._speedups", ["src/placeforge/_kernels/_speedups.c"])
+        ]
 
 setup(ext_modules=ext_modules)

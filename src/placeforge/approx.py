@@ -34,7 +34,6 @@ from .places import (
     compose,
     in_basic_open,
 )
-from .ratfunc import RatFunc
 
 DEFAULT_MAX_ITER = 64
 
@@ -147,9 +146,11 @@ def _orient(m, s):
 def signature(place: Place, elems) -> SignSignature:
     """Sign signature of the place on the elements.
 
-    Zero elements are skipped with a notice.  For composite places the
-    per-term values are taken through the whole tower (term values are a
-    group homomorphism in the exponent).
+    Zero elements are skipped with a notice.  Every sign is decided on the
+    integer level rows of the place's flat monomial place (term values are
+    a group homomorphism in the exponent, also through a tower); no group
+    element is built.  Each pair of terms is queried once, and the search
+    for a minimal term reuses those pairwise signs.
     """
     entries = {}
     notices = []
@@ -170,19 +171,21 @@ def signature(place: Place, elems) -> SignSignature:
         sides = []
         for poly in (f.num, f.den):
             exps = sorted(poly.terms)
-            vals = [place.monomial_value(e) for e in exps]
+            # pair_sign[i, j] is the sign of v(x^exps[i]) - v(x^exps[j]), i < j
+            pair_sign = {}
             for i in range(len(exps)):
                 for j in range(i + 1, len(exps)):
                     m = tuple(x - y for x, y in zip(exps[i], exps[j]))
-                    add(m, (vals[i] - vals[j]).sign())
+                    s = place.monomial_sign(m)
+                    pair_sign[i, j] = s
+                    add(m, s)
             best = 0
             for i in range(1, len(exps)):
-                if (vals[i] - vals[best]).sign() < 0:
+                if pair_sign[best, i] > 0:
                     best = i
             sides.append(exps[best])
         m = tuple(x - y for x, y in zip(sides[0], sides[1]))
-        v = place.value(f)
-        add(m, v.sign())
+        add(m, place.value_sign(f))
     return SignSignature(
         place.arity, frozenset(entries.items()), tuple(sources), tuple(notices)
     )
@@ -304,7 +307,9 @@ def perturb_weights(sig: SignSignature, place: Place, shape: TargetShape,
                     "the ties force every weight to zero; no nontrivial "
                     "place preserves them"
                 )
-        if any(_sign(_dot(m, q)) != s for m, s in strict):
+        # A positive rescaling of q keeps every sign: test on integers.
+        ints = _level_from_q(q)
+        if any(_sign(_dot(m, ints)) != s for m, s in strict):
             last_reason = "sign refinement still converging"
             continue
         candidate, reason = _assemble(place.field, n, q, shape, place, iteration)
@@ -332,7 +337,7 @@ def _equality_subspace_vector(equalities, n):
 
 def _signature_holds(place: MonomialPlace, sig: SignSignature) -> bool:
     for m, s in sig.entries:
-        if place.monomial_value(m).sign() != s:
+        if place.monomial_sign(m) != s:
             return False
     return True
 
@@ -456,18 +461,13 @@ def _sign_char(s) -> str:
     return {1: "+", 0: "0", -1: "-"}[s]
 
 
-def _value_sign(place: Place, f: RatFunc):
-    v = place.value(f)
-    return INFINITY if v is INFINITY else v.sign()
-
-
 def _residue_checks(old: Place, new: Place, elems):
     checks = []
     for f in elems:
         if f.is_zero():
             continue
-        sq = _value_sign(old, f)
-        sp = _value_sign(new, f)
+        sq = old.value_sign(f)
+        sp = new.value_sign(f)
         entry = {"elem": str(f), "sign_q": _sign_char(sq), "sign_p": _sign_char(sp)}
         if sq == 0:
             entry["residue_equal"] = old.initial_form(f) == new.initial_form(f)

@@ -92,24 +92,51 @@ def _merge_spec(args) -> dict:
     return spec
 
 
+def _schema(name: str):
+    return json.loads(
+        resources.files("placeforge").joinpath(f"schemas/{name}.schema.json").read_text()
+    )
+
+
+def _schema_error(what: str, error) -> JobError:
+    where = f" at {error.json_path}" if error.absolute_path else ""
+    return JobError(f"{what} does not match schema{where}: {error.message}")
+
+
 def _validate_jobspec(spec):
     try:
         import jsonschema
     except ImportError:  # validation is best-effort plumbing
         return
-    schema = json.loads(
-        resources.files("placeforge").joinpath("schemas/jobspec.schema.json").read_text()
-    )
     try:
-        jsonschema.validate(spec, schema)
+        jsonschema.validate(spec, _schema("jobspec"))
     except jsonschema.ValidationError as exc:
-        raise JobError(f"job spec does not match schema: {exc.message}") from exc
+        raise _schema_error("job spec", exc) from exc
+
+
+def _validate_place(obj, what: str):
+    """Check an input place against the shipped place schema.
+
+    jsonschema.validate would first check the schema against its
+    metaschema on every call, which costs far more than checking a place;
+    the test suite checks the shipped schema instead.
+    """
+    try:
+        import jsonschema
+    except ImportError:  # validation is best-effort plumbing
+        return
+    schema = _schema("place")
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    if error is not None:
+        raise _schema_error(what, error)
 
 
 def _place_from_spec(spec, key="place") -> Place:
     obj = spec.get(key)
     if obj is None:
         raise JobError(f"missing {key!r}")
+    _validate_place(obj, key if key == "place" else f"{key} place")
     place = place_from_json(obj)
     if key == "place":
         base = spec.get("base")

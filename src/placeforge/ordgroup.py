@@ -21,6 +21,11 @@ Rat = Fraction
 # to sqrt(d), about half a million steps at this bound.
 MAX_RADICAND = 10**12
 
+# Most digits a number literal may carry, counting the digits an exponent
+# ("1e5") adds; checked before any conversion, so a huge literal is refused
+# instead of built.  Below CPython's own int-string limit of 4300 digits.
+MAX_LITERAL_DIGITS = 1000
+
 
 def rat_to_str(r: Fraction) -> str:
     if r.denominator == 1:
@@ -28,7 +33,27 @@ def rat_to_str(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
+def _literal_digits(s: str) -> int:
+    """Upper bound on the digits of the integers Fraction(s) would build:
+    the mantissa's digits plus the exponent's magnitude."""
+    mantissa, _, exponent = s.lower().partition("e")
+    digits = sum(c.isdecimal() for c in mantissa)
+    magnitude = exponent.strip().lstrip("+-").replace("_", "")
+    if magnitude.isdecimal():
+        # a longer exponent is over the budget without converting it
+        digits += int(magnitude) if len(magnitude) <= 9 else MAX_LITERAL_DIGITS + 1
+    return digits
+
+
 def rat_from_str(s: str) -> Fraction:
+    # Without an exponent a literal has at most len(s) digits; only longer
+    # or exponent literals need counting.
+    if isinstance(s, str) and (len(s) > MAX_LITERAL_DIGITS or "e" in s or "E" in s):
+        if _literal_digits(s) > MAX_LITERAL_DIGITS:
+            shown = s if len(s) <= 24 else s[:20] + "..."
+            raise ValueError(
+                f"literal {shown!r} has more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits"
+            )
     return Fraction(s)
 
 
@@ -369,29 +394,52 @@ class EmbeddingVerdict:
         return self.status == "ok"
 
 
+def _cleared_rows(elems):
+    """The elements' qvecs as integer rows over one positive denominator,
+    and the radicands of their common ambient group."""
+    if not elems:
+        return [], ()
+    for e in elems:
+        e._check(elems[0])
+    rows, _ = lattice.clear_denominators([e.qvec() for e in elems])
+    return rows, elems[0].ambient.ds
+
+
+def _combination_sign(rows, coeffs, ds) -> int:
+    """Lexicographic sign of sum_k coeffs[k] * rows[k], level by level."""
+    for lv, d in enumerate(ds):
+        a = b = 0
+        for row, c in zip(rows, coeffs):
+            if c:
+                a += c * row[2 * lv]
+                b += c * row[2 * lv + 1]
+        s = quad_sign_int(a, b, d)
+        if s:
+            return s
+    return 0
+
+
 def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
     """Bounded verification that sources -> images extends to an order embedding.
 
     First every integer relation among the sources must map to zero
     (otherwise the assignment is not even well defined); then each witness
     combination must have the same sign on both sides.  Order preservation
-    is checked only on the witness set.
+    is checked only on the witness set.  Both sides are cleared to integer
+    rows once, and every sign is decided on those integers with each side's
+    own radicands; no group element is built.
     """
     if len(sources) != len(images):
         raise ValueError("sources and images must have equal length")
-    m = len(sources)
-    if m:
-        rows, _ = lattice.clear_denominators([src.qvec() for src in sources])
-        for rel in lattice.row_kernel(rows):
-            img = combine(images, rel, images[0].ambient if images else None)
-            if not img.is_zero():
-                return EmbeddingVerdict("ill_defined", tuple(rel))
+    src_rows, src_ds = _cleared_rows(sources)
+    img_rows, img_ds = _cleared_rows(images)
+    for rel in lattice.row_kernel(src_rows):
+        if _combination_sign(img_rows, rel, img_ds):
+            return EmbeddingVerdict("ill_defined", tuple(rel))
     for w in witnesses:
-        if len(w) != m:
+        if len(w) != len(sources):
             raise ValueError("witness length must match the number of sources")
-        src = combine(sources, w, sources[0].ambient if sources else None) if m else None
-        img = combine(images, w, images[0].ambient if images else None) if m else None
-        if m and src.sign() != img.sign():
+        if _combination_sign(src_rows, w, src_ds) != _combination_sign(img_rows, w, img_ds):
             return EmbeddingVerdict("order_violated", tuple(w))
     return EmbeddingVerdict("ok")
 

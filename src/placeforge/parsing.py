@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 
+from .ordgroup import MAX_LITERAL_DIGITS
 from .ratfunc import BaseField, Poly, RatFunc
 
 
@@ -41,6 +42,11 @@ def _tokenize(text: str):
             raise ParseError(f"unexpected character {stripped[0]!r}", pos)
         number, name, op = m.groups()
         if number is not None:
+            if len(number) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal of {len(number)} digits exceeds "
+                    f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}", m.start(1)
+                )
             tokens.append(("num", int(number), m.start(1)))
         elif name is not None:
             tokens.append(("name", name, m.start(2)))

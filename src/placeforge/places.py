@@ -138,6 +138,14 @@ class Place:
         """Value of the Laurent monomial x^evec (a group homomorphism)."""
         return self.flat_place.monomial_value(evec)
 
+    def monomial_sign(self, evec) -> int:
+        """Sign of v(x^evec), decided on integers."""
+        return self.flat_place.monomial_sign(evec)
+
+    def value_sign(self, f: RatFunc):
+        """Sign of v(f), or INFINITY for f = 0, decided on integers."""
+        return self.flat_place.value_sign(f)
+
     def kernel_lattice(self):
         """HNF basis of the integer vectors m with v(x^m) = 0."""
         return self.flat_place._kernel
@@ -261,6 +269,30 @@ class MonomialPlace(Place):
 
     def monomial_value(self, evec) -> GroupElem:
         return combine(self.weights, evec, self.ambient)
+
+    def monomial_sign(self, evec) -> int:
+        """Per level, the integer dot products of evec with the (a, b)
+        rows; the first nonzero level sign decides."""
+        for arow, brow, d in self._levels:
+            a = b = 0
+            for x, wa, wb in zip(evec, arow, brow):
+                if x:
+                    a += x * wa
+                    b += x * wb
+            s = quad_sign_int(a, b, d)
+            if s:
+                return s
+        return 0
+
+    def value_sign(self, f: RatFunc):
+        """Sign of the difference of the kernel minima of numerator and
+        denominator; no group element is built."""
+        _validate_match(self, f)
+        if f.is_zero():
+            return INFINITY
+        _, _, num_best = self._min_data(f.num)
+        _, _, den_best = self._min_data(f.den)
+        return self._difference_sign(num_best, den_best)
 
     def value(self, f: RatFunc):
         """v(f): the difference of the kernel minima of numerator and
@@ -511,12 +543,12 @@ def monomial_section(place: Place, v: GroupElem):
 def in_basic_open(place: Place, finite_on, vanishing_on) -> bool:
     """Membership in the basic open set: v >= 0 on the first list, v > 0 on the second."""
     for a in finite_on:
-        v = place.value(a)
-        if v is not INFINITY and v.sign() < 0:
+        s = place.value_sign(a)
+        if s is not INFINITY and s < 0:
             return False
     for b in vanishing_on:
-        v = place.value(b)
-        if v is not INFINITY and v.sign() <= 0:
+        s = place.value_sign(b)
+        if s is not INFINITY and s <= 0:
             return False
     return True
 

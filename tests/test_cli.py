@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import placeforge
+from placeforge import place_from_json
 from placeforge.cli import main
 
 HERE = pathlib.Path(__file__).parent
@@ -132,6 +133,42 @@ def test_product_over_term_budget_is_refused():
     place = json.dumps(json.loads((HERE / "jobs" / "value.json").read_text())["place"])
     proc = run_fresh("value", "--place", place, "--elem", "(x1+x2+1)^400")
     assert_one_line_error(proc, "MAX_TERM_PAIRS")
+
+
+def one_weight_place(a):
+    return {
+        "kind": "monomial", "base": "Q", "arity": 1,
+        "ambient": {"levels": [{"d": 2}]},
+        "weights": [[{"a": a, "b": "0"}]],
+    }
+
+
+def test_long_literals_are_refused():
+    digits = "7" * 5000
+    proc = run_fresh("classify", "--place", json.dumps(one_weight_place(digits)))
+    assert_one_line_error(proc, "MAX_LITERAL_DIGITS")
+    place = json.dumps(json.loads((HERE / "jobs" / "value.json").read_text())["place"])
+    proc = run_fresh("value", "--place", place, "--elem", digits + "*x1")
+    assert_one_line_error(proc, "MAX_LITERAL_DIGITS")
+
+
+def test_exponent_weight_is_refused():
+    # The place schema admits only -?digits(/digits)?, so the CLI refuses
+    # exponent notation before any conversion; place_from_json, which reads
+    # no schema, refuses it by the literal budget.
+    place = one_weight_place("1e100000000")
+    proc = run_fresh("classify", "--place", json.dumps(place))
+    assert_one_line_error(proc, "place does not match schema at $.weights[0][0].a")
+    with pytest.raises(ValueError, match="MAX_LITERAL_DIGITS"):
+        place_from_json(place)
+
+
+def test_malformed_outer_place_is_refused():
+    spec = json.loads((HERE / "jobs" / "compose.json").read_text())
+    spec["outer"]["weights"][0][0]["a"] = "one"
+    proc = run_fresh("compose", "--place", json.dumps(spec["place"]),
+                     "--outer", json.dumps(spec["outer"]))
+    assert_one_line_error(proc, "outer place does not match schema")
 
 
 def test_exit_code_on_infeasible_shape(capsys):

@@ -18,8 +18,17 @@ from placeforge import (
     rational_rank,
     subgroup_member,
 )
-from placeforge.ordgroup import MAX_RADICAND, GroupElem, sqrt_convergent
+from placeforge import lattice
+from placeforge.ordgroup import (
+    MAX_LITERAL_DIGITS,
+    MAX_RADICAND,
+    GroupElem,
+    combine,
+    rat_from_str,
+    sqrt_convergent,
+)
 
+from gen import random_quad
 from oracles import elem_sign, fraction_rank
 
 AMB = AmbientGroup((2,))
@@ -201,6 +210,60 @@ class TestOrderEmbedding:
         with pytest.raises(ValueError):
             order_embedding_check([AMB.elem(1)], [], [])
 
+    def test_mixed_ambients_rejected(self):
+        with pytest.raises(ValueError):
+            order_embedding_check([AMB.elem(1), AMB2.elem(1, 0)], [AMB.elem(1)] * 2, [])
+
+    @staticmethod
+    def reference(sources, images, witnesses):
+        """The check on group elements, combined with `combine`."""
+        rows, _ = lattice.clear_denominators([s.qvec() for s in sources])
+        for rel in lattice.row_kernel(rows):
+            if not combine(images, rel, images[0].ambient).is_zero():
+                return "ill_defined", tuple(rel)
+        for w in witnesses:
+            src = combine(sources, w, sources[0].ambient)
+            img = combine(images, w, images[0].ambient)
+            if src.sign() != img.sign():
+                return "order_violated", tuple(w)
+        return "ok", None
+
+    def test_matches_group_element_reference(self):
+        """Random sources and images in two different ambients: integer
+        combinations of a few base elements (so relations occur), mapped by
+        the same coefficients (a homomorphism), by an embedding into a
+        longer ambient, or to unrelated elements."""
+        rng = random.Random(7)
+        statuses = {"ok": 0, "ill_defined": 0, "order_violated": 0}
+        for _ in range(300):
+            src_amb = AmbientGroup(tuple(rng.choice([2, 3, 5]) for _ in range(rng.randint(1, 2))))
+            r, m = rng.randint(1, 3), rng.randint(1, 4)
+            coeffs = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
+
+            def elems(amb):
+                return [GroupElem(amb, tuple(random_quad(rng, d) for d in amb.ds))
+                        for _ in range(r)]
+
+            sources = [combine(elems(src_amb), row, src_amb) for row in coeffs]
+            kind = rng.choice(["hom", "embed", "random"])
+            if kind == "embed":
+                img_amb = AmbientGroup(src_amb.ds + (rng.choice([2, 3]),))
+                images = [GroupElem(img_amb, s.coords + (random_quad(rng, img_amb.ds[-1]),))
+                          for s in sources]
+            else:
+                img_amb = AmbientGroup(tuple(rng.choice([2, 3, 5]) for _ in range(rng.randint(1, 3))))
+                if kind == "hom":
+                    images = [combine(elems(img_amb), row, img_amb) for row in coeffs]
+                else:
+                    images = [GroupElem(img_amb, tuple(random_quad(rng, d) for d in img_amb.ds))
+                              for _ in range(m)]
+            witnesses = [tuple(int(k == i) for k in range(m)) for i in range(m)]
+            witnesses += [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(4)]
+            verdict = order_embedding_check(sources, images, witnesses)
+            assert (verdict.status, verdict.witness) == self.reference(sources, images, witnesses)
+            statuses[verdict.status] += 1
+        assert min(statuses.values()) >= 30, statuses
+
 
 def test_json_round_trip_bit_exact():
     amb = AmbientGroup((2, 3))
@@ -237,3 +300,16 @@ def test_radicand_is_checked(d):
         AmbientGroup((2, d))
     with pytest.raises(ValueError, match=message):
         QuadScalar.rational(1, d)
+
+
+def test_literal_budget():
+    assert rat_from_str("-3/4") == Fraction(-3, 4)
+    assert rat_from_str("1.5e3") == 1500
+    assert rat_from_str("1e-3") == Fraction(1, 1000)
+    assert rat_from_str("7" * MAX_LITERAL_DIGITS) == int("7" * MAX_LITERAL_DIGITS)
+    assert rat_from_str(f"1e{MAX_LITERAL_DIGITS - 1}") == 10 ** (MAX_LITERAL_DIGITS - 1)
+    for text in ("7" * (MAX_LITERAL_DIGITS + 1), f"1e{MAX_LITERAL_DIGITS}",
+                 "1e100000000", "1E100000000", "1e-100000000", "1e" + "9" * 5000,
+                 "1/" + "3" * 5000):
+        with pytest.raises(ValueError, match="MAX_LITERAL_DIGITS"):
+            rat_from_str(text)

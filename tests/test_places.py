@@ -25,6 +25,7 @@ from placeforge.places import NotInValueGroupError
 
 from gen import (
     random_composite_place,
+    random_irrational_place,
     random_monomial_place,
     random_place,
     random_poly,
@@ -400,3 +401,40 @@ def test_value_from_kernel_minimum_matches_combine():
                         assert (r is not INFINITY and r.is_zero()) == (s > 0)
                         count += 1
     assert count == 2 * 3 * 5 * 6 * 2
+
+
+def test_integer_signs_match_group_values():
+    """monomial_sign and value_sign, decided on the integer level rows and
+    kernel minima, agree with the signs of monomial_value and value."""
+    rng = random.Random(43)
+    seen, monomial_seen = set(), set()
+    count = 0
+    for field in (QQ, F5):
+        for n in (2, 3, 4):
+            places = [random_monomial_place(rng, field, n, levels=levels)
+                      for levels in (1, 2, 3)]
+            places.append(random_irrational_place(rng, field, n, d=rng.choice([2, 3, 5])))
+            places += [random_tower(rng, field, n, irrational_inner, depth)
+                       for irrational_inner in (False, True) for depth in (1, 2)]
+            for place in places:
+                vectors = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(6)]
+                vectors += list(place.kernel_lattice())
+                for m in vectors:
+                    s = place.monomial_value(m).sign()
+                    assert place.monomial_sign(m) == s
+                    monomial_seen.add(s)
+                flat = place.flat_place
+                elems = [RatFunc.zero(field, n)]
+                for _ in range(4):
+                    g = random_ratfunc(rng, field, n, nonzero=True)
+                    canon, _, _ = flat._min_data(g.num)
+                    elems += [g, g / RatFunc.monomial(field, n, canon)]
+                for f in elems:
+                    v = place.value(f)
+                    s = INFINITY if v is INFINITY else v.sign()
+                    assert place.value_sign(f) == s
+                    seen.add(s)
+                count += 1
+    assert count == 2 * 3 * 8
+    assert monomial_seen == {-1, 0, 1}
+    assert seen == {INFINITY, -1, 0, 1}

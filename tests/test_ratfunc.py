@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from placeforge import BaseField, ParseError, Poly, RatFunc, arith, eq_zero, parse_expr
+from placeforge.ordgroup import MAX_LITERAL_DIGITS
 from placeforge.parsing import format_ratfunc
 
 from gen import random_ratfunc
@@ -74,6 +75,13 @@ class TestParser:
     def test_exponent_overflow(self):
         with pytest.raises(ParseError):
             parse_expr(f"x1^{2**62}", 1, QQ)
+
+    def test_literal_budget(self):
+        digits = "7" * MAX_LITERAL_DIGITS
+        assert parse_expr(digits, 1, QQ) == RatFunc.const(QQ, 1, int(digits))
+        with pytest.raises(ParseError, match="MAX_LITERAL_DIGITS") as err:
+            parse_expr("x1 + 7" + digits, 1, QQ)
+        assert err.value.pos == 5
 
 
 class TestArith:

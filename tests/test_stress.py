@@ -216,22 +216,19 @@ class TestSignatureConflicts:
         # A stand-in that answers differently on repeated queries of the
         # same difference vector cannot come from a place; the signature
         # builder must notice instead of silently keeping one answer.
-        amb = AmbientGroup((2,))
-
         class Flaky:
             arity = 2
             field = QQ
-            ambient = amb
 
             def __init__(self):
                 self.calls = 0
 
-            def monomial_value(self, e):
+            def monomial_sign(self, e):
                 self.calls += 1
-                return amb.elem(1 if self.calls % 2 else -1)
+                return 1 if self.calls % 2 else -1
 
-            def value(self, f):
-                return amb.elem(1)
+            def value_sign(self, f):
+                return 1
 
         # x1+x2 and x1^2+x1*x2 both query the difference vector (1, -1)
         elems = [parse_expr("x1 + x2", 2, QQ), parse_expr("x1^2 + x1*x2", 2, QQ)]
