@@ -42,11 +42,9 @@ from .places import (
     check_spv_axioms,
     compose,
     in_basic_open,
-    kernel_lattice,
-    monomial_section,
     place_from_json,
 )
-from .ratfunc import BaseField, Poly, RatFunc, arith, eq_zero
+from .ratfunc import BaseField, Poly, RatFunc, eq_zero
 
 __version__ = "0.1.0"
 
@@ -70,7 +68,6 @@ __all__ = [
     "SignSignature",
     "Subgroup",
     "TargetShape",
-    "arith",
     "check_spv_axioms",
     "cmp_elem",
     "compose",
@@ -82,8 +79,6 @@ __all__ = [
     "in_basic_open",
     "in_p_divisible_hull",
     "kernel_backend",
-    "kernel_lattice",
-    "monomial_section",
     "order_embedding_check",
     "parse_expr",
     "perturb_weights",

@@ -1,16 +1,16 @@
-"""Pure-Python kernels: sparse term products and weighted term minima.
+"""Hot kernels: sparse term products and weighted term minima.
 
-Same contract as the compiled module; used when the extension is absent or
-explicitly disabled.  Exponents are machine-word integers with overflow
-detection at 2**62.
+Exponents are machine-word integers with overflow detection at EXP_LIMIT.
 """
 
-from ..ordgroup import quad_sign_int
+from .ordgroup import quad_sign_int
 
+# Exponents must stay below this bound in every polynomial.
 EXP_LIMIT = 2**62
 
 
 def backend() -> str:
+    """Name of the kernel implementation; the pure-Python one is the only one."""
     return "pure"
 
 

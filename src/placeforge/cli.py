@@ -16,6 +16,7 @@ from .approx import InfeasibleShapeError, TargetShape, density_witness, goodify,
 from .parsing import ParseError, default_names, format_ratfunc, parse_expr
 from .places import (
     INFINITY,
+    MAX_TOWER_DEPTH,
     Place,
     check_spv_axioms,
     compose,
@@ -31,11 +32,22 @@ class JobError(ValueError):
     pass
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise JobError("JSON input is nested too deeply to read") from None
+
+
+def _read_json_file(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_json(fh.read())
+
+
 def _load_json_arg(raw: str):
     if raw.startswith("@"):
-        with open(raw[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(raw)
+        return _read_json_file(raw[1:])
+    return _parse_json(raw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,8 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge_spec(args) -> dict:
     spec = {}
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec = _read_json_file(args.spec)
         _validate_jobspec(spec)
     if args.command:
         spec["command"] = args.command
@@ -114,12 +125,42 @@ def _validate_jobspec(spec):
         raise _schema_error("job spec", exc) from exc
 
 
+def _check_tower_depth(obj, what: str):
+    """Refuse a place whose composites nest deeper than MAX_TOWER_DEPTH.
+
+    Schema validation and place_from_json both recurse once per level, so
+    the depth is measured first, without recursion.
+    """
+    stack = [(obj, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, dict) and node.get("kind") == "composite":
+            if depth == MAX_TOWER_DEPTH:
+                raise JobError(f"{what} nests composite places deeper than "
+                               f"MAX_TOWER_DEPTH = {MAX_TOWER_DEPTH}")
+            stack += [(node.get("inner"), depth + 1), (node.get("outer"), depth + 1)]
+
+
+def _kind_branch_errors(error):
+    """The errors of the `oneOf` branch whose `kind` constant is the
+    instance's own kind, or None when no branch names that kind."""
+    if error.validator != "oneOf" or not isinstance(error.instance, dict):
+        return None
+    kind = error.instance.get("kind")
+    kinds = [b.get("properties", {}).get("kind", {}).get("const") for b in error.validator_value]
+    if kind is None or kind not in kinds:
+        return None
+    i = kinds.index(kind)
+    return [e for e in error.context if e.relative_schema_path[0] == i]
+
+
 def _validate_place(obj, what: str):
     """Check an input place against the shipped place schema.
 
     jsonschema.validate would first check the schema against its
     metaschema on every call, which costs far more than checking a place;
-    the test suite checks the shipped schema instead.
+    the test suite checks the shipped schema instead.  An error is taken
+    from the branch of the place's own `kind`, at every nesting level.
     """
     try:
         import jsonschema
@@ -127,16 +168,22 @@ def _validate_place(obj, what: str):
         return
     schema = _schema("place")
     validator = jsonschema.validators.validator_for(schema)(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
-    if error is not None:
-        raise _schema_error(what, error)
+    relevance = jsonschema.exceptions.relevance
+    error = max(validator.iter_errors(obj), key=relevance, default=None)
+    if error is None:
+        return
+    while branch := _kind_branch_errors(error):
+        error = min(branch, key=relevance)  # the deepest, as best_match descends
+    raise _schema_error(what, jsonschema.exceptions.best_match([error]))
 
 
 def _place_from_spec(spec, key="place") -> Place:
     obj = spec.get(key)
     if obj is None:
         raise JobError(f"missing {key!r}")
-    _validate_place(obj, key if key == "place" else f"{key} place")
+    what = key if key == "place" else f"{key} place"
+    _check_tower_depth(obj, what)
+    _validate_place(obj, what)
     place = place_from_json(obj)
     if key == "place":
         base = spec.get("base")

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._kernels import mul_terms
+from ._kernels import EXP_LIMIT, mul_terms
 
-EXP_LIMIT = 2**62
 # Largest number of term pairs one polynomial product may multiply out.
 MAX_TERM_PAIRS = 10**6
 
@@ -422,19 +421,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
-
-
-def arith(op: str, f: RatFunc, g: RatFunc) -> RatFunc:
-    """Field arithmetic entry point: op in {add, sub, mul, div}."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def eq_zero(f: RatFunc) -> bool:

@@ -11,6 +11,7 @@ import pytest
 import placeforge
 from placeforge import place_from_json
 from placeforge.cli import main
+from placeforge.places import MAX_TOWER_DEPTH
 
 HERE = pathlib.Path(__file__).parent
 JOBS = sorted((HERE / "jobs").glob("*.json"))
@@ -169,6 +170,64 @@ def test_malformed_outer_place_is_refused():
     proc = run_fresh("compose", "--place", json.dumps(spec["place"]),
                      "--outer", json.dumps(spec["outer"]))
     assert_one_line_error(proc, "outer place does not match schema")
+
+
+def cli_error(capsys, *args):
+    """Run the CLI in process on an input it must refuse; return stderr."""
+    assert main(list(args)) == 1
+    return capsys.readouterr().err
+
+
+def tower(depth):
+    """A valid place with `depth` composites nested on the outer side: the
+    place x1 -> 1, x2 -> 0 under a chain of trivial places on x2's residue."""
+    trivial = one_weight_place("0")
+    place = trivial
+    for _ in range(depth - 1):
+        place = {"kind": "composite", "inner": trivial, "outer": place}
+    inner = json.loads((HERE / "jobs" / "compose.json").read_text())["place"]
+    return {"kind": "composite", "inner": inner, "outer": place}
+
+
+def test_deep_tower_is_refused(capsys):
+    code, out = run_cli(capsys, "classify", "--place", json.dumps(tower(MAX_TOWER_DEPTH)))
+    assert code == 0
+    assert json.loads(out)["invariants"]["rank"] == 1
+    err = cli_error(capsys, "classify", "--place", json.dumps(tower(MAX_TOWER_DEPTH + 1)))
+    assert "MAX_TOWER_DEPTH" in err
+    proc = run_fresh("classify", "--place", json.dumps(tower(400)))
+    assert_one_line_error(proc, "place nests composite places deeper than MAX_TOWER_DEPTH")
+    inner = json.loads((HERE / "jobs" / "compose.json").read_text())["place"]
+    proc = run_fresh("compose", "--place", json.dumps(inner), "--outer", json.dumps(tower(400)))
+    assert_one_line_error(proc, "outer place nests composite places deeper than MAX_TOWER_DEPTH")
+
+
+def test_json_nested_past_the_decoder_is_refused(tmp_path):
+    nested = '{"kind":"composite","inner":' * 2000 + "{}" + "}" * 2000
+    proc = run_fresh("classify", "--place", nested)
+    assert_one_line_error(proc, "nested too deeply")
+    spec = tmp_path / "deep.json"
+    spec.write_text('{"command":"classify","place":' + nested + "}")
+    proc = run_fresh("--spec", str(spec))
+    assert_one_line_error(proc, "nested too deeply")
+
+
+def test_place_schema_error_follows_the_kind(capsys):
+    proc = run_fresh("classify", "--place", '{"kind":"monomial"}')
+    assert_one_line_error(proc, "place does not match schema: 'base' is a required property")
+    assert "was expected" not in proc.stderr
+    err = cli_error(capsys, "classify", "--place", '{"kind":"composite"}')
+    assert "'inner' is a required property" in err
+    # one level down: the inner place is monomial and misses its weights
+    place = tower(1)
+    del place["inner"]["weights"]
+    err = cli_error(capsys, "classify", "--place", json.dumps(place))
+    assert "at $.inner: 'weights' is a required property" in err
+    # two levels down: a composite inside a composite misses its outer place
+    place = tower(2)
+    del place["outer"]["outer"]
+    err = cli_error(capsys, "classify", "--place", json.dumps(place))
+    assert "at $.outer: 'outer' is a required property" in err
 
 
 def test_exit_code_on_infeasible_shape(capsys):

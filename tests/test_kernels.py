@@ -1,14 +1,17 @@
-"""The compiled and pure kernels must be observationally identical.
+"""The kernels against naive references written here, with no library code.
 
-The compiled module comes from the `speedups` fixture (conftest.py), which
-builds the committed C source when no compiled module is installed.
+`mul_terms` is checked against a product that sums every term pair first
+and reduces mod p only at the end; `term_mins` against a sort of the term
+values, each compared exactly by integer squaring.
 """
 
+import functools
 import random
 
 import pytest
 
-from placeforge._kernels import _fallback, backend
+from placeforge import Poly, ratfunc
+from placeforge._kernels import EXP_LIMIT, backend, mul_terms, term_mins
 
 
 def rand_terms(rng, n, count, emax, cmax, p):
@@ -24,25 +27,71 @@ def rand_terms(rng, n, count, emax, cmax, p):
     return exps, coeffs
 
 
-def test_mul_terms_agreement_across_envelope(speedups):
+def naive_mul(ea, ca, eb, cb, p):
+    sums = {}
+    for e1, c1 in zip(ea, ca):
+        for e2, c2 in zip(eb, cb):
+            key = tuple(x + y for x, y in zip(e1, e2))
+            sums[key] = sums.get(key, 0) + c1 * c2
+    if p:
+        sums = {key: c % p for key, c in sums.items()}
+    return {key: c for key, c in sums.items() if c}
+
+
+def quad_sign(a, b, d):
+    """Sign of a + b*sqrt(d) for integers a, b and a nonsquare d > 1."""
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    # opposite signs: the larger square wins
+    diff = a * a - b * b * d
+    return (1 if diff > 0 else -1) if a > 0 else (1 if diff < 0 else -1)
+
+
+def naive_term_mins(exps, levels):
+    values = [
+        tuple((sum(x * w for x, w in zip(e, arow)), sum(x * w for x, w in zip(e, brow)))
+              for arow, brow, _ in levels)
+        for e in exps
+    ]
+
+    def compare(u, v):
+        for (ua, ub), (va, vb), (_, _, d) in zip(u, v, levels):
+            s = quad_sign(ua - va, ub - vb, d)
+            if s:
+                return s
+        return 0
+
+    least = min(values, key=functools.cmp_to_key(compare))
+    return [i for i, v in enumerate(values) if compare(v, least) == 0], least
+
+
+def test_mul_terms_agreement_across_envelope():
     rng = random.Random(101)
+    cancelled = 0
     for _ in range(400):
         n = rng.randint(1, 6)
         p = rng.choice([0, 5, 1_000_003, 2**61 - 1])
-        emax = rng.choice([3, 6, 20000])  # 20000 leaves the packed fast path
+        emax = rng.choice([3, 6, 20000])
         cmax = rng.choice([10, 10**30])
         ea, ca = rand_terms(rng, n, rng.randint(1, 8), emax, cmax, p)
         eb, cb = rand_terms(rng, n, rng.randint(1, 8), emax, cmax, p)
-        assert _fallback.mul_terms(ea, ca, eb, cb, p) == speedups.mul_terms(ea, ca, eb, cb, p)
+        out = mul_terms(ea, ca, eb, cb, p)
+        assert out == naive_mul(ea, ca, eb, cb, p)
+        keys = {tuple(x + y for x, y in zip(e1, e2)) for e1 in ea for e2 in eb}
+        cancelled += len(out) < len(keys)
+    assert cancelled > 0
 
 
-def test_term_mins_agreement_across_envelope(speedups):
+def test_term_mins_agreement_across_envelope():
     rng = random.Random(102)
+    ties = 0
     for _ in range(400):
         n = rng.randint(1, 6)
         m = rng.randint(1, 12)
         big = rng.random() < 0.3
-        emax = 5000 if big else 10
+        emax = 20000 if big else 10
         wmax = 2**35 if big else 50
         exps = [tuple(rng.randint(0, emax) for _ in range(n)) for _ in range(m)]
         levels = []
@@ -50,32 +99,45 @@ def test_term_mins_agreement_across_envelope(speedups):
             arow = tuple(rng.randint(-wmax, wmax) for _ in range(n))
             brow = tuple(rng.randint(-wmax, wmax) for _ in range(n))
             levels.append((arow, brow, rng.choice([2, 3, 5, 7])))
-        assert _fallback.term_mins(exps, levels) == speedups.term_mins(exps, levels)
+        argmins, best = term_mins(exps, levels)
+        assert (argmins, best) == naive_term_mins(exps, levels)
+        ties += len(argmins) > 1
+    assert ties > 0
+
+
+def test_term_mins_compares_sqrt_parts_exactly():
+    # 1 + 0*sqrt(2) against 0 + 1*sqrt(2): sqrt(2) > 1, so the first is smaller;
+    # 3 - 2*sqrt(2) (about 0.17) against 0: the first is larger.
+    assert term_mins([(1, 0), (0, 1)], [((1, 0), (0, 1), 2)]) == ([0], ((1, 0),))
+    assert term_mins([(1,), (0,)], [((3,), (-2,), 2)]) == ([1], ((0, 0),))
+    # equal at level 1, decided at level 2
+    levels = [((1, 1), (0, 0), 3), ((0, -1), (0, 0), 3)]
+    assert term_mins([(1, 0), (0, 1)], levels) == ([1], ((1, 0), (-1, 0)))
 
 
 def test_overflow_detection():
     with pytest.raises(OverflowError):
-        _fallback.mul_terms([(2**61,)], [1], [(2**61,)], [1], 0)
-
-
-def test_compiled_edge_cases(speedups):
-    assert speedups.backend() == "compiled"
+        mul_terms([(2**61,)], [1], [(2**61,)], [1], 0)
+    assert mul_terms([(2**61,)], [1], [(2**61 - 1,)], [1], 0) == {(EXP_LIMIT - 1,): 1}
+    assert ratfunc.EXP_LIMIT is EXP_LIMIT
     with pytest.raises(OverflowError):
-        speedups.mul_terms([(2**61,)], [1], [(2**61,)], [1], 0)
-    assert speedups.mul_terms([], [], [(0,)], [1], 0) == {}
+        Poly.make(ratfunc.QQ, 1, {(EXP_LIMIT,): 1})
 
 
 def test_backend_reports_a_name():
-    assert backend() in ("pure", "compiled")
+    assert backend() == "pure"
 
 
 def test_mul_terms_empty():
-    assert _fallback.mul_terms([], [], [(0,)], [1], 0) == {}
+    assert mul_terms([], [], [(0,)], [1], 0) == {}
+    assert mul_terms([(0,)], [1], [], [], 5) == {}
 
 
 def test_cancellation_drops_terms():
     # (1 + x) * (1 - x) = 1 - x^2: the cross terms cancel
-    out = _fallback.mul_terms([(0,), (1,)], [1, 1], [(0,), (1,)], [1, -1], 0)
+    out = mul_terms([(0,), (1,)], [1, 1], [(0,), (1,)], [1, -1], 0)
     assert out == {(0,): 1, (2,): -1}
     # 2 * 3 = 6 = 1 mod 5
-    assert _fallback.mul_terms([(0,)], [2], [(0,)], [3], 5) == {(0,): 1}
+    assert mul_terms([(0,)], [2], [(0,)], [3], 5) == {(0,): 1}
+    # (1 + x) * (4 + x) = 4 + 5x + x^2 = 4 + x^2 mod 5
+    assert mul_terms([(0,), (1,)], [1, 1], [(0,), (1,)], [4, 1], 5) == {(0,): 4, (2,): 1}
