@@ -22,7 +22,6 @@ from .ordgroup import (
     EmbeddingVerdict,
     GroupElem,
     QuadScalar,
-    combine,
     order_embedding_check,
     rational_rank,
     sqrt_convergent,
@@ -113,13 +112,15 @@ class SignSignature:
     elements, plus the sign of each element's own value.  Vectors are
     stored with lexicographically positive orientation, so no vector can
     carry two signs and the zero vector only ever carries sign 0.
-    `sources` keeps the printed elements the signature came from.
+    `sources` keeps the printed elements the signature came from, and
+    `signs` the sign of each one's value.
     """
 
     arity: int
     entries: frozenset
     sources: tuple = ()
     notices: tuple = ()
+    signs: tuple = ()
 
     def equalities(self):
         return [m for m, s in self.entries if s == 0 and any(m)]
@@ -155,6 +156,7 @@ def signature(place: Place, elems) -> SignSignature:
     entries = {}
     notices = []
     sources = []
+    signs = []
 
     def add(m, s):
         m, s = _orient(tuple(m), s)
@@ -185,9 +187,10 @@ def signature(place: Place, elems) -> SignSignature:
                     best = i
             sides.append(exps[best])
         m = tuple(x - y for x, y in zip(sides[0], sides[1]))
-        add(m, place.value_sign(f))
+        signs.append(place.value_sign(f))
+        add(m, signs[-1])
     return SignSignature(
-        place.arity, frozenset(entries.items()), tuple(sources), tuple(notices)
+        place.arity, frozenset(entries.items()), tuple(sources), tuple(notices), tuple(signs)
     )
 
 
@@ -395,8 +398,7 @@ def _rank_two_candidate(field, n, q, place: Place, iteration: int):
     for direction in (bvec, avec):
         if not any(direction):
             continue
-        rows = [[Fraction(x) for x in q], [Fraction(x) for x in direction]]
-        cleared, _ = lattice.clear_denominators(rows)
+        cleared, _ = lattice.clear_denominators([q, direction])
         if lattice.int_rank(cleared) < 2:
             continue
         ambient = AmbientGroup((d,))
@@ -461,20 +463,27 @@ def _sign_char(s) -> str:
     return {1: "+", 0: "0", -1: "-"}[s]
 
 
-def _residue_checks(old: Place, new: Place, elems):
+def _residue_checks(old: Place, new: Place, nonzero, texts, old_signs):
+    """One check per nonzero element.  `texts` are the elements printed and
+    `old_signs` their value signs under `old`, each computed once per call
+    by the caller (the signature holds both)."""
     checks = []
-    for f in elems:
-        if f.is_zero():
-            continue
-        sq = old.value_sign(f)
+    for f, text, sq in zip(nonzero, texts, old_signs):
         sp = new.value_sign(f)
-        entry = {"elem": str(f), "sign_q": _sign_char(sq), "sign_p": _sign_char(sp)}
+        entry = {"elem": text, "sign_q": _sign_char(sq), "sign_p": _sign_char(sp)}
         if sq == 0:
             entry["residue_equal"] = old.initial_form(f) == new.initial_form(f)
         else:
             entry["residue_equal"] = None
         checks.append(entry)
     return checks
+
+
+def _identity_checks(place: Place, elems):
+    """The residue checks of a place kept as its own replacement."""
+    nonzero = [f for f in elems if not f.is_zero()]
+    signs = [place.value_sign(f) for f in nonzero]
+    return _residue_checks(place, place, nonzero, [str(f) for f in nonzero], signs)
 
 
 def _iota_witnesses(count: int):
@@ -528,7 +537,7 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
             place,
             iota=_iota_json(sources, sources, witnesses, verdict),
             iterations=0,
-            checks=_residue_checks(place, place, elems),
+            checks=_identity_checks(place, elems),
         )
 
     if shape.mode == "preserve_values" or shape.klass == "composite_drop":
@@ -542,11 +551,12 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
     if _class_invariant_report(place, shape) is None:
         # Already in the target class: the place is its own replacement.
         return GoodifyResult(place, iota=None, iterations=0,
-                             checks=_residue_checks(place, place, elems))
+                             checks=_identity_checks(place, elems))
 
     sig = signature(place, elems)
     result = perturb_weights(sig, place, shape, max_iter)
-    checks = _residue_checks(place, result.place, elems)
+    nonzero = [f for f in elems if not f.is_zero()]
+    checks = _residue_checks(place, result.place, nonzero, sig.sources, sig.signs)
     for entry in checks:
         if entry["sign_q"] != entry["sign_p"]:
             raise AssertionError(f"sign preservation failed on {entry['elem']}")
@@ -559,6 +569,24 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
         checks=checks,
         notices=sig.notices,
     )
+
+
+def _units_kept(betas, wmat, emat) -> bool:
+    """The unit condition beta = E * (W * beta), on integer rows.
+
+    With no basis (every value zero) E * (W * beta) is the zero row, so
+    every beta must vanish.
+    """
+    width = len(betas[0]) if betas else 0
+    basis = [
+        [sum(c * beta[j] for c, beta in zip(wrow, betas) if c) for j in range(width)]
+        for wrow in wmat
+    ]
+    for beta, erow in zip(betas, emat):
+        for j in range(width):
+            if sum(c * b[j] for c, b in zip(erow, basis) if c) != beta[j]:
+                return False
+    return True
 
 
 def _goodify_composite_drop(place: Place, elems, shape: TargetShape):
@@ -578,41 +606,33 @@ def _goodify_composite_drop(place: Place, elems, shape: TargetShape):
         )
 
     nonzero = [f for f in elems if not f.is_zero()]
-    values = [place.value(f) for f in nonzero]
     # Integer basis of the group generated by the values, with both change
-    # of basis matrices: basis = W * values, values = E * basis.
-    rows, _ = lattice.clear_denominators([v.qvec() for v in values])
+    # of basis matrices: basis = W * values, values = E * basis.  The value
+    # rows share one denominator, which changes no integer relation.
+    rows = [place.value_row(f) for f in nonzero]
     h, u, pivots = lattice.hnf_transform(rows)
     basis_rows = [tuple(h[r]) for r, _ in pivots]
     wmat = [tuple(u[r]) for r, _ in pivots]
-    emat = []
-    for row in rows:
-        coeffs = lattice.express_int(basis_rows, row)
-        emat.append(tuple(coeffs))
+    emat = [tuple(lattice.express_int(basis_rows, row)) for row in rows]
 
     # The outer place gives weight 1 to one consumed generator.  A larger
     # weight c scales every beta by c, which changes neither the unit
     # condition (linear and homogeneous) nor the order-embedding verdict.
     k = place.residue_desc().num_gens
+    inner_width = 2 * place.ambient.num_levels
     field = place.field
+    values = None
     for attempt, consumed in enumerate(range(k), start=1):
         level = [1 if i == consumed else 0 for i in range(k)]
         outer = _build_monomial(field, k, [level])
         tower = compose(place, outer)
-        images = [tower.value(f) for f in nonzero]
-        betas = [tower._split(v)[1] for v in images]
-        # The corrected units must be composite units: beta = E * (W * beta).
-        basis_betas = [
-            combine(betas, wrow, outer.ambient) for wrow in wmat
-        ]
-        ok = True
-        for beta, erow in zip(betas, emat):
-            want = combine(basis_betas, erow, outer.ambient)
-            if (beta - want).sign() != 0:
-                ok = False
-                break
-        if not ok:
+        # beta: the outer part of each tower value, as an integer row.
+        betas = [tower.value_row(f)[inner_width:] for f in nonzero]
+        if not _units_kept(betas, wmat, emat):
             continue
+        if values is None:
+            values = [place.value(f) for f in nonzero]
+        images = [tower.value(f) for f in nonzero]
         witnesses = _iota_witnesses(len(values))
         verdict = order_embedding_check(values, images, witnesses)
         if not verdict.ok:

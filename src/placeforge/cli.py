@@ -16,9 +16,9 @@ from .approx import InfeasibleShapeError, TargetShape, density_witness, goodify,
 from .parsing import ParseError, default_names, format_ratfunc, parse_expr
 from .places import (
     INFINITY,
-    MAX_TOWER_DEPTH,
     Place,
     check_spv_axioms,
+    check_tower_depth,
     compose,
     in_basic_open,
     place_from_json,
@@ -125,22 +125,6 @@ def _validate_jobspec(spec):
         raise _schema_error("job spec", exc) from exc
 
 
-def _check_tower_depth(obj, what: str):
-    """Refuse a place whose composites nest deeper than MAX_TOWER_DEPTH.
-
-    Schema validation and place_from_json both recurse once per level, so
-    the depth is measured first, without recursion.
-    """
-    stack = [(obj, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, dict) and node.get("kind") == "composite":
-            if depth == MAX_TOWER_DEPTH:
-                raise JobError(f"{what} nests composite places deeper than "
-                               f"MAX_TOWER_DEPTH = {MAX_TOWER_DEPTH}")
-            stack += [(node.get("inner"), depth + 1), (node.get("outer"), depth + 1)]
-
-
 def _kind_branch_errors(error):
     """The errors of the `oneOf` branch whose `kind` constant is the
     instance's own kind, or None when no branch names that kind."""
@@ -182,7 +166,11 @@ def _place_from_spec(spec, key="place") -> Place:
     if obj is None:
         raise JobError(f"missing {key!r}")
     what = key if key == "place" else f"{key} place"
-    _check_tower_depth(obj, what)
+    # Schema validation recurses once per level: bound the depth first.
+    try:
+        check_tower_depth(obj, what)
+    except ValueError as exc:
+        raise JobError(str(exc)) from None
     _validate_place(obj, what)
     place = place_from_json(obj)
     if key == "place":

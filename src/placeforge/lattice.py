@@ -160,16 +160,18 @@ def reduce_mod_lattice(vec, basis):
 
 
 def clear_denominators(frac_rows):
-    """Scale rows of Fractions to integers by their common denominator.
+    """Scale rows of Fractions (or ints) to integers by their common denominator.
 
-    Returns (int_rows, den) with int_rows = frac_rows * den.
+    Returns (int_rows, den) with int_rows = frac_rows * den; den is the
+    least common denominator, and no Fraction is built.
     """
     den = 1
     for row in frac_rows:
         for x in row:
-            f = Fraction(x)
-            den = den * f.denominator // gcd(den, f.denominator)
+            q = x.denominator
+            if den % q:
+                den = den * q // gcd(den, q)
     out = []
     for row in frac_rows:
-        out.append(tuple(int(Fraction(x) * den) for x in row))
+        out.append(tuple(x.numerator * (den // x.denominator) for x in row))
     return out, den

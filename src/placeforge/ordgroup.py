@@ -8,7 +8,7 @@ exactly by integer case analysis; no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -288,20 +288,29 @@ def cmp_elem(x: GroupElem, y: GroupElem) -> int:
 
 @dataclass(frozen=True)
 class Subgroup:
+    """The subgroup generated by `generators`.
+
+    `rows` are the generators' qvecs as integers over the one positive
+    denominator `den`.  A place passes the rows it already holds; without
+    them they are cleared once here.
+    """
+
     ambient: AmbientGroup
     generators: tuple
+    rows: tuple = field(default=None, compare=False, repr=False)
+    den: int = field(default=1, compare=False, repr=False)
 
     def __post_init__(self):
         for g in self.generators:
             if g.ambient != self.ambient:
                 raise ValueError("generator outside the ambient group")
+        if self.rows is None:
+            rows, den = lattice.clear_denominators(self.qrows())
+            object.__setattr__(self, "rows", tuple(rows))
+            object.__setattr__(self, "den", den)
 
     def qrows(self):
         return [g.qvec() for g in self.generators]
-
-    def int_rows(self):
-        """Generator coordinate rows scaled to integers; returns (rows, den)."""
-        return lattice.clear_denominators(self.qrows())
 
     def to_json(self):
         return {
@@ -318,10 +327,9 @@ class Subgroup:
 
 def rational_rank(s: Subgroup) -> int:
     """Dimension of the rational span of the generators."""
-    rows, _ = s.int_rows()
-    if not rows:
+    if not s.rows:
         return 0
-    return lattice.int_rank(rows)
+    return lattice.int_rank(s.rows)
 
 
 def subgroup_member(s: Subgroup, x: GroupElem) -> bool:
@@ -341,20 +349,15 @@ def convex_rank(s: Subgroup) -> int:
 
     A jump at level i means the subgroup has an element vanishing on all
     earlier levels with a nonzero level-i coordinate; equivalently the rank
-    of the projection to levels 1..i exceeds that to levels 1..i-1.
+    of the projection to levels 1..i exceeds that to levels 1..i-1.  In an
+    echelon form of the rows that projection's rank is the number of pivots
+    in its first 2i columns, so the jumps are the levels holding a pivot:
+    one HNF decides every level.
     """
-    rows, _ = s.int_rows()
-    if not rows:
+    if not s.rows:
         return 0
-    jumps = 0
-    prev = 0
-    for lvl in range(1, s.ambient.num_levels + 1):
-        proj = [row[: 2 * lvl] for row in rows]
-        rk = lattice.int_rank(proj)
-        if rk > prev:
-            jumps += 1
-        prev = rk
-    return jumps
+    _, _, pivots = lattice.hnf_transform(s.rows)
+    return len({c // 2 for _, c in pivots})
 
 
 def in_p_divisible_hull(x: GroupElem, s: Subgroup, p: int) -> bool:

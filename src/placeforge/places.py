@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import lattice
 from ._kernels import term_mins
@@ -48,10 +49,12 @@ class Infinity:
 
 INFINITY = Infinity()
 
-# Deepest nesting of composite places accepted from JSON input.  Every level
-# of a tower re-derives the residue fields below it, so classifying a tower
-# nested on its inner side costs time about cubic in the depth: 0.4 s at
-# depth 32 and 2.4 s at depth 64 on a 2-core x86 machine.
+# Deepest nesting of composite places accepted from JSON input; checked by
+# place_from_json before it builds anything.  Each level derives its residue
+# field once, but a residue still recurses through every level below, so
+# decoding and classifying a tower nested on its inner side costs time
+# superlinear in the depth: about 0.17 s at depth 32, 0.45 s at depth 48 and
+# 1.0 s at depth 64 in process on a 2-core x86 machine.
 MAX_TOWER_DEPTH = 32
 
 
@@ -152,6 +155,11 @@ class Place:
         """Sign of v(f), or INFINITY for f = 0, decided on integers."""
         return self.flat_place.value_sign(f)
 
+    def value_row(self, f: RatFunc):
+        """v(f) for nonzero f as an integer qvec row over the flat place's
+        denominator; no group element is built."""
+        return self.flat_place.value_row(f)
+
     def kernel_lattice(self):
         """HNF basis of the integer vectors m with v(x^m) = 0."""
         return self.flat_place._kernel
@@ -213,17 +221,16 @@ class MonomialPlace(Place):
         self.arity = arity
         self.ambient = ambient
         self.weights = weights
-        # Per level: integer numerator rows (a, b) of the weights over a
-        # cleared denominator, the form term_mins takes; the denominators
-        # turn the kernel's integer minima back into group values.
-        levels, dens = [], []
-        for lv, d in enumerate(ambient.ds):
-            rows = [[w.coords[lv].a, w.coords[lv].b] for w in weights]
-            cleared, den = lattice.clear_denominators(rows) if rows else ([], 1)
-            levels.append((tuple(r[0] for r in cleared), tuple(r[1] for r in cleared), d))
-            dens.append(den)
-        self._levels = tuple(levels)
-        self._dens = tuple(dens)
+        # The weights' qvecs as one integer matrix over one positive
+        # denominator, cleared once: sections, kernel and value group read
+        # the rows; per level, the (a, b) column pair is the form term_mins
+        # takes, and `_den` turns its integer minima back into group values.
+        rows, self._den = lattice.clear_denominators([w.qvec() for w in weights])
+        self._rows = tuple(rows)
+        self._levels = tuple(
+            (tuple(r[2 * lv] for r in rows), tuple(r[2 * lv + 1] for r in rows), d)
+            for lv, d in enumerate(ambient.ds)
+        )
 
     @staticmethod
     def trivial(field: BaseField, arity: int) -> "MonomialPlace":
@@ -237,18 +244,19 @@ class MonomialPlace(Place):
     def _min_data(self, poly: Poly):
         """Canonical minimizing exponent, the sub-dict of minimal terms, and
         the minimal term value as term_mins found it: per level the integer
-        (a, b) numerators over that level's denominator in `_dens`."""
+        (a, b) numerators over `_den`."""
         exps = list(poly.terms)
         argmins, best = term_mins(exps, self._levels)
         mins = {exps[i]: poly.terms[exps[i]] for i in argmins}
         return min(mins), mins, best
 
-    def _difference(self, hi, lo) -> GroupElem:
-        """The group element hi - lo for two kernel minima; the only place
-        a value's scalars are built."""
+    def _row_elem(self, row) -> GroupElem:
+        """The group element of an integer qvec row over `_den`; the only
+        place a value's scalars are built."""
+        den = self._den
         return GroupElem(self.ambient, tuple(
-            QuadScalar(Fraction(ha - la, den), Fraction(hb - lb, den), d)
-            for (ha, hb), (la, lb), (_, _, d), den in zip(hi, lo, self._levels, self._dens)
+            QuadScalar(Fraction(row[2 * lv], den), Fraction(row[2 * lv + 1], den), d)
+            for lv, d in enumerate(self.ambient.ds)
         ))
 
     def _difference_sign(self, hi, lo) -> int:
@@ -260,18 +268,19 @@ class MonomialPlace(Place):
         return 0
 
     @cached_property
-    def _weight_data(self):
-        """Cleared integer weight rows with HNF transform, for sections."""
-        rows, den = lattice.clear_denominators([w.qvec() for w in self.weights])
-        h, u, pivots = lattice.hnf_transform(rows)
+    def _lattice_data(self):
+        """The kernel basis of the weight rows, and their HNF basis with its
+        transform rows (for sections).  Built together on first use, so once
+        a place has been evaluated every later call on it does the same work."""
+        h, u, pivots = lattice.hnf_transform(self._rows)
         basis = [tuple(h[r]) for r, _ in pivots]
         urows = [tuple(u[r]) for r, _ in pivots]
-        return rows, den, basis, urows
+        kernel = tuple(tuple(row) for row in lattice.row_kernel(self._rows))
+        return kernel, basis, urows
 
-    @cached_property
+    @property
     def _kernel(self):
-        rows, _, _, _ = self._weight_data
-        return tuple(tuple(row) for row in lattice.row_kernel(rows))
+        return self._lattice_data[0]
 
     def monomial_value(self, evec) -> GroupElem:
         return combine(self.weights, evec, self.ambient)
@@ -300,24 +309,31 @@ class MonomialPlace(Place):
         _, _, den_best = self._min_data(f.den)
         return self._difference_sign(num_best, den_best)
 
+    def value_row(self, f: RatFunc):
+        """v(f) for nonzero f as an integer qvec row over `_den`: the
+        difference of the kernel minima of numerator and denominator."""
+        _validate_match(self, f)
+        _, _, hi = self._min_data(f.num)
+        _, _, lo = self._min_data(f.den)
+        return tuple(x for (ha, hb), (la, lb) in zip(hi, lo) for x in (ha - la, hb - lb))
+
     def value(self, f: RatFunc):
-        """v(f): the difference of the kernel minima of numerator and
-        denominator, turned into a group element only on return."""
+        """v(f): its integer row, turned into a group element only on return."""
         _validate_match(self, f)
         if f.is_zero():
             return INFINITY
-        _, _, num_best = self._min_data(f.num)
-        _, _, den_best = self._min_data(f.den)
-        return self._difference(num_best, den_best)
+        return self._row_elem(self.value_row(f))
 
     def _raw_section(self, v: GroupElem):
         """The HNF-coordinate section: additive in v, so composite values
         built on it obey the valuation law exactly."""
-        _, den, basis, urows = self._weight_data
-        target = [q * den for q in v.qvec()]
-        if any(t.denominator != 1 for t in map(Fraction, target)):
-            raise NotInValueGroupError(f"{v} is not in the value group")
-        target = [int(t) for t in target]
+        _, basis, urows = self._lattice_data
+        target = []
+        for q in v.qvec():
+            t, rem = divmod(q.numerator * self._den, q.denominator)
+            if rem:
+                raise NotInValueGroupError(f"{v} is not in the value group")
+            target.append(t)
         coeffs = lattice.express_int(basis, target)
         if coeffs is None:
             raise NotInValueGroupError(f"{v} is not in the value group")
@@ -379,7 +395,7 @@ class MonomialPlace(Place):
         return RatFunc.make(num, den)
 
     def value_group(self) -> Subgroup:
-        return Subgroup(self.ambient, self.weights)
+        return Subgroup(self.ambient, self.weights, self._rows, self._den)
 
     def to_json(self):
         return {
@@ -496,6 +512,12 @@ class CompositePlace(Place):
         return tuple(m)
 
     def residue_desc(self) -> ResidueFieldDesc:
+        return self._residue_desc
+
+    @cached_property
+    def _residue_desc(self) -> ResidueFieldDesc:
+        """The outer residue generators flattened through the inner ones;
+        derived once per place, since a tower never changes."""
         igens = self.inner.residue_desc().gens
         flat = []
         for m in self.outer.residue_desc().gens:
@@ -508,9 +530,16 @@ class CompositePlace(Place):
         return ResidueFieldDesc(self.field, self.arity, tuple(flat))
 
     def value_group(self) -> Subgroup:
-        gens = [self._embed_inner(g) for g in self.inner.value_group().generators]
-        gens += [self._embed_outer(g) for g in self.outer.value_group().generators]
-        return Subgroup(self.ambient, tuple(gens))
+        inner, outer = self.inner.value_group(), self.outer.value_group()
+        gens = [self._embed_inner(g) for g in inner.generators]
+        gens += [self._embed_outer(g) for g in outer.generators]
+        # The same embedding on the integer rows, over the common denominator.
+        den = lcm(inner.den, outer.den)
+        si, so = den // inner.den, den // outer.den
+        zi, zo = (0,) * (2 * inner.ambient.num_levels), (0,) * (2 * outer.ambient.num_levels)
+        rows = [tuple(si * x for x in r) + zo for r in inner.rows]
+        rows += [zi + tuple(so * x for x in r) for r in outer.rows]
+        return Subgroup(self.ambient, tuple(gens), tuple(rows), den)
 
     def to_json(self):
         return {
@@ -528,12 +557,33 @@ def compose(inner: Place, outer: Place) -> CompositePlace:
     return CompositePlace(inner, outer)
 
 
+def check_tower_depth(obj, what: str = "place"):
+    """Refuse a place object whose composites nest deeper than MAX_TOWER_DEPTH.
+
+    The depth is measured without recursion, so a hostile nesting costs
+    no stack.
+    """
+    stack = [(obj, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, dict) and node.get("kind") == "composite":
+            if depth == MAX_TOWER_DEPTH:
+                raise ValueError(f"{what} nests composite places deeper than "
+                                 f"MAX_TOWER_DEPTH = {MAX_TOWER_DEPTH}")
+            stack += [(node.get("inner"), depth + 1), (node.get("outer"), depth + 1)]
+
+
 def place_from_json(obj) -> Place:
+    check_tower_depth(obj)
+    return _place_from_json(obj)
+
+
+def _place_from_json(obj) -> Place:
     kind = obj.get("kind")
     if kind == "monomial":
         return MonomialPlace.from_json(obj)
     if kind == "composite":
-        return CompositePlace(place_from_json(obj["inner"]), place_from_json(obj["outer"]))
+        return CompositePlace(_place_from_json(obj["inner"]), _place_from_json(obj["outer"]))
     raise ValueError(f"unknown place kind {kind!r}")
 
 

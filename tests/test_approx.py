@@ -10,6 +10,7 @@ from placeforge import (
     InfeasibleShapeError,
     MonomialPlace,
     QuadScalar,
+    RatFunc,
     TargetShape,
     compose,
     density_witness,
@@ -21,7 +22,8 @@ from placeforge import (
 )
 from placeforge.approx import SignatureError
 
-from gen import random_monomial_place, random_ratfunc
+from gen import random_irrational_place, random_monomial_place, random_ratfunc
+from oracles import elem_sign, fraction_rank, tower_value, values_agree
 
 QQ = BaseField(0)
 F5 = BaseField(5)
@@ -220,6 +222,57 @@ class TestGoodify:
             goodify(place, elems, TargetShape("preserve_values", "composite_drop", r1=2, d1=1))
         assert len(attempts) == place.residue_desc().num_gens == 2
 
+    def test_composite_drop_all_zero_values(self, embedding_verdicts):
+        # Every value is zero, so the values' basis is empty and the unit
+        # condition asks every beta to vanish: 1 + x2 keeps residue value 0,
+        # while x2 would get the consumed generator's weight 1.
+        drop = TargetShape("preserve_values", "composite_drop", r1=2, d1=0)
+        result = goodify(P_10, [q2("1 + x2")], drop)
+        assert result.iterations == 1 and result.iota["verdict"] == "ok"
+        assert result.place.value(q2("1 + x2")).is_zero()
+        with pytest.raises(InfeasibleShapeError):
+            goodify(P_10, [q2("1 + x2"), q2("x2")], drop)
+        assert embedding_verdicts == ["ok"]
+
+    def test_composite_drop_keeps_sqrt_columns(self):
+        # v(x2*x3) = sqrt(2) alone spans its group, so its corrected unit x3
+        # may take the consumed generator's weight 1.
+        place = gauss_place(1, QuadScalar.sqrt(2), 0)
+        f = parse_expr("x2*x3", 3, QQ)
+        result = goodify(place, [f], TargetShape("preserve_values", "composite_drop", r1=3, d1=0))
+        assert result.iterations == 1
+        assert result.place.value(f) == result.place.ambient.elem(QuadScalar.sqrt(2), 1)
+
+    def test_composite_drop_matches_fraction_reference(self, embedding_verdicts):
+        """The chosen outer generator is the first one that an independent
+        reference accepts; the unit condition rejects every attempt whose
+        assignment is ill defined before any group value is built."""
+        rng = random.Random(41)
+        outcomes = []
+        for i in range(60):
+            field, n = (QQ, F5)[i % 2], 2 + i % 4
+            place = (random_irrational_place(rng, field, n + 1) if i % 3 else
+                     random_monomial_place(rng, field, n, irrational=False, zero_frac=0.4))
+            inv = place.invariants()
+            if inv.dim == 0:
+                continue
+            elems = [drop_element(rng, place) for _ in range(rng.randint(1, 4))]
+            shape = TargetShape("preserve_values", "composite_drop",
+                                r1=inv.rr + 1, d1=place.arity - inv.rr - 1)
+            want = reference_drop_attempt(place, elems)
+            if want is None:
+                with pytest.raises(InfeasibleShapeError):
+                    goodify(place, elems, shape)
+                outcomes.append(None)
+                continue
+            result = goodify(place, elems, shape)
+            assert result.iterations == want
+            for f in elems:
+                assert values_agree(result.place.value(f), tower_value(result.place, f))
+            outcomes.append(want)
+        assert "ill_defined" not in embedding_verdicts
+        assert None in outcomes and 1 in outcomes and max(o or 0 for o in outcomes) >= 2
+
     def test_goodify_composite_input(self):
         tower = compose(P_10, gauss_place(1))
         elems = [q2("x1 + x2"), q2("x1*x2")]
@@ -231,6 +284,58 @@ class TestGoodify:
     def test_mode_class_mismatch(self):
         with pytest.raises(InfeasibleShapeError):
             goodify(P_10, [q2("x1")], TargetShape("preserve_values", "discrete"))
+
+
+@pytest.fixture
+def embedding_verdicts(monkeypatch):
+    """Statuses of every order_embedding_check that composite_drop runs."""
+    from placeforge import approx
+
+    real_check = approx.order_embedding_check
+    verdicts = []
+
+    def recording_check(*args):
+        verdict = real_check(*args)
+        verdicts.append(verdict.status)
+        return verdict
+
+    monkeypatch.setattr(approx, "order_embedding_check", recording_check)
+    return verdicts
+
+
+def drop_element(rng, place):
+    """A Laurent monomial, times a residue generator's monomial or a unit
+    1 + (generator) at random: values and corrected units both vary."""
+    field, n = place.field, place.arity
+    gens = place.residue_desc().gens
+    f = RatFunc.monomial(field, n, tuple(rng.randint(-2, 2) for _ in range(n)))
+    if gens and rng.random() < 0.6:
+        g = rng.choice(gens)
+        f = f * RatFunc.monomial(field, n, tuple(rng.choice([1, -1]) * x for x in g))
+    if gens and rng.random() < 0.4:
+        f = f * (RatFunc.const(field, n, 1) + RatFunc.monomial(field, n, rng.choice(gens)))
+    return f
+
+
+def reference_drop_attempt(place, elems):
+    """First outer generator (1-based) whose tower keeps every rational
+    relation among the values and the sign of every witness, decided by
+    fraction ranks and the tower value oracle; None when none does."""
+    nonzero = [f for f in elems if not f.is_zero()]
+    values = [tower_value(place, f) for f in nonzero]
+    rows = [v.qvec() for v in values]
+    rank = fraction_rank(rows) if rows else 0
+    k = place.residue_desc().num_gens
+    for c in range(k):
+        outer = MonomialPlace(place.field, k, AMB, tuple(AMB.elem(int(i == c)) for i in range(k)))
+        images = [tower_value(compose(place, outer), f) for f in nonzero]
+        if rows and fraction_rank([r + w.qvec() for r, w in zip(rows, images)]) != rank:
+            continue
+        pairs = list(zip(values, images))
+        diffs = [(v1 - v2, w1 - w2) for i, (v1, w1) in enumerate(pairs) for v2, w2 in pairs[i + 1:]]
+        if all(elem_sign(v) == elem_sign(w) for v, w in pairs + diffs):
+            return c + 1
+    return None
 
 
 class TestDensityWitness:

@@ -169,6 +169,63 @@ class TestConvexRank:
             assert convex_rank(s) <= rational_rank(s)
 
 
+def reference_ranks(gens, levels):
+    """(rational rank, convex rank) by plain fraction elimination: the rank
+    of every prefix projection to levels 1..i, counting where it jumps."""
+    rows = [g.qvec() for g in gens]
+    prefix = [fraction_rank([row[: 2 * i] for row in rows]) if rows else 0
+              for i in range(levels + 1)]
+    return prefix[-1], sum(prefix[i] > prefix[i - 1] for i in range(1, levels + 1))
+
+
+def seeded_subgroups(rng):
+    """Subgroups with 1-6 levels: random generators with whole zero levels,
+    repeated and multiplied rows, and lex_max_rank-shaped weights (one
+    integer level, then unit tie-break levels)."""
+    for _ in range(120):
+        levels = rng.randint(1, 6)
+        amb = AmbientGroup(tuple(rng.choice([2, 3, 5]) for _ in range(levels)))
+        zero_levels = {lv for lv in range(levels) if rng.random() < 0.3}
+        gens = []
+        for _ in range(rng.randint(0, 6)):
+            gens.append(GroupElem(amb, tuple(
+                QuadScalar.rational(0, d) if lv in zero_levels
+                else random_quad(rng, d, span=2, irrational=rng.random() < 0.6)
+                for lv, d in enumerate(amb.ds)
+            )))
+        if gens and rng.random() < 0.5:
+            gens.append(gens[rng.randrange(len(gens))])
+        if gens and rng.random() < 0.5:
+            gens.append(gens[rng.randrange(len(gens))].scale(rng.choice([-2, 3])))
+        yield amb, gens
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        ints = [rng.randint(-3, 3) for _ in range(n)]
+        cols = rng.sample(range(n), rng.randint(0, n - 1))
+        amb = AmbientGroup((2,) * (1 + len(cols)))
+        gens = [amb.elem(ints[i], *(int(i == c) for c in cols)) for i in range(n)]
+        yield amb, gens
+
+
+def test_ranks_match_prefix_fraction_ranks():
+    rng = random.Random(71)
+    seen = set()
+    for amb, gens in seeded_subgroups(rng):
+        s = Subgroup(amb, tuple(gens))
+        want = reference_ranks(gens, amb.num_levels)
+        assert (rational_rank(s), convex_rank(s)) == want
+        seen.add(want)
+    # the seeds reach ranks well past one level and one jump
+    assert max(rr for rr, _ in seen) >= 6 and max(rank for _, rank in seen) >= 5
+
+
+def test_subgroup_rows_are_the_cleared_generators():
+    s = Subgroup(AMB2, (AMB2.elem(Fraction(1, 2), quad(0, Fraction(1, 3))), AMB2.elem(1, 0)))
+    assert s.den == 6
+    assert s.rows == ((3, 0, 0, 2), (6, 0, 0, 0))
+    assert Subgroup(AMB, ()).rows == ()
+
+
 class TestPDivisibleHull:
     def test_half_in_2_hull(self):
         assert in_p_divisible_hull(AMB.elem(Fraction(1, 2)), Subgroup(AMB, (AMB.elem(1),)), 2)

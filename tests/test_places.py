@@ -32,7 +32,7 @@ from gen import (
     random_ratfunc,
     random_tower,
 )
-from oracles import oracle_value, tower_value, values_agree
+from oracles import fraction_rank, oracle_value, tower_value, values_agree
 
 QQ = BaseField(0)
 F5 = BaseField(5)
@@ -184,6 +184,39 @@ class TestInvariants:
             assert inv.dim + inv.rr == n
 
 
+def reference_invariants(place):
+    """(dim, rr, rank) by fraction elimination: rr and the convex rank from
+    the prefix ranks of the value group's generators, dim from the rank of
+    the variables' values computed through the tower."""
+    rows = [g.qvec() for g in place.value_group().generators]
+    prefix = [fraction_rank([row[: 2 * i] for row in rows]) if rows else 0
+              for i in range(place.ambient.num_levels + 1)]
+    rank = sum(prefix[i] > prefix[i - 1] for i in range(1, len(prefix)))
+    xs = [RatFunc.variable(place.field, place.arity, i) for i in range(place.arity)]
+    dim = place.arity - fraction_rank([tower_value(place, x).qvec() for x in xs])
+    return dim, prefix[-1], rank
+
+
+def test_invariants_match_fraction_reference():
+    rng = random.Random(31)
+    places = []
+    for i in range(96):
+        field, n = (QQ, F5)[i % 2], 2 + i % 5
+        places.append(random_monomial_place(rng, field, n, levels=1 + i % 3))
+        places.append(random_tower(rng, field, n, irrational_inner=i % 4 < 2, depth=1 + i % 2))
+    for place in places:
+        inv = place.invariants()
+        assert (inv.dim, inv.rr, inv.rank) == reference_invariants(place)
+        n = place.arity
+        assert inv.abhyankar == (inv.dim + inv.rr == n)
+        assert inv.maximal_rank == (inv.rank == n)
+        assert inv.prime_divisor == (inv.dim == n - 1)
+        # the rows a place hands its value group are its generators, cleared
+        group = place.value_group()
+        cleared = Subgroup(place.ambient, group.generators)
+        assert (group.rows, group.den) == (cleared.rows, cleared.den)
+
+
 class TestValueGroupStructure:
     def test_independent_weights_split_as_direct_sum(self):
         # weights (1, sqrt2, 0, 0): value group <1> + <sqrt2>, kernel rank 2
@@ -303,6 +336,14 @@ class TestPlaceJson:
             blob = json.dumps(place.to_json(), sort_keys=True)
             back = place_from_json(json.loads(blob))
             assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+    def test_deep_tower_is_refused(self):
+        trivial = MonomialPlace.trivial(QQ, 1).to_json()
+        obj = P_10.to_json()
+        for _ in range(400):
+            obj = {"kind": "composite", "inner": obj, "outer": trivial}
+        with pytest.raises(ValueError, match="MAX_TOWER_DEPTH = 32"):
+            place_from_json(obj)
 
     def test_composite_round_trip(self):
         tower = compose(P_10, gauss_place(1))
