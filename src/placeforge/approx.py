@@ -232,16 +232,9 @@ def _rational_collapse(place: Place, iteration: int):
 
 def _level_from_q(q):
     """Scale a rational vector to coprime integers."""
-    den = 1
-    for f in q:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in q]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    (ints,), _ = lattice.clear_denominators([q])
+    g = gcd(*ints) or 1
+    return [v // g for v in ints]
 
 
 def _reversed_pivot_cols(kernel_rows, n):
@@ -255,11 +248,9 @@ def _reversed_pivot_cols(kernel_rows, n):
     return sorted(n - 1 - c for c in lattice.pivot_cols(rev_basis))
 
 
-def _build_monomial(field, n, level_rows, ds=None):
+def _build_monomial(field, n, level_rows):
     """Monomial place with one rational lex level per row of `level_rows`."""
-    if ds is None:
-        ds = [2] * len(level_rows)
-    ambient = AmbientGroup(tuple(ds))
+    ambient = AmbientGroup((2,) * len(level_rows))
     weights = []
     for i in range(n):
         coords = tuple(
@@ -357,7 +348,7 @@ def _assemble(field, n, q, shape: TargetShape, place: Place, iteration: int):
         if shape.r1 == 1:
             if not any(q):
                 return None, "weights collapsed to zero; need rational rank 1"
-            return _build_monomial_fractions(field, n, q), None
+            return _build_monomial(field, n, [q]), None
         # r1 == 2: keep an exact sqrt component inside the equality locus.
         return _rank_two_candidate(field, n, q, place, iteration)
 
@@ -378,12 +369,6 @@ def _assemble(field, n, q, shape: TargetShape, place: Place, iteration: int):
     raise ValueError(f"unhandled class {shape.klass!r}")
 
 
-def _build_monomial_fractions(field, n, q, d: int = 2):
-    ambient = AmbientGroup((d,))
-    weights = [GroupElem(ambient, (QuadScalar(Fraction(x), Fraction(0), d),)) for x in q]
-    return MonomialPlace(field, n, ambient, weights)
-
-
 def _rank_two_candidate(field, n, q, place: Place, iteration: int):
     """Archimedean rank-2 weights: q plus a small exact sqrt(d) direction.
 
@@ -395,13 +380,10 @@ def _rank_two_candidate(field, n, q, place: Place, iteration: int):
     bvec = [w.coords[0].b for w in weights]
     avec = [w.coords[0].a for w in weights]
     scale = Fraction(1, 2**iteration)
+    ambient = AmbientGroup((d,))
+    # The candidate's rows are (q_i, scale * direction_i): its rational
+    # rank is 2 exactly when q and the direction are independent.
     for direction in (bvec, avec):
-        if not any(direction):
-            continue
-        cleared, _ = lattice.clear_denominators([q, direction])
-        if lattice.int_rank(cleared) < 2:
-            continue
-        ambient = AmbientGroup((d,))
         ws = [
             GroupElem(ambient, (QuadScalar(Fraction(x), b * scale, d),))
             for x, b in zip(q, direction)

@@ -1,8 +1,9 @@
 """Command-line surface.
 
-One job per invocation, described by a JSON job spec and/or flag overrides;
-the report is a byte-deterministic JSON document on stdout.  Exit codes:
-0 success, 1 parse/validation error, 2 infeasible target shape.
+One job per invocation, described by a JSON job spec and/or flag overrides
+and checked against the job-spec schema as one document; the report is a
+byte-deterministic JSON document on stdout.  Exit codes: 0 success, 1 usage,
+parse or validation error, 2 infeasible target shape.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import json
 import sys
 from importlib import resources
 
-from .approx import InfeasibleShapeError, TargetShape, density_witness, goodify, max_iterations
-from .parsing import ParseError, default_names, format_ratfunc, parse_expr
+from .approx import InfeasibleShapeError, TargetShape, density_witness, goodify
+from .parsing import default_names, format_ratfunc, parse_expr
 from .places import (
     INFINITY,
     Place,
@@ -50,8 +51,15 @@ def _load_json_arg(raw: str):
     return _parse_json(raw)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error ends the job like any other input error: one line, exit 1."""
+
+    def error(self, message):
+        raise JobError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="placeforge",
         description="Evaluate places of rational function fields and construct "
         "good places in patch neighborhoods.",
@@ -63,43 +71,42 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--vars", help="comma-separated variable names")
     parser.add_argument("--place", help="place JSON (inline or @file)")
     parser.add_argument("--outer", help="outer place JSON for compose (inline or @file)")
-    parser.add_argument("--elem", action="append", default=None, help="element expression (repeatable)")
-    parser.add_argument("--finite", action="append", default=None,
+    parser.add_argument("--elem", dest="elems", metavar="EXPR", action="append",
+                        help="element expression (repeatable)")
+    parser.add_argument("--finite", dest="A", metavar="EXPR", action="append",
                         help="neighborhood element with v >= 0 (repeatable)")
-    parser.add_argument("--positive", action="append", default=None,
+    parser.add_argument("--positive", dest="B", metavar="EXPR", action="append",
                         help="neighborhood element with v > 0 (repeatable)")
     parser.add_argument("--shape", help="target shape JSON (inline or @file)")
     parser.add_argument("--out", help="also write the report to this path")
     return parser
 
 
+# Flags whose text is converted to the job spec's form; every other flag
+# is taken as argparse gives it.  Each flag's destination is its spec key.
+# A `--base` of digits becomes the schema's int; any other text ("Q") is
+# left for the schema to judge.
+_FLAG_TO_SPEC = {
+    "base": lambda text: int(text) if text.isdecimal() else text,
+    "vars": lambda text: [v.strip() for v in text.split(",") if v.strip()],
+    "place": _load_json_arg,
+    "outer": _load_json_arg,
+    "shape": _load_json_arg,
+}
+
+
 def _merge_spec(args) -> dict:
-    spec = {}
-    if args.spec:
-        spec = _read_json_file(args.spec)
-        _validate_jobspec(spec)
-    if args.command:
-        spec["command"] = args.command
-    if args.base is not None:
-        spec["base"] = args.base
-    if args.arity is not None:
-        spec["arity"] = args.arity
-    if args.vars is not None:
-        spec["vars"] = [v.strip() for v in args.vars.split(",") if v.strip()]
-    if args.place is not None:
-        spec["place"] = _load_json_arg(args.place)
-    if args.outer is not None:
-        spec["outer"] = _load_json_arg(args.outer)
-    if args.elem is not None:
-        spec["elems"] = args.elem
-    if args.finite is not None:
-        spec["A"] = args.finite
-    if args.positive is not None:
-        spec["B"] = args.positive
-    if args.shape is not None:
-        spec["shape"] = _load_json_arg(args.shape)
-    if args.out is not None:
-        spec["out"] = args.out
+    """The job: the spec file with the flags laid over it, checked against
+    the job-spec schema as one document."""
+    spec = _read_json_file(args.spec) if args.spec else {}
+    if not isinstance(spec, dict):
+        raise JobError("job spec is not a JSON object")
+    for key, value in vars(args).items():
+        if key == "spec" or value is None:
+            continue
+        convert = _FLAG_TO_SPEC.get(key)
+        spec[key] = convert(value) if convert else value
+    _validate_jobspec(spec)
     return spec
 
 
@@ -115,10 +122,8 @@ def _schema_error(what: str, error) -> JobError:
 
 
 def _validate_jobspec(spec):
-    try:
-        import jsonschema
-    except ImportError:  # validation is best-effort plumbing
-        return
+    import jsonschema
+
     try:
         jsonschema.validate(spec, _schema("jobspec"))
     except jsonschema.ValidationError as exc:
@@ -146,10 +151,8 @@ def _validate_place(obj, what: str):
     the test suite checks the shipped schema instead.  An error is taken
     from the branch of the place's own `kind`, at every nesting level.
     """
-    try:
-        import jsonschema
-    except ImportError:  # validation is best-effort plumbing
-        return
+    import jsonschema
+
     schema = _schema("place")
     validator = jsonschema.validators.validator_for(schema)(schema)
     relevance = jsonschema.exceptions.relevance
@@ -175,11 +178,8 @@ def _place_from_spec(spec, key="place") -> Place:
     place = place_from_json(obj)
     if key == "place":
         base = spec.get("base")
-        if base is not None:
-            if isinstance(base, str) and base != "Q":
-                base = int(base)
-            if BaseField.from_json(base) != place.field:
-                raise JobError("job base field does not match the place")
+        if base is not None and BaseField.from_json(base) != place.field:
+            raise JobError("job base field does not match the place")
         arity = spec.get("arity")
         if arity is not None and arity != place.arity:
             raise JobError("job arity does not match the place")
@@ -194,49 +194,57 @@ def _elems_from_spec(spec, place: Place, key="elems"):
     return out
 
 
-def _value_json(v):
+def _value_result(text: str, v) -> dict:
     if v is INFINITY:
-        return "infinity"
-    return v.to_json()
-
-
-def _sign_str(v):
-    if v is INFINITY:
-        return "inf"
-    return {1: "+", 0: "0", -1: "-"}[v.sign()]
-
-
-def _residue_gen_names(count):
-    return default_names(count, prefix="u")
+        return {"elem": text, "value": "infinity", "sign": "inf"}
+    return {"elem": text, "value": v.to_json(), "sign": {1: "+", 0: "0", -1: "-"}[v.sign()]}
 
 
 def _run(spec) -> dict:
     command = spec.get("command")
     if command not in COMMANDS:
         raise JobError(f"unknown or missing command {command!r}")
+    place = _place_from_spec(spec)
 
+    if command in ("classify", "compose"):
+        if command == "compose":
+            place = compose(place, _place_from_spec(spec, "outer"))
+        return {
+            "command": command,
+            "place": place.to_json(),
+            "invariants": place.invariants().to_json(),
+        }
+
+    if command in ("goodify", "witness"):
+        shape = TargetShape.from_json(spec.get("shape", {"class": "discrete"}))
+        if command == "goodify":
+            result = goodify(place, _elems_from_spec(spec, place), shape)
+        else:
+            finite_on = _elems_from_spec(spec, place, "A")
+            vanishing_on = _elems_from_spec(spec, place, "B")
+            result = density_witness(place, finite_on, vanishing_on, shape)
+        report = result.report()
+        if command == "witness":
+            report["in_neighborhood"] = in_basic_open(result.place, finite_on, vanishing_on)
+        report["command"] = command
+        report["invariants"] = result.place.invariants().to_json()
+        return report
+
+    texts = spec.get("elems", [])
+    elems = _elems_from_spec(spec, place)
     if command == "value":
-        place = _place_from_spec(spec)
-        elems = _elems_from_spec(spec, place)
-        results = []
-        for text, f in zip(spec.get("elems", []), elems):
-            v = place.value(f)
-            results.append({"elem": text, "value": _value_json(v), "sign": _sign_str(v)})
+        results = [_value_result(text, place.value(f)) for text, f in zip(texts, elems)]
         return {"command": "value", "place": place.to_json(), "results": results}
 
     if command == "residue":
-        place = _place_from_spec(spec)
-        elems = _elems_from_spec(spec, place)
         desc = place.residue_desc()
-        gen_names = _residue_gen_names(desc.num_gens)
+        gen_names = default_names(desc.num_gens, prefix="u")
         var_names = spec.get("vars") or default_names(place.arity)
         results = []
-        for text, f in zip(spec.get("elems", []), elems):
+        for text, f in zip(texts, elems):
             r = place.residue(f)
-            if r is INFINITY:
-                results.append({"elem": text, "residue": "infinity"})
-            else:
-                results.append({"elem": text, "residue": format_ratfunc(r, gen_names)})
+            shown = "infinity" if r is INFINITY else format_ratfunc(r, gen_names)
+            results.append({"elem": text, "residue": shown})
         gens = [
             format_ratfunc(RatFunc.monomial(place.field, place.arity, g), var_names)
             for g in desc.gens
@@ -248,56 +256,10 @@ def _run(spec) -> dict:
             "results": results,
         }
 
-    if command == "classify":
-        place = _place_from_spec(spec)
-        return {
-            "command": "classify",
-            "place": place.to_json(),
-            "invariants": place.invariants().to_json(),
-        }
-
-    if command == "compose":
-        inner = _place_from_spec(spec, "place")
-        outer = _place_from_spec(spec, "outer")
-        tower = compose(inner, outer)
-        return {
-            "command": "compose",
-            "place": tower.to_json(),
-            "invariants": tower.invariants().to_json(),
-        }
-
-    if command == "goodify":
-        place = _place_from_spec(spec)
-        elems = _elems_from_spec(spec, place)
-        shape = TargetShape.from_json(spec.get("shape", {"class": "discrete"}))
-        result = goodify(place, elems, shape, max_iterations())
-        report = result.report()
-        report["command"] = "goodify"
-        report["invariants"] = result.place.invariants().to_json()
-        return report
-
-    if command == "witness":
-        place = _place_from_spec(spec)
-        finite_on = _elems_from_spec(spec, place, "A")
-        vanishing_on = _elems_from_spec(spec, place, "B")
-        shape = TargetShape.from_json(spec.get("shape", {"class": "discrete"}))
-        result = density_witness(place, finite_on, vanishing_on, shape, max_iterations())
-        report = result.report()
-        report["command"] = "witness"
-        report["invariants"] = result.place.invariants().to_json()
-        report["in_neighborhood"] = in_basic_open(result.place, finite_on, vanishing_on)
-        return report
-
-    if command == "check-axioms":
-        place = _place_from_spec(spec)
-        elems = _elems_from_spec(spec, place)
-        report = check_spv_axioms(place, elems)
-        out = report.to_json()
-        out["command"] = "check-axioms"
-        out["place"] = place.to_json()
-        return out
-
-    raise JobError(f"unhandled command {command!r}")
+    report = check_spv_axioms(place, elems).to_json()
+    report["command"] = "check-axioms"
+    report["place"] = place.to_json()
+    return report
 
 
 def render_report(report: dict) -> str:
@@ -305,22 +267,18 @@ def render_report(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        spec = _merge_spec(args)
-        report = _run(spec)
+        spec = _merge_spec(_build_parser().parse_args(argv))
+        text = render_report(_run(spec))
+        if spec.get("out"):
+            with open(spec["out"], "w", encoding="utf-8") as fh:
+                fh.write(text)
     except InfeasibleShapeError as exc:
         print(f"infeasible shape: {exc}", file=sys.stderr)
         return 2
-    except (JobError, ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JobError, ParseError and JSON errors among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = render_report(report)
-    out_path = spec.get("out")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     sys.stdout.write(text)
     return 0
 

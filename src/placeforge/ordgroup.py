@@ -267,12 +267,8 @@ class GroupElem:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
 
 
-def combine(elems, coeffs, ambient: AmbientGroup = None) -> GroupElem:
+def combine(elems, coeffs, ambient: AmbientGroup) -> GroupElem:
     """Integer (or rational) linear combination of group elements."""
-    if ambient is None:
-        if not elems:
-            raise ValueError("empty combination needs an explicit ambient group")
-        ambient = elems[0].ambient
     acc = ambient.zero()
     for e, c in zip(elems, coeffs):
         if c:
@@ -332,15 +328,21 @@ def rational_rank(s: Subgroup) -> int:
     return lattice.int_rank(s.rows)
 
 
-def subgroup_member(s: Subgroup, x: GroupElem) -> bool:
-    """Is x an integer combination of the generators?"""
+def _basis_and_target(s: Subgroup, x: GroupElem):
+    """The HNF basis of the generator rows and x's row, over one common
+    denominator; the basis is None when there are no generators."""
     if x.ambient != s.ambient:
         raise ValueError("element outside the ambient group")
-    rows, den = lattice.clear_denominators(s.qrows() + [x.qvec()])
+    rows, _ = lattice.clear_denominators(s.qrows() + [x.qvec()])
     gen_rows, target = rows[:-1], rows[-1]
-    if not gen_rows:
+    return (lattice.hnf(gen_rows) if gen_rows else None), target
+
+
+def subgroup_member(s: Subgroup, x: GroupElem) -> bool:
+    """Is x an integer combination of the generators?"""
+    basis, target = _basis_and_target(s, x)
+    if basis is None:
         return not any(target)
-    basis = lattice.hnf(gen_rows)
     return lattice.express_int(basis, target) is not None
 
 
@@ -366,15 +368,11 @@ def in_p_divisible_hull(x: GroupElem, s: Subgroup, p: int) -> bool:
     Decided by expressing x rationally over the HNF basis of the generator
     lattice and checking every coordinate denominator is a power of p.
     """
-    if x.ambient != s.ambient:
-        raise ValueError("element outside the ambient group")
     if p < 2:
         raise ValueError("p must be a prime >= 2")
-    rows, den = lattice.clear_denominators(s.qrows() + [x.qvec()])
-    gen_rows, target = rows[:-1], rows[-1]
-    if not gen_rows:
+    basis, target = _basis_and_target(s, x)
+    if basis is None:
         return not any(target)
-    basis = lattice.hnf(gen_rows)
     coeffs = lattice.express_rat(basis, target)
     if coeffs is None:
         return False

@@ -176,6 +176,9 @@ def parse_expr(text: str, arity: int, field: BaseField, names=None) -> RatFunc:
         names = default_names(arity)
     if len(names) != arity:
         raise ValueError("need one name per variable")
+    if len(set(names)) != arity:
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ValueError(f"variable names must be distinct; {repeated!r} repeats")
     return _Parser(_tokenize(text), field, arity, names).parse()
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -7,9 +9,12 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import placeforge
 from placeforge import place_from_json
+from placeforge.approx import CLASSES, MODES
 from placeforge.cli import main
 from placeforge.places import MAX_TOWER_DEPTH
 
@@ -252,11 +257,9 @@ def test_bad_jobspec_rejected(capsys, tmp_path):
 
 def test_mismatched_base_or_arity_rejected(capsys):
     job = json.loads((HERE / "jobs" / "value.json").read_text())
-    code, _ = run_cli(
-        capsys, "value", "--place", json.dumps(job["place"]),
-        "--elem", "x1", "--base", "5",
-    )
-    assert code == 1
+    err = cli_error(capsys, "value", "--place", json.dumps(job["place"]),
+                    "--elem", "x1", "--base", "5")
+    assert "job base field does not match the place" in err
     code, _ = run_cli(
         capsys, "value", "--place", json.dumps(job["place"]),
         "--elem", "x1", "--arity", "3",
@@ -290,3 +293,128 @@ def test_parse_print_parse_idempotence(capsys):
         again = parse_expr(text, 2, BaseField(0))
         assert eq_zero(f - again)
         assert format_ratfunc(again) == text
+
+
+def test_base_flag_in_schema_form(capsys):
+    place = json.dumps(json.loads((HERE / "jobs" / "value.json").read_text())["place"])
+    code, out = run_cli(capsys, "value", "--place", place, "--elem", "x1", "--base", "Q")
+    assert code == 0
+    assert json.loads(out)["results"][0]["sign"] == "+"
+    err = cli_error(capsys, "value", "--place", place, "--elem", "x1", "--base", "GF5")
+    assert "job spec does not match schema at $.base" in err
+
+
+# Flag values the job-spec schema refuses.  The shape is read only after
+# the schema check, so a wrong type must never reach TargetShape.
+BAD_SHAPES = [
+    ("[]", "at $.shape: [] is not of type 'object'"),
+    ('"discrete"', "at $.shape: 'discrete' is not of type 'object'"),
+    ("{}", "at $.shape: 'class' is a required property"),
+    ('{"class":"composite_drop","mode":"preserve_values","r1":"x","d1":1}',
+     "at $.shape.r1: 'x' is not of type 'integer'"),
+    ('{"class":"weighted_rational","r1":1.5}', "at $.shape.r1: 1.5 is not of type 'integer'"),
+]
+
+
+@pytest.mark.parametrize("shape,message", BAD_SHAPES, ids=range(len(BAD_SHAPES)))
+def test_shape_flag_is_checked_against_the_schema(shape, message):
+    proc = run_fresh("goodify", "--spec", str(HERE / "jobs" / "goodify.json"), "--shape", shape)
+    assert_one_line_error(proc, "job spec does not match schema " + message)
+
+
+def test_spec_file_must_be_an_object(capsys, tmp_path):
+    spec = tmp_path / "list.json"
+    spec.write_text("[1, 2]")
+    assert "job spec is not a JSON object" in cli_error(capsys, "--spec", str(spec))
+
+
+def test_usage_errors_exit_1_with_one_line(capsys):
+    goodify = str(HERE / "jobs" / "goodify.json")
+    usage = [("value", "--bogus", "1"), ("goodify", "--spec", goodify, "--shape", "-1e16")]
+    messages = ["unrecognized arguments: --bogus 1", "argument --shape: expected one argument"]
+    for args, message in zip(usage, messages):
+        err = cli_error(capsys, *args)
+        assert err == f"error: {message}\n"
+        assert_one_line_error(run_fresh(*args), message)
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert "usage: placeforge" in capsys.readouterr().out
+
+
+def test_repeated_variable_names_are_refused(capsys):
+    place = json.dumps(json.loads((HERE / "jobs" / "value.json").read_text())["place"])
+    args = ("value", "--place", place, "--vars", "a,a", "--elem", "a")
+    assert "variable names must be distinct; 'a' repeats" in cli_error(capsys, *args)
+    assert_one_line_error(run_fresh(*args), "'a' repeats")
+
+
+def test_unwritable_out_path_is_an_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    err = cli_error(capsys, "--spec", str(HERE / "jobs" / "classify.json"), "--out", str(target))
+    assert "No such file or directory" in err
+    assert capsys.readouterr().out == ""
+
+
+def run_quietly(args):
+    """Run `main` in process; return the exit code and the stderr lines.
+    An exception escaping `main` fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue().splitlines()
+
+
+def assert_settled(code, err_lines):
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err_lines) == 1
+    else:
+        assert err_lines == []
+
+
+json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8,
+)
+# Mostly shape-like objects: known keys carrying known or hostile values.
+shape_objects = st.dictionaries(
+    st.sampled_from(["class", "mode", "r1", "d1"]) | st.text(max_size=3),
+    st.sampled_from(CLASSES + MODES) | st.integers(-2, 5) | json_values,
+    max_size=5,
+)
+SHAPE_JOBS = [str(HERE / "jobs" / f"{name}.json")
+              for name in ("goodify", "goodify_drop", "witness", "witness_maxrank")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(job=st.sampled_from(SHAPE_JOBS), shape=shape_objects | json_values)
+def test_shape_flag_settles_every_value(job, shape):
+    assert_settled(*run_quietly(["--spec", job, "--shape=" + json.dumps(shape)]))
+
+
+name_lists = st.lists(st.sampled_from(["x1", "x2", "a", "b", " ", ""]) | st.text(max_size=4),
+                      max_size=4).map(",".join)
+bases = (st.sampled_from(["Q", "q", "2", "4", "5", "0", "-5", " 5", '{"p": 5}'])
+         | st.text(max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.none() | name_lists, base=st.none() | bases)
+def test_vars_and_base_flags_settle_every_value(names, base):
+    args = ["--spec", str(HERE / "jobs" / "value.json")]
+    if names is not None:
+        args.append("--vars=" + names)
+    if base is not None:
+        args.append("--base=" + base)
+    assert_settled(*run_quietly(args))
+
+
+@pytest.mark.parametrize("job", ["goodify", "witness"])
+def test_bad_max_iter_is_an_error(job, capsys, monkeypatch):
+    monkeypatch.setenv("PLACEFORGE_MAX_ITER", "0")
+    err = cli_error(capsys, "--spec", str(HERE / "jobs" / f"{job}.json"))
+    assert "PLACEFORGE_MAX_ITER must be positive" in err

@@ -67,6 +67,13 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_expr("y1", 2, QQ)
 
+    def test_repeated_names_refused(self):
+        # With a repeated name, the later variable would shadow the earlier.
+        with pytest.raises(ValueError, match="'a' repeats"):
+            parse_expr("a", 2, QQ, names=("a", "a"))
+        with pytest.raises(ValueError, match="'t' repeats"):
+            parse_expr("s", 3, QQ, names=["t", "s", "t"])
+
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as err:
             parse_expr("x1 + ?", 2, QQ)
