@@ -28,7 +28,18 @@ def mul_terms(ea, ca, eb, cb, p):
             mb = max(e[k] for e in eb)
             if ma + mb >= EXP_LIMIT:
                 raise OverflowError("exponent overflow in polynomial product")
+    if len(ea) == 1:
+        ea, ca, eb, cb = eb, cb, ea, ca
     out = {}
+    if len(eb) == 1:
+        # a product by one term c*x^s: shift and scale, in the other's order
+        (s,), (c,) = eb, cb
+        shifted = any(s)
+        for e, ce in zip(ea, ca):
+            v = ce * c % p if p else ce * c
+            if v:
+                out[tuple(x + y for x, y in zip(e, s)) if shifted else e] = v
+        return out
     if p:
         for e1, c1 in zip(ea, ca):
             for e2, c2 in zip(eb, cb):

@@ -18,7 +18,13 @@ from __future__ import annotations
 import re
 
 from .ordgroup import MAX_LITERAL_DIGITS
-from .ratfunc import BaseField, Poly, RatFunc
+from .ratfunc import EXP_LIMIT, BaseField, Poly, RatFunc
+
+# Over Q, c^k has about |k| * log2|c| bits.  A "^" is refused when |k| times
+# the largest floor(log2) of a coefficient numerator or denominator of its
+# base exceeds this, so one power stays under 2 * 4096 bits, printable in
+# full.  Coefficients +-1 cost nothing: x1^k is cheap.
+MAX_POWER_BITS = 4096
 
 
 class ParseError(ValueError):
@@ -28,6 +34,9 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
+
+
+_ATOMS = ("num", "name")
 
 
 def _tokenize(text: str):
@@ -62,8 +71,8 @@ def default_names(arity: int, prefix: str = "x"):
 
 
 class _Parser:
-    # Each parenthesis level costs four stack frames (expr, term, factor,
-    # base); this keeps deep inputs well inside the interpreter's limit.
+    # Each parenthesis level costs three stack frames (expr, term, factor);
+    # this keeps deep inputs well inside the interpreter's limit.
     MAX_DEPTH = 128
 
     def __init__(self, tokens, field: BaseField, arity: int, names):
@@ -114,7 +123,7 @@ class _Parser:
                 return out
 
     def term(self) -> RatFunc:
-        out = self.factor()
+        out = self.atom_run() if self.peek()[0] in _ATOMS else self.factor()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
@@ -129,45 +138,100 @@ class _Parser:
             else:
                 return out
 
-    def factor(self) -> RatFunc:
-        out = self.base()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            sign = 1
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "-":
-                self.advance()
-                sign = -1
-            kind, value, pos = self.peek()
-            if kind != "num":
-                raise ParseError("expected an integer exponent", pos)
-            self.advance()
-            if value >= 2**62:
-                raise ParseError("exponent overflow", pos)
-            if sign < 0 and out.is_zero():
-                raise ParseError("negative power of zero", pos)
-            out = out ** (sign * value)
-        return out
+    def atom_run(self) -> RatFunc:
+        """The atoms that open a term, joined by * and /, as one monomial.
 
-    def base(self) -> RatFunc:
+        This is the product the operators would give: the running value
+        stays c*x^e, and a step overflows exactly when a polynomial product
+        would.  The run ends before the first parenthesised factor; from
+        there on every factor meets the running value through the operators.
+        """
+        field = self.field
+        c, e = self.atom()
+        while True:
+            kind, value, pos = self.peek()
+            if kind != "op" or value not in "*/" or self.tokens[self.i + 1][0] not in _ATOMS:
+                return RatFunc.monomial(field, self.arity, e, c)
+            self.advance()
+            ca, a = self.atom()
+            if value == "/":
+                if not ca:
+                    raise ParseError("division by zero", pos)
+                ca = field.inv(ca)
+                a = tuple(-x for x in a)
+            if c and ca:  # a zero product stays 0, whatever exponents follow
+                e = tuple(x + y for x, y in zip(e, a))
+                if any(abs(x) >= EXP_LIMIT for x in e):
+                    raise OverflowError("exponent overflow in polynomial product")
+            c = field.mul(c, ca)
+
+    def atom(self):
+        """A literal or a declared variable with an optional power, as (c, e)."""
         kind, value, pos = self.advance()
-        if kind == "num":
-            return RatFunc.const(self.field, self.arity, value)
         if kind == "name":
             idx = self.index_of.get(value)
             if idx is None:
                 raise ParseError(f"unknown variable {value!r}", pos)
-            return RatFunc.variable(self.field, self.arity, idx)
-        if kind == "op" and value == "(":
-            if self.depth == self.MAX_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {self.MAX_DEPTH}", pos)
-            self.depth += 1
-            out = self.expr()
-            self.expect_op(")")
-            self.depth -= 1
+        k, pos = self.exponent()
+        if kind == "name":
+            k = 1 if k is None else k
+            return self.field.coerce(1), tuple(k if j == idx else 0 for j in range(self.arity))
+        c = self.field.coerce(value)
+        if k is not None:
+            self.check_power(k, pos, not c, (c,))
+            c = pow(c, k, self.field.p) if self.field.p else c**k
+        return c, (0,) * self.arity
+
+    def exponent(self):
+        """The optional "^ [-]integer" after a base, as (k, position) or (None, None)."""
+        kind, value, pos = self.peek()
+        if kind != "op" or value != "^":
+            return None, None
+        self.advance()
+        sign = 1
+        kind, value, pos = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            sign = -1
+        kind, value, pos = self.peek()
+        if kind != "num":
+            raise ParseError("expected an integer exponent", pos)
+        self.advance()
+        if value >= 2**62:
+            raise ParseError("exponent overflow", pos)
+        return sign * value, pos
+
+    def check_power(self, k: int, pos: int, zero: bool, coeffs):
+        if k < 0 and zero:
+            raise ParseError("negative power of zero", pos)
+        if not self.field.p:
+            bits = max((max(abs(c.numerator), c.denominator).bit_length() - 1 for c in coeffs),
+                       default=0)
+            if abs(k) * bits > MAX_POWER_BITS:
+                raise ParseError(
+                    f"power {k} makes coefficients of about {abs(k) * bits} bits, "
+                    f"over MAX_POWER_BITS = {MAX_POWER_BITS}", pos
+                )
+
+    def factor(self) -> RatFunc:
+        kind, value, pos = self.peek()
+        if kind in _ATOMS:
+            c, e = self.atom()
+            return RatFunc.monomial(self.field, self.arity, e, c)
+        self.advance()
+        if kind != "op" or value != "(":
+            raise ParseError("expected a number, variable or parenthesis", pos)
+        if self.depth == self.MAX_DEPTH:
+            raise ParseError(f"parentheses nested deeper than {self.MAX_DEPTH}", pos)
+        self.depth += 1
+        out = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        k, pos = self.exponent()
+        if k is None:
             return out
-        raise ParseError("expected a number, variable or parenthesis", pos)
+        self.check_power(k, pos, out.is_zero(), [*out.num.terms.values(), *out.den.terms.values()])
+        return out**k
 
 
 def parse_expr(text: str, arity: int, field: BaseField, names=None) -> RatFunc:
@@ -234,7 +298,7 @@ def format_ratfunc(f: RatFunc, names=None) -> str:
     if names is None:
         names = default_names(f.arity)
     num = format_poly(f.num, names)
-    if f.den == Poly.const(f.field, f.arity, 1):
+    if f.den.is_one():
         return num
     den = format_poly(f.den, names)
     if len(f.num.terms) > 1:

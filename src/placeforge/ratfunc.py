@@ -160,6 +160,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_one(self) -> bool:
+        return len(self.terms) == 1 and self.terms.get((0,) * self.arity) == 1
+
     def _check(self, other: "Poly"):
         if self.field != other.field or self.arity != other.arity:
             raise ValueError("polynomials over different rings")
@@ -314,6 +317,8 @@ class RatFunc:
     @staticmethod
     def make(num: Poly, den: Poly) -> "RatFunc":
         num._check(den)
+        if den.is_one():
+            return RatFunc(num, den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         field, arity = num.field, num.arity
@@ -351,12 +356,18 @@ class RatFunc:
 
     @staticmethod
     def monomial(field: BaseField, arity: int, evec, coeff=1) -> "RatFunc":
-        """c * x^evec as a rational function; evec may have negative entries."""
-        up = tuple(max(x, 0) for x in evec)
-        down = tuple(max(-x, 0) for x in evec)
-        num = Poly.make(field, arity, {up: coeff})
-        den = Poly.make(field, arity, {down: 1})
-        return RatFunc.make(num, den)
+        """c * x^evec as a rational function; evec is a tuple of integers,
+        negative entries included.  Built in canonical form directly."""
+        if len(evec) != arity:
+            raise ValueError("exponent vector length must equal the arity")
+        if any(abs(x) >= EXP_LIMIT for x in evec):
+            raise OverflowError("exponent overflow")
+        c = field.coerce(coeff)
+        if not c:
+            return RatFunc.zero(field, arity)
+        up = tuple(x if x > 0 else 0 for x in evec)
+        down = tuple(-x if x < 0 else 0 for x in evec)
+        return RatFunc(Poly(field, arity, {up: c}), Poly(field, arity, {down: field.coerce(1)}))
 
     @property
     def field(self) -> BaseField:
@@ -370,9 +381,13 @@ class RatFunc:
         return self.num.is_zero()
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc.make(self.num + other.num, self.den)
         return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc.make(self.num - other.num, self.den)
         return RatFunc.make(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "RatFunc":
@@ -384,7 +399,8 @@ class RatFunc:
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return RatFunc.make(self.num * other.den, self.den * other.num)
+        # a non-canonical reciprocal is fine: the product goes through make()
+        return self * RatFunc(other.den, other.num)
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():

@@ -141,6 +141,13 @@ def test_product_over_term_budget_is_refused():
     assert_one_line_error(proc, "MAX_TERM_PAIRS")
 
 
+def test_power_over_budget_is_refused():
+    # an unbudgeted 3^1000000000 over Q would run for hours
+    place = json.dumps(json.loads((HERE / "jobs" / "value.json").read_text())["place"])
+    proc = run_fresh("value", "--place", place, "--elem", "x1 + 3^1000000000")
+    assert_one_line_error(proc, "MAX_POWER_BITS")
+
+
 def one_weight_place(a):
     return {
         "kind": "monomial", "base": "Q", "arity": 1,

@@ -70,6 +70,8 @@ def naive_term_mins(exps, levels):
 def test_mul_terms_agreement_across_envelope():
     rng = random.Random(101)
     cancelled = 0
+    # products by one term, on each side, and with a zero input coefficient
+    single = {"left": 0, "right": 0, "left zero": 0, "right zero": 0}
     for _ in range(400):
         n = rng.randint(1, 6)
         p = rng.choice([0, 5, 1_000_003, 2**61 - 1])
@@ -78,10 +80,18 @@ def test_mul_terms_agreement_across_envelope():
         ea, ca = rand_terms(rng, n, rng.randint(1, 8), emax, cmax, p)
         eb, cb = rand_terms(rng, n, rng.randint(1, 8), emax, cmax, p)
         out = mul_terms(ea, ca, eb, cb, p)
-        assert out == naive_mul(ea, ca, eb, cb, p)
+        expected = naive_mul(ea, ca, eb, cb, p)
+        assert out == expected
         keys = {tuple(x + y for x, y in zip(e1, e2)) for e1 in ea for e2 in eb}
         cancelled += len(out) < len(keys)
+        for side, es in (("left", ea), ("right", eb)):
+            if len(es) == 1:
+                # one term shifts the other operand: its order is kept
+                assert list(out) == list(expected)
+                single[side] += 1
+                single[f"{side} zero"] += 0 in ca + cb
     assert cancelled > 0
+    assert all(single.values()), single
 
 
 def test_term_mins_agreement_across_envelope():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from placeforge import BaseField, ParseError, Poly, RatFunc, eq_zero, parse_expr
 from placeforge.ordgroup import MAX_LITERAL_DIGITS
-from placeforge.parsing import format_ratfunc
+from placeforge.parsing import MAX_POWER_BITS, format_ratfunc
 
 from gen import random_ratfunc
 
@@ -89,6 +89,17 @@ class TestParser:
         with pytest.raises(ParseError, match="MAX_LITERAL_DIGITS") as err:
             parse_expr("x1 + 7" + digits, 1, QQ)
         assert err.value.pos == 5
+
+    def test_power_budget(self):
+        # x1^k and 1^k cost nothing; over Q, 3^k has about 1.6*k bits
+        assert parse_expr(f"x1^{2**62 - 1}", 1, QQ).num.terms == {(2**62 - 1,): Fraction(1)}
+        assert parse_expr(f"(-1)^{2**62 - 1}*1^{2**62 - 1}", 1, QQ) == RatFunc.const(QQ, 1, -1)
+        assert parse_expr(f"2^{MAX_POWER_BITS}", 1, QQ) == RatFunc.const(QQ, 1, 2**MAX_POWER_BITS)
+        for text in ("3^10000000", f"2^{MAX_POWER_BITS + 1}", f"(x1 + 1/2)^-{MAX_POWER_BITS + 1}"):
+            with pytest.raises(ParseError, match="MAX_POWER_BITS"):
+                parse_expr(text, 1, QQ)
+        # residues mod p do not grow
+        assert parse_expr("3^10000000", 1, F5) == RatFunc.const(F5, 1, pow(3, 10**7, 5))
 
 
 class TestArith:
@@ -204,3 +215,239 @@ class TestOverflow:
         p = Poly.make(QQ, 1, {(2**61,): 1})
         with pytest.raises(OverflowError):
             p * p
+
+
+def canonical_terms(num: dict, den: dict, field: BaseField):
+    """The canonical form of num/den by its definition: divide both by their
+    common monomial content, then scale both so that the denominator's
+    lexicographically largest coefficient is 1.  Returns two term lists."""
+    if not num:
+        return [], [((0,) * len(next(iter(den))), field.coerce(1))]
+    exps = list(num) + list(den)
+    content = tuple(min(column) for column in zip(*exps))
+    lead = den[max(den)]
+    if field.p:
+        scale = pow(lead, -1, field.p)
+        times = lambda c: c * scale % field.p  # noqa: E731
+    else:
+        times = lambda c: c / lead  # noqa: E731
+    return [
+        [(tuple(x - y for x, y in zip(e, content)), times(c)) for e, c in terms.items()]
+        for terms in (num, den)
+    ]
+
+
+@st.composite
+def poly_terms(draw, field, arity, max_terms=4):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = tuple(draw(st.integers(0, 4)) for _ in range(arity))
+        c = field.coerce(draw(st.integers(-9, 9)) if field.p else
+                         Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5))))
+        if c:
+            terms[e] = c
+    return terms
+
+
+class TestMake:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), field=st.sampled_from([QQ, F5]))
+    def test_make_matches_definition(self, data, field):
+        num = data.draw(poly_terms(field, 3))
+        dens = [{(0, 0, 0): field.coerce(1)}]
+        den = data.draw(poly_terms(field, 3))
+        if den:
+            dens.append(den)
+        for den in dens:
+            f = RatFunc.make(Poly(field, 3, dict(num)), Poly(field, 3, dict(den)))
+            expected = canonical_terms(num, den, field)
+            got = [list(p.terms.items()) for p in (f.num, f.den)]
+            assert [[(e, type(c), c) for e, c in t] for t in got] == \
+                [[(e, type(c), c) for e, c in t] for t in expected]
+
+
+# Differential parser test.  An expression tree is rendered to text that the
+# grammar reads back as the same tree; the reference folds the tree with
+# RatFunc.const/variable and the operators, left to right, which is what the
+# parser's result must equal term for term (insertion order included), or
+# fail with the same exception class and message.
+
+HUGE = 2**62 - 1  # the largest exponent a literal "^" accepts
+
+
+def N(v):
+    return ("num", v)
+
+
+def V(i):
+    return ("var", i)
+
+
+def render(tree):
+    """Text of an expression tree, and the positions of every "/" and every
+    exponent's digits, in the order the reference meets them."""
+    parts, spots = [], []
+    size = 0
+
+    def put(text):
+        nonlocal size
+        parts.append(text)
+        size += len(text)
+
+    def expr(t):
+        if t[0] in ("+", "-"):
+            expr(t[1])
+            put(f" {t[0]} ")
+            term(t[2])
+        elif t[0] == "neg":
+            put("-")
+            term(t[1])
+        else:
+            term(t)
+
+    def term(t):
+        if t[0] in ("*", "/"):
+            term(t[1])
+            if t[0] == "/":
+                spots.append(size)
+            put(t[0])
+            factor(t[2])
+        else:
+            factor(t)
+
+    def factor(t):
+        if t[0] == "pow":
+            base(t[1])
+            put("^-" if t[2] < 0 else "^")
+            spots.append(size)
+            put(str(abs(t[2])))
+        else:
+            base(t)
+
+    def base(t):
+        if t[0] == "num":
+            put(str(t[1]))
+        elif t[0] == "var":
+            put(f"x{t[1] + 1}")
+        else:
+            put("(")
+            expr(t)
+            put(")")
+
+    expr(tree)
+    return "".join(parts), spots
+
+
+def fold(tree, field, arity, spots):
+    spots = iter(spots)
+
+    def ev(t):
+        tag = t[0]
+        if tag == "num":
+            return RatFunc.const(field, arity, t[1])
+        if tag == "var":
+            return RatFunc.variable(field, arity, t[1])
+        if tag == "neg":
+            return -ev(t[1])
+        if tag == "pow":
+            x = ev(t[1])
+            pos = next(spots)
+            if t[2] < 0 and x.is_zero():
+                raise ParseError("negative power of zero", pos)
+            return x ** t[2]
+        lhs = ev(t[1])
+        pos = next(spots) if tag == "/" else None
+        rhs = ev(t[2])
+        if tag == "+":
+            return lhs + rhs
+        if tag == "-":
+            return lhs - rhs
+        if tag == "*":
+            return lhs * rhs
+        if rhs.is_zero():
+            raise ParseError("division by zero", pos)
+        return lhs / rhs
+
+    return ev(tree)
+
+
+def outcome(thunk):
+    try:
+        f = thunk()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [[(e, type(c), c) for e, c in p.terms.items()] for p in (f.num, f.den)]
+
+
+def parses_like_fold(tree, field, arity=2):
+    text, spots = render(tree)
+    expected = outcome(lambda: fold(tree, field, arity, spots))
+    assert outcome(lambda: parse_expr(text, arity, field)) == expected, text
+    return expected
+
+
+@st.composite
+def trees(draw, arity=2, depth=4):
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        kind = draw(st.sampled_from(["num", "var", "var", "huge"]))
+        if kind == "num":
+            return N(draw(st.integers(0, 12)))
+        var = V(draw(st.integers(0, arity - 1)))
+        if kind == "huge":
+            return ("pow", var, draw(st.sampled_from([2**61, HUGE, -HUGE])))
+        return var
+    op = draw(st.sampled_from(["+", "-", "*", "*", "/", "/", "neg", "pow"]))
+    if op == "neg":
+        return ("neg", draw(trees(arity, depth - 1)))
+    if op == "pow":
+        return ("pow", draw(trees(arity, depth - 1)), draw(st.integers(-3, 3)))
+    return (op, draw(trees(arity, depth - 1)), draw(trees(arity, depth - 1)))
+
+
+# (tree, the outcome's kind: "ok" or the exception class), over Q and GF(5)
+EDGE_CASES = [
+    # a literal that is 0 mod 5 as a divisor: division by zero over GF(5) only
+    (("/", V(0), N(5)), {QQ: "ok", F5: ParseError}),
+    (("/", ("*", N(2), V(0)), N(10)), {QQ: "ok", F5: ParseError}),
+    (("/", N(3), ("+", N(2), N(3))), {QQ: "ok", F5: ParseError}),
+    (("pow", N(0), -1), ParseError),
+    (("*", V(0), ("pow", N(5), -2)), {QQ: "ok", F5: ParseError}),
+    (("/", V(1), ("pow", N(0), 0)), "ok"),
+    (("*", ("pow", V(0), HUGE), V(0)), OverflowError),
+    (("/", ("pow", V(0), HUGE), V(0)), "ok"),
+    (("/", ("pow", V(0), HUGE), ("pow", V(0), -1)), OverflowError),
+    (("/", ("pow", V(0), -HUGE), V(0)), OverflowError),
+    (("*", ("*", ("pow", V(0), HUGE), V(0)), ("pow", V(0), -1)), OverflowError),
+    (("*", ("*", ("pow", V(0), -1), ("pow", V(0), HUGE)), V(0)), "ok"),
+    # a zero coefficient first: the product stays 0 whatever the exponents
+    (("*", ("*", N(0), ("pow", V(0), HUGE)), ("pow", V(0), HUGE)), "ok"),
+    (("*", ("*", N(10), ("pow", V(0), HUGE)), ("pow", V(0), HUGE)), {QQ: OverflowError, F5: "ok"}),
+    # repeated and negative variable powers
+    (("/", ("/", ("*", ("*", V(0), ("pow", V(0), -2)), ("pow", V(1), 3)), V(1)),
+      ("pow", V(0), -1)), "ok"),
+    (("*", ("/", ("pow", V(1), -3), ("pow", V(1), -3)), ("pow", V(0), 0)), "ok"),
+    # atoms on both sides of a parenthesised factor
+    (("*", ("/", ("*", ("*", N(2), V(0)), ("+", V(0), N(1))), V(1)), ("pow", V(0), -1)), "ok"),
+    (("*", ("/", ("*", ("pow", V(0), 2), ("-", V(0), V(1))), ("pow", V(0), 3)), N(2)), "ok"),
+    (("/", ("/", ("*", N(3), ("+", V(0), V(1))), N(2)), ("pow", V(1), 2)), "ok"),
+    # after a parenthesised factor every atom meets the running value: the
+    # first product overflows, although the atoms after it cancel
+    (("*", ("*", ("+", ("pow", V(0), HUGE), N(1)), V(0)), ("pow", V(0), -1)), OverflowError),
+    (("neg", ("*", ("/", N(3), N(4)), V(1))), "ok"),
+]
+
+
+class TestParserDifferential:
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    @pytest.mark.parametrize("tree, kind", EDGE_CASES, ids=lambda x: render(x)[0]
+                             if isinstance(x, tuple) else getattr(x, "__name__", "by_field"))
+    def test_edge_cases(self, tree, kind, field):
+        if isinstance(kind, dict):
+            kind = kind[field]
+        got = parses_like_fold(tree, field)
+        assert (got[0] if isinstance(got, tuple) else "ok") == kind, got
+
+    @settings(max_examples=400, deadline=None)
+    @given(tree=trees(), field=st.sampled_from([QQ, F5]))
+    def test_parse_matches_operator_fold(self, tree, field):
+        parses_like_fold(tree, field)
