@@ -462,10 +462,17 @@ def _residue_checks(old: Place, new: Place, nonzero, texts, old_signs):
 
 
 def _identity_checks(place: Place, elems):
-    """The residue checks of a place kept as its own replacement."""
-    nonzero = [f for f in elems if not f.is_zero()]
-    signs = [place.value_sign(f) for f in nonzero]
-    return _residue_checks(place, place, nonzero, [str(f) for f in nonzero], signs)
+    """The residue checks of a place kept as its own replacement: one value
+    sign per nonzero element serves both sides, and a residue is compared
+    (with itself, so equal) exactly when that sign is 0."""
+    checks = []
+    for f in elems:
+        if f.is_zero():
+            continue
+        s = _sign_char(place.value_sign(f))
+        checks.append({"elem": str(f), "sign_q": s, "sign_p": s,
+                       "residue_equal": True if s == "0" else None})
+    return checks
 
 
 def _iota_witnesses(count: int):

@@ -275,7 +275,9 @@ def main(argv=None) -> int:
     except InfeasibleShapeError as exc:
         print(f"infeasible shape: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # JobError, ParseError and JSON errors among them
+    # JobError, ParseError and JSON errors are ValueErrors; OverflowError is
+    # an exponent past the polynomial kernels' bound.
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text)

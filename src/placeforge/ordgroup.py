@@ -8,6 +8,7 @@ exactly by integer case analysis; no floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -45,16 +46,28 @@ def _literal_digits(s: str) -> int:
     return digits
 
 
+# The place schema's literal form; [0-9] keeps it ASCII.
+_SCHEMA_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat_from_str(s: str) -> Fraction:
+    if not isinstance(s, str):
+        return Fraction(s)
     # Without an exponent a literal has at most len(s) digits; only longer
     # or exponent literals need counting.
-    if isinstance(s, str) and (len(s) > MAX_LITERAL_DIGITS or "e" in s or "E" in s):
+    if len(s) > MAX_LITERAL_DIGITS or "e" in s or "E" in s:
         if _literal_digits(s) > MAX_LITERAL_DIGITS:
             shown = s if len(s) <= 24 else s[:20] + "..."
             raise ValueError(
                 f"literal {shown!r} has more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits"
             )
-    return Fraction(s)
+    # The schema's form converts by int; anything else (spaces, "+", "_",
+    # decimals, exponents, other scripts' digits) is left to Fraction.
+    m = _SCHEMA_LITERAL.fullmatch(s)
+    if m is None:
+        return Fraction(s)
+    num, den = m.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 @lru_cache(maxsize=256)

@@ -56,19 +56,33 @@ def random_composite_place(rng, field, arity):
     return compose(inner, outer)
 
 
-def random_tower(rng, field, arity, irrational_inner, depth=1):
-    """Monomial inner place (rational weights, or weights that all have a
-    sqrt part) under `depth` random monomial places, each one on the
-    residue field of the tower below it."""
+def random_tower(rng, field, arity, irrational_inner, depth=1, nest="inner"):
+    """A chain of `depth` + 1 monomial places, each on the residue field of
+    the one before: first the innermost (rational weights, or weights that
+    all have a sqrt part), then random ones.
+
+    nest="inner" composes the chain from the innermost place up, so the
+    composites nest on their inner side; nest="outer" composes it from the
+    top down, so they nest on their outer side.  Composition is
+    associative, so the same rng state gives the same place either way."""
     if irrational_inner:
-        tower = random_irrational_place(rng, field, arity, d=rng.choice([2, 3, 5]))
+        chain = [random_irrational_place(rng, field, arity, d=rng.choice([2, 3, 5]))]
     else:
-        tower = random_monomial_place(rng, field, arity, irrational=False)
+        chain = [random_monomial_place(rng, field, arity, irrational=False)]
     for _ in range(depth):
-        k = tower.residue_desc().num_gens
-        outer = random_monomial_place(rng, field, k, levels=rng.choice([1, 2]),
-                                      irrational=rng.random() < 0.5)
-        tower = compose(tower, outer)
+        k = chain[-1].residue_desc().num_gens
+        chain.append(random_monomial_place(rng, field, k, levels=rng.choice([1, 2]),
+                                           irrational=rng.random() < 0.5))
+    if nest == "inner":
+        tower = chain[0]
+        for outer in chain[1:]:
+            tower = compose(tower, outer)
+    elif nest == "outer":
+        tower = chain[-1]
+        for inner in reversed(chain[:-1]):
+            tower = compose(inner, tower)
+    else:
+        raise ValueError(f"nest must be 'inner' or 'outer', not {nest!r}")
     return tower
 
 

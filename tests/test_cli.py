@@ -156,6 +156,13 @@ def one_weight_place(a):
     }
 
 
+def test_exponent_overflow_is_one_line(capsys):
+    args = ("--spec", str(HERE / "jobs" / "value.json"), "--elem", "x1^4611686018427387903*x1")
+    assert_one_line_error(run_fresh(*args), "error: exponent overflow")
+    err = cli_error(capsys, *args)
+    assert err == "error: exponent overflow in polynomial product\n"
+
+
 def test_long_literals_are_refused():
     digits = "7" * 5000
     proc = run_fresh("classify", "--place", json.dumps(one_weight_place(digits)))

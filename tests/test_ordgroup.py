@@ -370,3 +370,32 @@ def test_literal_budget():
                  "1/" + "3" * 5000):
         with pytest.raises(ValueError, match="MAX_LITERAL_DIGITS"):
             rat_from_str(text)
+
+
+def _outcome(convert, text):
+    try:
+        return "ok", convert(text)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+# Inputs off the schema's -?[0-9]+(/[0-9]+)? form, which Fraction still
+# reads or refuses in its own way.
+_LITERAL_EDGES = (
+    "1/0", "-1/0", "0/0", "-0/0", "--3", "3/", "/4", "3/-4", "3//4", "-", "", "/",
+    "+3", "+3/4", "-+3", " 3", "3 ", "3 /4", "\t-3/4\n", "3\n", "1_000", "1__0", "_1",
+    "1_/2", "1e3", "1E-2", "2.5e+1", "1e_3", "1/2e3", ".5", "5.", "1.5/2",
+    "\u0663", "-\u0663/\u0664", "\uff13", "3\u0664", "\u00b2", "inf", "nan", "0x10",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.sampled_from(_LITERAL_EDGES),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(), st.integers(min_value=0)),
+    st.integers().map(str),
+    # no "e": an exponent could ask Fraction for a huge power of ten
+    st.text(alphabet="0123456789-+/_ .\t\u0663\u0664\uff13", max_size=12),
+))
+def test_rat_from_str_matches_fraction(text):
+    assert _outcome(rat_from_str, text) == _outcome(Fraction, text)

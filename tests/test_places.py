@@ -21,7 +21,7 @@ from placeforge import (
     subgroup_member,
 )
 from placeforge import lattice
-from placeforge.places import NotInValueGroupError
+from placeforge.places import MAX_TOWER_DEPTH, CompositePlace, NotInValueGroupError
 
 from gen import (
     random_composite_place,
@@ -204,6 +204,11 @@ def test_invariants_match_fraction_reference():
         field, n = (QQ, F5)[i % 2], 2 + i % 5
         places.append(random_monomial_place(rng, field, n, levels=1 + i % 3))
         places.append(random_tower(rng, field, n, irrational_inner=i % 4 < 2, depth=1 + i % 2))
+    rng = random.Random(32)
+    for i in range(48):
+        field, n = (QQ, F5)[i % 2], 2 + i % 5
+        places.append(random_tower(rng, field, n, irrational_inner=i % 4 < 2, depth=1 + i % 3,
+                                   nest="outer"))
     for place in places:
         inv = place.invariants()
         assert (inv.dim, inv.rr, inv.rank) == reference_invariants(place)
@@ -215,6 +220,69 @@ def test_invariants_match_fraction_reference():
         group = place.value_group()
         cleared = Subgroup(place.ambient, group.generators)
         assert (group.rows, group.den) == (cleared.rows, cleared.den)
+
+
+def tower_levels(place):
+    """Every place a tower is composed of, itself included."""
+    out, stack = [], [place]
+    while stack:
+        p = stack.pop()
+        out.append(p)
+        if isinstance(p, CompositePlace):
+            stack += [p.inner, p.outer]
+    return out
+
+
+def assert_unflattened(place):
+    for p in tower_levels(place):
+        assert "flat_place" not in vars(p)
+        assert "effective_weights" not in vars(p)
+
+
+def test_tower_invariants_build_no_flat_place():
+    """dim comes from the residue description: classifying a tower builds
+    no flat place at any level, and agrees with the flat place built later."""
+    rng = random.Random(33)
+    count = 0
+    for field in (QQ, F5):
+        for nest in ("inner", "outer"):
+            for depth in (1, 2, 3):
+                for i in range(4):
+                    state = rng.getstate()
+                    tower = random_tower(rng, field, 2 + i % 3, i % 2 == 1, depth, nest)
+                    inv = tower.invariants()
+                    assert_unflattened(tower)
+                    assert (inv.dim, inv.rr, inv.rank) == reference_invariants(tower)
+                    xs = [RatFunc.variable(field, tower.arity, j) for j in range(tower.arity)]
+                    values = [tower.value(x) for x in xs]
+                    assert "flat_place" in vars(tower)
+                    assert values == [tower_value(tower, x) for x in xs]
+                    assert inv.dim == len(tower.flat_place.kernel_lattice())
+                    assert inv == tower.flat_place.invariants()
+                    # the same chain composed the other way round is the same place
+                    rng.setstate(state)
+                    other = random_tower(rng, field, 2 + i % 3, i % 2 == 1, depth,
+                                         {"inner": "outer", "outer": "inner"}[nest])
+                    assert other.invariants() == inv
+                    assert [other.value(x) for x in xs] == values
+                    count += 1
+    assert count == 48
+
+
+def test_deepest_inner_tower_classifies_without_flattening(monkeypatch):
+    trivial = MonomialPlace.trivial(QQ, 1).to_json()
+    obj = P_10.to_json()
+    for _ in range(MAX_TOWER_DEPTH):
+        obj = {"kind": "composite", "inner": obj, "outer": trivial}
+    tower = place_from_json(obj)
+    built = []
+    init = MonomialPlace.__init__
+    monkeypatch.setattr(MonomialPlace, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    inv = tower.invariants()
+    assert built == []
+    assert_unflattened(tower)
+    assert (inv.dim, inv.rr, inv.rank) == (1, 1, 1)
 
 
 class TestValueGroupStructure:
