@@ -3,6 +3,8 @@
 Exponents are machine-word integers with overflow detection at EXP_LIMIT.
 """
 
+from operator import mul
+
 from .ordgroup import quad_sign_int
 
 # Exponents must stay below this bound in every polynomial.
@@ -71,32 +73,24 @@ def term_mins(exps, levels):
 
     Returns (argmins, best) with argmins the sorted index list of all
     minimizers and best the per-level (a, b) numerator pairs of the
-    minimum.
+    minimum.  Levels are decided one at a time: level k is computed only
+    for the terms still tied after the levels before it.
     """
-    pairs = []
-    for e in exps:
-        row = []
-        for arow, brow, d in levels:
-            sa = 0
-            sb = 0
-            for x, wa, wb in zip(e, arow, brow):
-                if x:
-                    sa += x * wa
-                    sb += x * wb
-            row.append((sa, sb))
-        pairs.append(row)
-    best = pairs[0]
-    argmins = [0]
-    for i in range(1, len(pairs)):
-        row = pairs[i]
-        cmp = 0
-        for (sa, sb), (ba, bb), (arow, brow, d) in zip(row, best, levels):
+    argmins = list(range(len(exps)))
+    best = []
+    for arow, brow, d in levels:
+        tied = argmins
+        i = tied[0]
+        ba, bb = sum(map(mul, exps[i], arow)), sum(map(mul, exps[i], brow))
+        argmins = [i]
+        for i in tied[1:]:
+            e = exps[i]
+            sa, sb = sum(map(mul, e, arow)), sum(map(mul, e, brow))
             cmp = quad_sign_int(sa - ba, sb - bb, d)
-            if cmp:
-                break
-        if cmp < 0:
-            best = row
-            argmins = [i]
-        elif cmp == 0:
-            argmins.append(i)
+            if cmp < 0:
+                ba, bb = sa, sb
+                argmins = [i]
+            elif cmp == 0:
+                argmins.append(i)
+        best.append((ba, bb))
     return argmins, tuple(best)

@@ -461,15 +461,14 @@ def _residue_checks(old: Place, new: Place, nonzero, texts, old_signs):
     return checks
 
 
-def _identity_checks(place: Place, elems):
-    """The residue checks of a place kept as its own replacement: one value
-    sign per nonzero element serves both sides, and a residue is compared
-    (with itself, so equal) exactly when that sign is 0."""
+def _identity_checks(nonzero, signs):
+    """The residue checks of a place kept as its own replacement: the value
+    sign of each nonzero element, which the caller already has, serves both
+    sides, and a residue is compared (with itself, so equal) exactly when
+    that sign is 0."""
     checks = []
-    for f in elems:
-        if f.is_zero():
-            continue
-        s = _sign_char(place.value_sign(f))
+    for f, sign in zip(nonzero, signs):
+        s = _sign_char(sign)
         checks.append({"elem": str(f), "sign_q": s, "sign_p": s,
                        "residue_equal": True if s == "0" else None})
     return checks
@@ -510,6 +509,7 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
     is chosen by deterministic enumeration.
     """
     elems = list(elems)
+    nonzero = [f for f in elems if not f.is_zero()]
     if max_iter is None:
         max_iter = max_iterations()
 
@@ -519,14 +519,14 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
             raise InfeasibleShapeError(
                 f"preserve_both forces the identity on this input, but {reason}"
             )
-        sources = [place.value(f) for f in elems if not f.is_zero()]
+        sources = [place.value(f) for f in nonzero]
         witnesses = _iota_witnesses(len(sources))
         verdict = order_embedding_check(sources, sources, witnesses)
         return GoodifyResult(
             place,
             iota=_iota_json(sources, sources, witnesses, verdict),
             iterations=0,
-            checks=_identity_checks(place, elems),
+            checks=_identity_checks(nonzero, [v.sign() for v in sources]),
         )
 
     if shape.mode == "preserve_values" or shape.klass == "composite_drop":
@@ -539,12 +539,12 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
 
     if _class_invariant_report(place, shape) is None:
         # Already in the target class: the place is its own replacement.
+        signs = [place.value_sign(f) for f in nonzero]
         return GoodifyResult(place, iota=None, iterations=0,
-                             checks=_identity_checks(place, elems))
+                             checks=_identity_checks(nonzero, signs))
 
     sig = signature(place, elems)
     result = perturb_weights(sig, place, shape, max_iter)
-    nonzero = [f for f in elems if not f.is_zero()]
     checks = _residue_checks(place, result.place, nonzero, sig.sources, sig.signs)
     for entry in checks:
         if entry["sign_q"] != entry["sign_p"]:
@@ -607,7 +607,7 @@ def _goodify_composite_drop(place: Place, elems, shape: TargetShape):
     # The outer place gives weight 1 to one consumed generator.  A larger
     # weight c scales every beta by c, which changes neither the unit
     # condition (linear and homogeneous) nor the order-embedding verdict.
-    k = place.residue_desc().num_gens
+    k = inv.dim
     inner_width = 2 * place.ambient.num_levels
     field = place.field
     values = None

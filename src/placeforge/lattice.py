@@ -1,8 +1,9 @@
 """Exact integer-lattice linear algebra.
 
 Row-style Hermite normal form with unimodular transform, integer kernels,
-lattice membership, and coordinate extraction.  Everything runs on Python
-ints; no modular shortcuts, no floating point.
+lattice membership, coordinate extraction, and the rank profile by
+fraction-free elimination.  Everything runs on Python ints; no modular
+shortcuts, no floating point.
 """
 
 from __future__ import annotations
@@ -78,9 +79,47 @@ def hnf(rows):
     return [tuple(h[r]) for r, _ in pivots]
 
 
+def rank_profile(rows):
+    """Pivot columns of an echelon form of integer `rows`.
+
+    Column c is a pivot when the rank of the first c + 1 columns exceeds
+    that of the first c, so the list is the same for every echelon form,
+    the HNF's included.  Found by fraction-free (Bareiss) elimination:
+    after k pivots every entry below them is a (k + 1)-minor of the input,
+    so the division by the previous pivot is exact and entries stay as
+    small as the input's minors, where the HNF transform's grow freely.
+    """
+    mat = [list(r) for r in rows if any(r)]
+    n = len(mat[0]) if mat else 0
+    pivots = []
+    prev = 1
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        top = mat[r]
+        p = top[c]
+        rest = []
+        for row in mat[r + 1:]:
+            a = row[c]
+            if a:
+                row = [(p * x - a * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                row = [p * x // prev for x in row]
+            if any(row):
+                rest.append(row)
+        mat[r + 1:] = rest
+        prev = p
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break  # every row left is a pivot row
+    return pivots
+
+
 def int_rank(rows):
-    _, _, pivots = hnf_transform(rows)
-    return len(pivots)
+    return len(rank_profile(rows))
 
 
 def row_kernel(rows):

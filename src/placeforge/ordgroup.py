@@ -335,9 +335,8 @@ class Subgroup:
 
 
 def rational_rank(s: Subgroup) -> int:
-    """Dimension of the rational span of the generators."""
-    if not s.rows:
-        return 0
+    """Dimension of the rational span of the generators: the rank of their
+    integer rows, read off the rows' rank profile (no HNF)."""
     return lattice.int_rank(s.rows)
 
 
@@ -366,13 +365,11 @@ def convex_rank(s: Subgroup) -> int:
     earlier levels with a nonzero level-i coordinate; equivalently the rank
     of the projection to levels 1..i exceeds that to levels 1..i-1.  In an
     echelon form of the rows that projection's rank is the number of pivots
-    in its first 2i columns, so the jumps are the levels holding a pivot:
-    one HNF decides every level.
+    in its first 2i columns, so the jumps are the levels holding a pivot
+    column: one rank profile (fraction-free elimination, no HNF) decides
+    every level.
     """
-    if not s.rows:
-        return 0
-    _, _, pivots = lattice.hnf_transform(s.rows)
-    return len({c // 2 for _, c in pivots})
+    return len({c // 2 for c in lattice.rank_profile(s.rows)})
 
 
 def in_p_divisible_hull(x: GroupElem, s: Subgroup, p: int) -> bool:

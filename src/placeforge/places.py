@@ -50,15 +50,15 @@ class Infinity:
 INFINITY = Infinity()
 
 # Deepest nesting of composite places accepted from JSON input; checked by
-# place_from_json before it builds anything.  Classifying builds no flat
-# place, since each level derives its residue field once and dim is read
-# from it: decoding and classifying a tower nested on its inner side takes
-# about 4 ms at depth 32 and 19 ms at depth 64.  A value or residue still
+# place_from_json before it builds anything.  Decoding and classifying
+# build no flat place, kernel basis or HNF, since every level's dim and
+# ranks come from rank profiles: a tower nested on its inner side takes
+# about 7 ms at depth 32 and 24 ms at depth 64.  A value or residue still
 # recurses through every level below (the flat weights, and each level's
 # inner value for its sign), so decoding the same tower and taking one
 # variable's value and residue costs time superlinear in the depth: about
-# 0.08 s at depth 32, 0.24 s at depth 48 and 0.5 s at depth 64.  Measured in
-# process on a 2-core x86 machine.
+# 0.18 s at depth 32, 0.4 s at depth 48 and 0.93 s at depth 64.  Measured
+# in process on a 2-core x86 machine.
 MAX_TOWER_DEPTH = 32
 
 
@@ -134,6 +134,11 @@ class Place:
     def residue_desc(self) -> ResidueFieldDesc:
         raise NotImplementedError
 
+    def residue_dim(self) -> int:
+        """Transcendence degree of the residue field (the place's dim),
+        from ranks alone: no kernel basis is built."""
+        raise NotImplementedError
+
     def value_group(self) -> Subgroup:
         raise NotImplementedError
 
@@ -193,12 +198,13 @@ class Place:
         return num_mins, den_mins
 
     def invariants(self) -> PlaceInvariants:
-        """dim is the number of residue generators, a basis of the kernel
-        lattice: a tower reads it off its residue description and builds
-        no flat place."""
+        """dim, rr and rank from rank profiles of integer rows alone: rr is
+        the rank of the value group's rows, rank the number of levels that
+        hold a pivot column, and dim comes from `residue_dim`.  No kernel,
+        no HNF and, for a tower, no flat place is built."""
         n = self.arity
         group = self.value_group()
-        dim = self.residue_desc().num_gens
+        dim = self.residue_dim()
         rr = rational_rank(group)
         rank = convex_rank(group)
         return PlaceInvariants(
@@ -353,6 +359,11 @@ class MonomialPlace(Place):
     def residue_desc(self) -> ResidueFieldDesc:
         return ResidueFieldDesc(self.field, self.arity, self._kernel)
 
+    def residue_dim(self) -> int:
+        """arity - rr: the kernel lattice of the weight rows has rank
+        arity minus their rank."""
+        return self.arity - lattice.int_rank(self._rows)
+
     def _kernel_coords(self, delta):
         coords = lattice.express_int(list(self._kernel), list(delta))
         if coords is None:
@@ -432,9 +443,12 @@ class CompositePlace(Place):
     """
 
     def __init__(self, inner: Place, outer: Place):
+        """`outer` must be a place on the inner residue field: its arity is
+        checked against `inner.residue_dim()`, a rank, so building a tower
+        computes no kernel basis at any level."""
         if inner.field != outer.field:
             raise ValueError("inner and outer places over different base fields")
-        k = inner.residue_desc().num_gens
+        k = inner.residue_dim()
         if outer.arity != k:
             raise ValueError(
                 f"outer arity {outer.arity} does not match the inner residue "
@@ -511,6 +525,10 @@ class CompositePlace(Place):
 
     def residue_desc(self) -> ResidueFieldDesc:
         return self._residue_desc
+
+    def residue_dim(self) -> int:
+        """The residue field of P∘Q is that of the outer place Q."""
+        return self.outer.residue_dim()
 
     @cached_property
     def _residue_desc(self) -> ResidueFieldDesc:

@@ -21,8 +21,9 @@ from placeforge import (
     signature,
 )
 from placeforge.approx import SignatureError
+from placeforge.places import Place
 
-from gen import random_irrational_place, random_monomial_place, random_ratfunc
+from gen import random_irrational_place, random_monomial_place, random_ratfunc, random_tower
 from oracles import elem_sign, fraction_rank, tower_value, values_agree
 
 QQ = BaseField(0)
@@ -45,6 +46,7 @@ def q2(text):
 
 
 ELEMS = [q2("x1+x2"), q2("x1^2/x2")]
+SIGN_CHAR = {1: "+", 0: "0", -1: "-"}
 
 
 class TestSignature:
@@ -164,6 +166,64 @@ class TestGoodify:
     def test_preserve_both_infeasible_when_class_differs(self):
         with pytest.raises(InfeasibleShapeError):
             goodify(P_SQRT, ELEMS, TargetShape("preserve_both", "discrete"))
+
+    def test_identity_checks_reuse_the_callers_signs(self, monkeypatch):
+        """preserve_both reads each check's sign off the value it already
+        computed, so value_sign is never called; the already-in-class path
+        calls it once per nonzero element.  Either way the checks match
+        the tower-value reference."""
+        rng = random.Random(41)
+        cases = []
+        for i in range(60):
+            field, n = (QQ, F5)[i % 2], 2 + i % 3
+            if i % 3 == 0:
+                place = random_monomial_place(rng, field, n, levels=1 + i % 2)
+            else:
+                place = random_tower(rng, field, n, irrational_inner=i % 2 == 0,
+                                     nest=("inner", "outer")[i % 4 // 2])
+            inv = place.invariants()
+            if inv.discrete:
+                klass = dict(klass="discrete")
+            elif inv.rank == 1:
+                klass = dict(klass="weighted_rational", r1=inv.rr)
+            elif inv.maximal_rank:
+                klass = dict(klass="lex_max_rank")
+            else:
+                continue
+            elems = [random_ratfunc(rng, field, n) for _ in range(5)]
+            elems.append(RatFunc.zero(field, n))
+            cases.append((place, elems, klass))
+        assert len(cases) >= 20
+
+        calls = []
+
+        def counted(value_sign):
+            def wrapper(self, f):
+                calls.append((self, f))
+                return value_sign(self, f)
+            return wrapper
+
+        def refuse(self, f):
+            raise AssertionError("value_sign called on the preserve_both path")
+
+        classes = (MonomialPlace, Place)
+        originals = {cls: cls.__dict__["value_sign"] for cls in classes}
+        for place, elems, klass in cases:
+            nonzero = [f for f in elems if not f.is_zero()]
+            signs = [elem_sign(tower_value(place, f)) for f in nonzero]
+            want = [{"elem": str(f), "sign_q": SIGN_CHAR[s], "sign_p": SIGN_CHAR[s],
+                     "residue_equal": True if s == 0 else None}
+                    for f, s in zip(nonzero, signs)]
+            for cls in classes:
+                monkeypatch.setattr(cls, "value_sign", refuse)
+            both = goodify(place, elems, TargetShape("preserve_both", **klass))
+            assert both.place is place and both.checks == want
+            for cls in classes:
+                monkeypatch.setattr(cls, "value_sign", counted(originals[cls]))
+            calls.clear()
+            kept = goodify(place, elems, TargetShape("preserve_residues", **klass))
+            assert kept.place is place and kept.checks == want
+            assert [f for p, f in calls if p is place] == nonzero
 
     def test_composite_drop_example(self):
         result = goodify(P_10, [q2("x1")],

@@ -114,6 +114,46 @@ def test_term_mins_agreement_across_envelope():
         ties += len(argmins) > 1
     assert ties > 0
 
+    # Ties that level 1 leaves for a later level to split.  Level 1 weighs
+    # the total degree, which every term shares; level 2 is either random or
+    # the degree in the last variable, which leaves ties for level 3.  The
+    # first two variables weigh the same on every level, so terms that
+    # trade degree between them are equal on every level.
+    rng = random.Random(103)
+    split = {2: 0, 3: 0}
+    everywhere = 0
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        degree = rng.randint(1, 6)
+        exps = set()
+        for _ in range(rng.randint(2, 10)):
+            e = [0] * n
+            for _ in range(degree):
+                e[rng.randrange(n)] += 1
+            exps.add(tuple(e))
+        exps = sorted(exps, key=lambda e: rng.random())
+
+        def row(lo=-9, hi=9):
+            w = [rng.randint(lo, hi) for _ in range(n - 1)]
+            return (w[0],) + tuple(w)
+
+        d = rng.choice([2, 3, 5])
+        levels = [((1,) * n, (0,) * n, d)]
+        if rng.random() < 0.5:
+            levels.append((row(), row() if rng.random() < 0.5 else (0,) * n, d))
+        else:
+            levels.append(((0,) * (n - 1) + (1,), (0,) * n, d))
+        if rng.random() < 0.7:
+            levels.append((row(), row(), d))
+        argmins, best = term_mins(exps, levels)
+        assert (argmins, best) == naive_term_mins(exps, levels)
+        tied = [len(naive_term_mins(exps, levels[:k])[0]) for k in range(1, len(levels) + 1)]
+        assert tied[0] == len(exps)
+        for k in range(1, len(levels)):
+            split[k + 1] += tied[k - 1] > tied[k]
+        everywhere += tied[-1] > 1
+    assert all(split.values()) and everywhere > 0, (split, everywhere)
+
 
 def test_term_mins_compares_sqrt_parts_exactly():
     # 1 + 0*sqrt(2) against 0 + 1*sqrt(2): sqrt(2) > 1, so the first is smaller;

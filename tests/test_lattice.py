@@ -82,6 +82,46 @@ def test_int_rank_matches_fraction_elimination():
         assert lattice.int_rank(rows) == fraction_rank(rows)
 
 
+def weight_rows(rng, arity, levels, span=9):
+    """Integer rows shaped like a place's (a, b) column pairs per level,
+    with zero levels, zero rows, and repeated and scaled rows mixed in."""
+    rows = []
+    dead = {lv for lv in range(levels) if rng.random() < 0.2}
+    for _ in range(arity):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.3:
+            c = rng.choice([-3, -2, 2, 5])
+            rows.append([c * x for x in rng.choice(rows)])
+        elif kind < 0.4:
+            rows.append([0] * (2 * levels))
+        else:
+            rows.append([0 if j // 2 in dead else rng.randint(-span, span)
+                         for j in range(2 * levels)])
+    return rows
+
+
+def test_rank_profile_matches_hnf_pivot_columns():
+    rng = random.Random(6)
+    matrices = [weight_rows(rng, rng.randint(1, 8), rng.randint(1, 6)) for _ in range(400)]
+    for _ in range(3):
+        # 32 x 32 with entries in +-9, one row a combination of two others
+        rows = random_matrix(rng, 32, 32, span=9)
+        rows[5] = [2 * x - y for x, y in zip(rows[1], rows[2])]
+        matrices.append(rows)
+    for rows in matrices:
+        _, _, pivots = lattice.hnf_transform(rows)
+        profile = lattice.rank_profile(rows)
+        assert profile == [c for _, c in pivots], rows
+        assert lattice.int_rank(rows) == len(profile) == fraction_rank(rows)
+    assert [len(lattice.rank_profile(rows)) for rows in matrices[-3:]] == [31] * 3
+    # no columns, no rows, and only zero rows
+    assert lattice.rank_profile([[], []]) == []
+    assert lattice.rank_profile([]) == []
+    assert lattice.rank_profile([[0, 0, 0]] * 4) == []
+
+
 def test_reduce_mod_lattice_balanced_and_canonical():
     basis = [(3, -2)]
     assert lattice.reduce_mod_lattice((-1, 1), basis) == (-1, 1)

@@ -21,6 +21,7 @@ from placeforge import (
     subgroup_member,
 )
 from placeforge import lattice
+from placeforge.ordgroup import GroupElem
 from placeforge.places import MAX_TOWER_DEPTH, CompositePlace, NotInValueGroupError
 
 from gen import (
@@ -269,7 +270,61 @@ def test_tower_invariants_build_no_flat_place():
     assert count == 48
 
 
-def test_deepest_inner_tower_classifies_without_flattening(monkeypatch):
+@pytest.fixture
+def hnf_calls(monkeypatch):
+    """Count lattice.hnf_transform calls, wherever they come from."""
+    calls = []
+    hnf_transform = lattice.hnf_transform
+    monkeypatch.setattr(lattice, "hnf_transform",
+                        lambda rows: calls.append(rows) or hnf_transform(rows))
+    return calls
+
+
+def test_residue_dim_is_the_kernel_rank_and_invariants_run_no_hnf(hnf_calls):
+    """dim from ranks alone: residue_dim agrees with the kernel basis the
+    HNF builds, on monomial places and on towers nested both ways, and
+    classifying any of them runs no HNF."""
+    rng = random.Random(34)
+    places = []
+    for i in range(48):
+        field, n = (QQ, F5)[i % 2], 1 + i % 6
+        places.append(random_monomial_place(rng, field, n, levels=1 + i % 3,
+                                            zero_frac=(0.25, 0.6)[i % 2]))
+        for nest in ("inner", "outer"):
+            places.append(random_tower(rng, field, n, i % 4 < 2, 1 + i % 3, nest))
+    for place in places:
+        hnf_calls.clear()
+        inv = place.invariants()
+        assert hnf_calls == []
+        assert inv.dim == place.residue_dim() == len(place.kernel_lattice())
+    assert {p.residue_dim() for p in places} >= {0, 1, 2, 3}
+
+
+def test_invariants_of_a_48_by_48_place_match_fraction_elimination(hnf_calls):
+    """Arity 48 and 48 levels (weights in +-9, radicand 2), eight variables
+    valued in the span of the others: rr, dim and rank against the
+    Fraction oracle.  The first 2L columns having rank 2L = rr means each
+    of the first L levels jumps and no later one does, so the rank is L."""
+    rng = random.Random(35)
+    amb = AmbientGroup((2,) * 48)
+    weights = [GroupElem(amb, tuple(QuadScalar(rng.randint(-9, 9), rng.randint(-9, 9), 2)
+                                    for _ in range(48)))
+               for _ in range(40)]
+    for _ in range(8):
+        weights.append(rng.choice(weights[:40]).scale(rng.choice([-2, 3]))
+                       + rng.choice(weights[:40]))
+    rng.shuffle(weights)
+    place = MonomialPlace(QQ, 48, amb, weights)
+    inv = place.invariants()
+    assert hnf_calls == []
+    rows = [w.qvec() for w in weights]
+    rr = fraction_rank(rows)
+    levels = rr // 2
+    assert fraction_rank([row[:2 * levels] for row in rows]) == 2 * levels == rr == 40
+    assert (inv.dim, inv.rr, inv.rank) == (48 - rr, rr, levels)
+
+
+def test_deepest_inner_tower_classifies_without_flattening(monkeypatch, hnf_calls):
     trivial = MonomialPlace.trivial(QQ, 1).to_json()
     obj = P_10.to_json()
     for _ in range(MAX_TOWER_DEPTH):
@@ -281,6 +336,8 @@ def test_deepest_inner_tower_classifies_without_flattening(monkeypatch):
                         lambda self, *args: built.append(args) or init(self, *args))
     inv = tower.invariants()
     assert built == []
+    # neither decoding nor classifying computes a kernel basis
+    assert hnf_calls == []
     assert_unflattened(tower)
     assert (inv.dim, inv.rr, inv.rank) == (1, 1, 1)
 
