@@ -20,10 +20,7 @@ from . import lattice
 from .ordgroup import (
     AmbientGroup,
     EmbeddingVerdict,
-    GroupElem,
-    QuadScalar,
     order_embedding_check,
-    rational_rank,
     sqrt_convergent,
 )
 from .places import (
@@ -216,16 +213,16 @@ def _rational_collapse(place: Place, iteration: int):
     geometrically decaying positive factors, so for fine enough iteration
     every lexicographic sign condition transfers to the rational vector.
     """
-    weights = place.flat_place.weights
+    flat = place.flat_place
     eps = Fraction(1, 2**iteration)
     q = [Fraction(0)] * place.arity
-    factor = Fraction(1)
+    factor = Fraction(1, flat._den)
     for lv, d in enumerate(place.ambient.ds):
         conv = sqrt_convergent(d, 2**iteration)
-        for i, w in enumerate(weights):
-            s = w.coords[lv]
-            if s.a or s.b:
-                q[i] += factor * (s.a + conv * s.b)
+        for i, row in enumerate(flat._rows):
+            a, b = row[2 * lv], row[2 * lv + 1]
+            if a or b:
+                q[i] += factor * (a + conv * b)
         factor *= eps
     return q
 
@@ -248,17 +245,11 @@ def _reversed_pivot_cols(kernel_rows, n):
     return sorted(n - 1 - c for c in lattice.pivot_cols(rev_basis))
 
 
-def _build_monomial(field, n, level_rows):
-    """Monomial place with one rational lex level per row of `level_rows`."""
-    ambient = AmbientGroup((2,) * len(level_rows))
-    weights = []
-    for i in range(n):
-        coords = tuple(
-            QuadScalar(Fraction(level_rows[lv][i]), Fraction(0), ambient.ds[lv])
-            for lv in range(len(level_rows))
-        )
-        weights.append(GroupElem(ambient, coords))
-    return MonomialPlace(field, n, ambient, weights)
+def _build_monomial(field, n, level_rows, den=1):
+    """Monomial place with one rational lex level per integer row of
+    `level_rows`, all over the denominator `den`."""
+    rows = [[x for level in level_rows for x in (level[i], 0)] for i in range(n)]
+    return MonomialPlace.from_rows(field, n, AmbientGroup((2,) * len(level_rows)), rows, den)
 
 
 def perturb_weights(sig: SignSignature, place: Place, shape: TargetShape,
@@ -348,7 +339,8 @@ def _assemble(field, n, q, shape: TargetShape, place: Place, iteration: int):
         if shape.r1 == 1:
             if not any(q):
                 return None, "weights collapsed to zero; need rational rank 1"
-            return _build_monomial(field, n, [q]), None
+            (row,), den = lattice.clear_denominators([q])
+            return _build_monomial(field, n, [row], den), None
         # r1 == 2: keep an exact sqrt component inside the equality locus.
         return _rank_two_candidate(field, n, q, place, iteration)
 
@@ -375,22 +367,15 @@ def _rank_two_candidate(field, n, q, place: Place, iteration: int):
     The irrational direction is taken from the place's own level data so
     every signature equality still vanishes on it.
     """
-    d = place.ambient.ds[0]
-    weights = place.flat_place.weights
-    bvec = [w.coords[0].b for w in weights]
-    avec = [w.coords[0].a for w in weights]
-    scale = Fraction(1, 2**iteration)
-    ambient = AmbientGroup((d,))
-    # The candidate's rows are (q_i, scale * direction_i): its rational
-    # rank is 2 exactly when q and the direction are independent.
-    for direction in (bvec, avec):
-        ws = [
-            GroupElem(ambient, (QuadScalar(Fraction(x), b * scale, d),))
-            for x, b in zip(q, direction)
-        ]
-        cand = MonomialPlace(field, n, ambient, ws)
-        if rational_rank(cand.value_group()) == 2:
-            return cand, None
+    flat = place.flat_place
+    (qrow,), qden = lattice.clear_denominators([q])
+    # Row i is q_i + 2**-iteration * direction_i * sqrt(d), the direction the
+    # first level's b (then a) column; rank 2 iff q and it are independent.
+    den = qden * flat._den << iteration
+    for col in (1, 0):
+        rows = [(x * flat._den << iteration, r[col] * qden) for x, r in zip(qrow, flat._rows)]
+        if lattice.int_rank(rows) == 2:
+            return MonomialPlace.from_rows(field, n, AmbientGroup(place.ambient.ds[:1]), rows, den), None
     return None, "no independent direction available for rational rank 2"
 
 
@@ -521,10 +506,10 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
             )
         sources = [place.value(f) for f in nonzero]
         witnesses = _iota_witnesses(len(sources))
-        verdict = order_embedding_check(sources, sources, witnesses)
+        # The identity is an order embedding: nothing to check.
         return GoodifyResult(
             place,
-            iota=_iota_json(sources, sources, witnesses, verdict),
+            iota=_iota_json(sources, sources, witnesses, EmbeddingVerdict("ok")),
             iterations=0,
             checks=_identity_checks(nonzero, [v.sign() for v in sources]),
         )

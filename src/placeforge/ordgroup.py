@@ -295,6 +295,38 @@ def cmp_elem(x: GroupElem, y: GroupElem) -> int:
     return (x - y).sign()
 
 
+def row_sign(row, ds) -> int:
+    """Lexicographic sign of a group value's integer row, its qvec over any
+    positive denominator: the first level's nonzero a + b*sqrt(d) decides."""
+    for lv, d in enumerate(ds):
+        s = quad_sign_int(row[2 * lv], row[2 * lv + 1], d)
+        if s:
+            return s
+    return 0
+
+
+def combination_sign(rows, coeffs, ds) -> int:
+    """Lexicographic sign of sum_k coeffs[k] * rows[k], level by level."""
+    for lv, d in enumerate(ds):
+        a = b = 0
+        for row, c in zip(rows, coeffs):
+            if c:
+                a += c * row[2 * lv]
+                b += c * row[2 * lv + 1]
+        s = quad_sign_int(a, b, d)
+        if s:
+            return s
+    return 0
+
+
+def row_elem(ambient: AmbientGroup, row, den: int) -> GroupElem:
+    """The group element of an integer qvec row over `den`."""
+    return GroupElem(ambient, tuple(
+        QuadScalar(Fraction(row[2 * lv], den), Fraction(row[2 * lv + 1], den), d)
+        for lv, d in enumerate(ambient.ds)
+    ))
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """The subgroup generated by `generators`.
@@ -416,20 +448,6 @@ def _cleared_rows(elems):
     return rows, elems[0].ambient.ds
 
 
-def _combination_sign(rows, coeffs, ds) -> int:
-    """Lexicographic sign of sum_k coeffs[k] * rows[k], level by level."""
-    for lv, d in enumerate(ds):
-        a = b = 0
-        for row, c in zip(rows, coeffs):
-            if c:
-                a += c * row[2 * lv]
-                b += c * row[2 * lv + 1]
-        s = quad_sign_int(a, b, d)
-        if s:
-            return s
-    return 0
-
-
 def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
     """Bounded verification that sources -> images extends to an order embedding.
 
@@ -445,12 +463,12 @@ def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
     src_rows, src_ds = _cleared_rows(sources)
     img_rows, img_ds = _cleared_rows(images)
     for rel in lattice.row_kernel(src_rows):
-        if _combination_sign(img_rows, rel, img_ds):
+        if combination_sign(img_rows, rel, img_ds):
             return EmbeddingVerdict("ill_defined", tuple(rel))
     for w in witnesses:
         if len(w) != len(sources):
             raise ValueError("witness length must match the number of sources")
-        if _combination_sign(src_rows, w, src_ds) != _combination_sign(img_rows, w, img_ds):
+        if combination_sign(src_rows, w, src_ds) != combination_sign(img_rows, w, img_ds):
             return EmbeddingVerdict("order_violated", tuple(w))
     return EmbeddingVerdict("ok")
 

@@ -13,22 +13,23 @@ every place evaluates through one flattened monomial place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import add, mul
 
 from . import lattice
 from ._kernels import term_mins
 from .ordgroup import (
     AmbientGroup,
     GroupElem,
-    QuadScalar,
     Subgroup,
+    combination_sign,
     combine,
     concat_ambients,
     convex_rank,
-    quad_sign_int,
     rational_rank,
+    row_elem,
+    row_sign,
 )
 from .ratfunc import BaseField, Poly, RatFunc
 
@@ -60,6 +61,14 @@ INFINITY = Infinity()
 # 0.18 s at depth 32, 0.4 s at depth 48 and 0.93 s at depth 64.  Measured
 # in process on a 2-core x86 machine.
 MAX_TOWER_DEPTH = 32
+
+# Largest sample check_spv_axioms accepts.  The axioms are checked on every
+# triple, so the time grows with the cube of the sample: a check-axioms job
+# of short binomials x1^i*x2^j+c on a one-level place takes about 0.35 s
+# with 20 elements, 1.2 s with 48, 1.6 s with 60 and 3.8 s with 80, in a
+# fresh process on a 2-core x86 machine.  48 keeps a full sample within
+# 5 s on a machine 2.5 times slower.
+MAX_AXIOM_SAMPLE = 48
 
 
 class NotInValueGroupError(ValueError):
@@ -109,6 +118,11 @@ class PlaceInvariants:
 def _validate_match(place: "Place", f: RatFunc):
     if f.field != place.field or f.arity != place.arity:
         raise ValueError("element does not live in the place's function field")
+
+
+def _difference_row(hi, lo):
+    """hi - lo for two kernel minima, as one integer qvec row."""
+    return [x for (ha, hb), (la, lb) in zip(hi, lo) for x in (ha - la, hb - lb)]
 
 
 class Place:
@@ -223,31 +237,50 @@ class MonomialPlace(Place):
     """Weight-vector place: v(x^e) = sum_i e_i * weight_i, v(poly) = min over terms."""
 
     def __init__(self, field: BaseField, arity: int, ambient: AmbientGroup, weights):
+        """A place from its weights as group elements, cleared once into rows."""
         weights = tuple(weights)
-        if len(weights) != arity:
-            raise ValueError("need one weight per variable")
         for w in weights:
             if w.ambient != ambient:
                 raise ValueError("weight outside the ambient group")
+        rows, den = lattice.clear_denominators([w.qvec() for w in weights])
+        self._set_rows(field, arity, ambient, rows, den)
+        self.weights = weights
+
+    @classmethod
+    def from_rows(cls, field: BaseField, arity: int, ambient: AmbientGroup, rows, den: int = 1):
+        """A place from its weights' qvecs as integer rows over the positive
+        denominator `den`, taken to lowest terms; no group element is built."""
+        g = gcd(den, *(x for r in rows for x in r))
+        place = cls.__new__(cls)
+        place._set_rows(field, arity, ambient, [tuple(x // g for x in r) for r in rows], den // g)
+        return place
+
+    def _set_rows(self, field, arity, ambient, rows, den):
+        """The one set-up: the weights' qvecs as an integer matrix over one
+        positive denominator, in lowest terms.  Sections, kernel and value
+        group read the rows; per level, the (a, b) column pair is the form
+        term_mins takes, and `_den` turns its minima into group values."""
+        if len(rows) != arity:
+            raise ValueError("need one weight per variable")
         self.field = field
         self.arity = arity
         self.ambient = ambient
-        self.weights = weights
-        # The weights' qvecs as one integer matrix over one positive
-        # denominator, cleared once: sections, kernel and value group read
-        # the rows; per level, the (a, b) column pair is the form term_mins
-        # takes, and `_den` turns its integer minima back into group values.
-        rows, self._den = lattice.clear_denominators([w.qvec() for w in weights])
+        self._den = den
         self._rows = tuple(rows)
         self._levels = tuple(
             (tuple(r[2 * lv] for r in rows), tuple(r[2 * lv + 1] for r in rows), d)
             for lv, d in enumerate(ambient.ds)
         )
 
+    @cached_property
+    def weights(self):
+        """The weights as group elements; a place built from rows builds
+        them on first use (to print, combine or hand over its weights)."""
+        return tuple(row_elem(self.ambient, r, self._den) for r in self._rows)
+
     @staticmethod
     def trivial(field: BaseField, arity: int) -> "MonomialPlace":
-        ambient = AmbientGroup((2,))
-        return MonomialPlace(field, arity, ambient, (ambient.zero(),) * arity)
+        return MonomialPlace.from_rows(field, arity, AmbientGroup((2,)), [(0, 0)] * arity)
 
     @property
     def flat_place(self) -> "MonomialPlace":
@@ -261,23 +294,6 @@ class MonomialPlace(Place):
         argmins, best = term_mins(exps, self._levels)
         mins = {exps[i]: poly.terms[exps[i]] for i in argmins}
         return min(mins), mins, best
-
-    def _row_elem(self, row) -> GroupElem:
-        """The group element of an integer qvec row over `_den`; the only
-        place a value's scalars are built."""
-        den = self._den
-        return GroupElem(self.ambient, tuple(
-            QuadScalar(Fraction(row[2 * lv], den), Fraction(row[2 * lv + 1], den), d)
-            for lv, d in enumerate(self.ambient.ds)
-        ))
-
-    def _difference_sign(self, hi, lo) -> int:
-        """Sign of hi - lo for two kernel minima, decided on the integers."""
-        for (ha, hb), (la, lb), (_, _, d) in zip(hi, lo, self._levels):
-            s = quad_sign_int(ha - la, hb - lb, d)
-            if s:
-                return s
-        return 0
 
     @cached_property
     def _lattice_data(self):
@@ -298,28 +314,17 @@ class MonomialPlace(Place):
         return combine(self.weights, evec, self.ambient)
 
     def monomial_sign(self, evec) -> int:
-        """Per level, the integer dot products of evec with the (a, b)
-        rows; the first nonzero level sign decides."""
-        for arow, brow, d in self._levels:
-            a = b = 0
-            for x, wa, wb in zip(evec, arow, brow):
-                if x:
-                    a += x * wa
-                    b += x * wb
-            s = quad_sign_int(a, b, d)
-            if s:
-                return s
-        return 0
+        """The sign of the integer combination of the weight rows."""
+        return combination_sign(self._rows, evec, self.ambient.ds)
 
     def value_sign(self, f: RatFunc):
-        """Sign of the difference of the kernel minima of numerator and
-        denominator; no group element is built."""
+        """The sign of f's value row; no group element is built."""
         _validate_match(self, f)
         if f.is_zero():
             return INFINITY
-        _, _, num_best = self._min_data(f.num)
-        _, _, den_best = self._min_data(f.den)
-        return self._difference_sign(num_best, den_best)
+        _, _, hi = self._min_data(f.num)
+        _, _, lo = self._min_data(f.den)
+        return row_sign(_difference_row(hi, lo), self.ambient.ds)
 
     def value_row(self, f: RatFunc):
         """v(f) for nonzero f as an integer qvec row over `_den`: the
@@ -327,14 +332,14 @@ class MonomialPlace(Place):
         _validate_match(self, f)
         _, _, hi = self._min_data(f.num)
         _, _, lo = self._min_data(f.den)
-        return tuple(x for (ha, hb), (la, lb) in zip(hi, lo) for x in (ha - la, hb - lb))
+        return _difference_row(hi, lo)
 
     def value(self, f: RatFunc):
         """v(f): its integer row, turned into a group element only on return."""
         _validate_match(self, f)
         if f.is_zero():
             return INFINITY
-        return self._row_elem(self.value_row(f))
+        return row_elem(self.ambient, self.value_row(f), self._den)
 
     def _raw_section(self, v: GroupElem):
         """The HNF-coordinate section: additive in v, so composite values
@@ -387,7 +392,7 @@ class MonomialPlace(Place):
             return RatFunc.zero(self.field, k)
         _, num_mins, num_best = self._min_data(f.num)
         den_canon, den_mins, den_best = self._min_data(f.den)
-        s = self._difference_sign(num_best, den_best)
+        s = row_sign(_difference_row(num_best, den_best), self.ambient.ds)
         if s > 0:
             return RatFunc.zero(self.field, k)
         if s < 0:
@@ -641,34 +646,68 @@ def check_spv_axioms(place: Place, sample, divides=None) -> SpvReport:
     Divisibility is x | y iff v(x) <= v(y), with v(0) maximal.  Pairs are
     checked for axiom 1, triples (exhaustively) for axioms 2-5, and 0 | 1
     must fail for axiom 6.  A custom `divides` relation can be injected for
-    negative controls.
+    negative controls; it is taken to be a function of its arguments, so
+    each pair of sample elements is asked once.  Each pairwise product and
+    sum is built once, on first use.  The default relation compares value
+    rows, computed once per element, product and sum, so v(x*z) and v(y+z)
+    still come from the products and sums themselves.
     """
+    sample = list(sample)
+    if len(sample) > MAX_AXIOM_SAMPLE:
+        raise ValueError(f"check-axioms sample has {len(sample)} elements, more than "
+                         f"MAX_AXIOM_SAMPLE = {MAX_AXIOM_SAMPLE}")
     if divides is None:
+        ds = place.ambient.ds
+        rows = {}
+
+        def value_row(f):
+            # Keyed by identity, since every element, product and sum is one
+            # object; the entry holds f, so its id is never reused.
+            entry = rows.get(id(f))
+            if entry is None:
+                entry = rows[id(f)] = (f, None if f.is_zero() else place.value_row(f))
+            return entry[1]
+
         def divides(f, g):
-            vf, vg = place.value(f), place.value(g)
-            if vf is INFINITY:
-                return vg is INFINITY
-            if vg is INFINITY:
+            rf, rg = value_row(f), value_row(g)
+            if rf is None:
+                return rg is None
+            if rg is None:
                 return True
-            return (vg - vf).sign() >= 0
+            return row_sign([b - a for a, b in zip(rf, rg)], ds) >= 0
+
+    built = {}
+
+    def pair(op, i, j):
+        """op (add or mul) of two sample elements, built once per pair."""
+        key = (op, i, j) if i <= j else (op, j, i)
+        if key not in built:
+            built[key] = op(sample[key[1]], sample[key[2]])
+        return built[key]
 
     zero = RatFunc.zero(place.field, place.arity)
     one = RatFunc.const(place.field, place.arity, 1)
     if divides(zero, one):
         return SpvReport(False, 6, (zero, one))
-    for x in sample:
-        for y in sample:
-            if not divides(x, y) and not divides(y, x):
+    # The relation on sample pairs, decided once: rel[i][j] is x_i | x_j.
+    rel = [[divides(x, y) for y in sample] for x in sample]
+    for i, x in enumerate(sample):
+        for j, y in enumerate(sample):
+            if not rel[i][j] and not rel[j][i]:
                 return SpvReport(False, 1, (x, y))
-    for x in sample:
-        for y in sample:
-            for z in sample:
-                if divides(x, y) and divides(y, z) and not divides(x, z):
+    zero_divides = [divides(zero, z) for z in sample]
+    for i, x in enumerate(sample):
+        rel_x = rel[i]
+        for j, y in enumerate(sample):
+            xy, rel_y = rel_x[j], rel[j]
+            for k, z in enumerate(sample):
+                if xy and rel_y[k] and not rel_x[k]:
                     return SpvReport(False, 2, (x, y, z))
-                if divides(x, y) and divides(x, z) and not divides(x, y + z):
+                if xy and rel_x[k] and not divides(x, pair(add, j, k)):
                     return SpvReport(False, 3, (x, y, z))
-                if divides(x, y) and not divides(x * z, y * z):
+                products_divide = divides(pair(mul, i, k), pair(mul, j, k))
+                if xy and not products_divide:
                     return SpvReport(False, 4, (x, y, z))
-                if divides(x * z, y * z) and not divides(zero, z) and not divides(x, y):
+                if products_divide and not zero_divides[k] and not xy:
                     return SpvReport(False, 5, (x, y, z))
     return SpvReport(True)

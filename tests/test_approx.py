@@ -225,6 +225,23 @@ class TestGoodify:
             assert kept.place is place and kept.checks == want
             assert [f for p, f in calls if p is place] == nonzero
 
+    def test_preserve_both_reports_the_identity_without_checking_it(self, monkeypatch):
+        """The identity is an order embedding, so preserve_both reports "ok"
+        with the usual witnesses and never runs the embedding check."""
+        from placeforge import approx
+
+        def refuse(*args):
+            raise AssertionError("order_embedding_check called on the preserve_both path")
+
+        monkeypatch.setattr(approx, "order_embedding_check", refuse)
+        result = goodify(P_23, ELEMS, TargetShape("preserve_both", "discrete"))
+        values = [P_23.value(f).to_json() for f in ELEMS]
+        assert result.iota == {
+            "sources": values, "source_levels": [{"d": 2}],
+            "images": values, "image_levels": [{"d": 2}],
+            "witnesses": [[1, 0], [0, 1], [1, -1]], "verdict": "ok",
+        }
+
     def test_composite_drop_example(self):
         result = goodify(P_10, [q2("x1")],
                          TargetShape("preserve_values", "composite_drop", r1=2, d1=0))

@@ -7,10 +7,13 @@ subclass override that the name-based tracer does not wrap, or a per-place
 cache that the first round fills.  This test builds the `evaluate` and
 `replace` workloads (seed 1) from `perfbench/workloads.py` and
 `perfbench/ops.py`, installs `perfbench/tracer.Tracer`, runs the set-up and
-two rounds, and applies the same two checks.  Nothing under `perfbench/`
-is changed.
+two rounds, and applies the same two checks.  The `cli` case runs every job
+of `tests/jobs` and the `cli` workload's seeded jobs (seed 1) in process
+through `placeforge.cli.main` and checks that every name the self-check
+expects on `cli` is reached.  Nothing under `perfbench/` is changed.
 """
 
+import json
 import pathlib
 
 import pytest
@@ -18,6 +21,7 @@ import pytest
 import placeforge as pf
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+JOBS = sorted((pathlib.Path(__file__).resolve().parent / "jobs").glob("*.json"))
 
 
 @pytest.mark.parametrize("workload", ["evaluate", "replace"])
@@ -51,3 +55,29 @@ def test_traced_rounds_reach_every_expected_name_with_equal_counts(workload, mon
     missing = [name for name in run.EXPECTED_NONZERO[workload]
                if not setup[name] + rounds[0][name]]
     assert missing == []
+
+
+def test_cli_jobs_reach_every_expected_name(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    import tracer as tracing
+    import workloads
+
+    from placeforge import cli
+
+    paths = list(JOBS)
+    for i, job in enumerate(workloads.cli_jobs(pf, 1)):
+        path = tmp_path / f"seeded-{i}.json"
+        path.write_text(json.dumps(job))
+        paths.append(path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for path in paths:
+            tracer.root("job")
+            # cli.main read after install, so the traced wrapper runs
+            assert cli.main(["--spec", str(path)]) == 0, path.name
+    finally:
+        tracer.uninstall()
+    calls = tracer.snapshot()
+    assert [name for name in run.EXPECTED_NONZERO["cli"] if not calls[name]] == []

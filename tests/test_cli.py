@@ -16,7 +16,7 @@ import placeforge
 from placeforge import place_from_json
 from placeforge.approx import CLASSES, MODES
 from placeforge.cli import main
-from placeforge.places import MAX_TOWER_DEPTH
+from placeforge.places import MAX_AXIOM_SAMPLE, MAX_TOWER_DEPTH
 
 HERE = pathlib.Path(__file__).parent
 JOBS = sorted((HERE / "jobs").glob("*.json"))
@@ -219,6 +219,23 @@ def test_deep_tower_is_refused(capsys):
     inner = json.loads((HERE / "jobs" / "compose.json").read_text())["place"]
     proc = run_fresh("compose", "--place", json.dumps(inner), "--outer", json.dumps(tower(400)))
     assert_one_line_error(proc, "outer place nests composite places deeper than MAX_TOWER_DEPTH")
+
+
+def test_axiom_sample_budget(tmp_path):
+    """A full check-axioms sample ends within the 5 s of run_fresh; one more
+    element is refused with one line naming the budget."""
+    job = json.loads((HERE / "jobs" / "check_axioms.json").read_text())
+    elems = [f"x1^{i}*x2^{j}+{c}" for i in range(1, 6) for j in range(5) for c in range(1, 5)]
+    job["elems"] = elems[:MAX_AXIOM_SAMPLE]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    proc = run_fresh("--spec", str(path))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"] == "pass"
+    job["elems"] = elems[:MAX_AXIOM_SAMPLE + 1]
+    path.write_text(json.dumps(job))
+    proc = run_fresh("--spec", str(path))
+    assert_one_line_error(proc, f"more than MAX_AXIOM_SAMPLE = {MAX_AXIOM_SAMPLE}")
 
 
 def test_json_nested_past_the_decoder_is_refused(tmp_path):

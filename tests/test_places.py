@@ -21,8 +21,13 @@ from placeforge import (
     subgroup_member,
 )
 from placeforge import lattice
-from placeforge.ordgroup import GroupElem
-from placeforge.places import MAX_TOWER_DEPTH, CompositePlace, NotInValueGroupError
+from placeforge.ordgroup import GroupElem, combination_sign, row_sign, sqrt_convergent
+from placeforge.places import (
+    MAX_AXIOM_SAMPLE,
+    MAX_TOWER_DEPTH,
+    CompositePlace,
+    NotInValueGroupError,
+)
 
 from gen import (
     random_composite_place,
@@ -33,7 +38,7 @@ from gen import (
     random_ratfunc,
     random_tower,
 )
-from oracles import fraction_rank, oracle_value, tower_value, values_agree
+from oracles import elem_sign, fraction_rank, oracle_value, tower_value, values_agree
 
 QQ = BaseField(0)
 F5 = BaseField(5)
@@ -604,3 +609,185 @@ def test_integer_signs_match_group_values():
     assert count == 2 * 3 * 8
     assert monomial_seen == {-1, 0, 1}
     assert seen == {INFINITY, -1, 0, 1}
+
+    # row_sign and combination_sign on integer qvec rows, against the oracle's
+    # sign of the same value built as a group element by hand
+    def elem(ambient, row):
+        return ambient.elem(*(QuadScalar(Fraction(row[2 * lv]), Fraction(row[2 * lv + 1]), d)
+                              for lv, d in enumerate(ambient.ds)))
+
+    row_seen, combo_seen = set(), set()
+    for ds in ((2,), (3, 5), (2, 7, 3)):
+        ambient = AmbientGroup(ds)
+        width = 2 * len(ds)
+        rows = [(0,) * width]
+        for _ in range(30):
+            big = 10**40 if rng.random() < 0.3 else 1
+            rows.append(tuple(big * rng.randint(-3, 3) for _ in range(width)))
+        for lv, d in enumerate(ds):
+            # p - q*sqrt(d) for a convergent p/q: large entries, a tiny value,
+            # after exact ties on every earlier level
+            conv = sqrt_convergent(d, 10**30)
+            for a, b in ((conv.numerator, -conv.denominator), (-conv.numerator, conv.denominator)):
+                row = [0] * width
+                row[2 * lv], row[2 * lv + 1] = a, b
+                rows.append(tuple(row))
+        # rows that differ from another row only in one sqrt column
+        for row in rows[1:11]:
+            lv = rng.randrange(len(ds))
+            other = list(row)
+            other[2 * lv + 1] += rng.choice([-1, 1]) * rng.randint(1, 3)
+            rows.append(tuple(other))
+            s = elem_sign(elem(ambient, other) - elem(ambient, row))
+            assert combination_sign([other, row], [1, -1], ds) == s != 0
+        for row in rows:
+            s = elem_sign(elem(ambient, row))
+            assert row_sign(row, ds) == s
+            row_seen.add(s)
+        for _ in range(80):
+            picks = rng.sample(rows, rng.randint(1, 4))
+            coeffs = [rng.randint(-3, 3) for _ in picks]
+            if rng.random() < 0.2:
+                # an exact tie: a row minus itself
+                picks, coeffs = picks[:1] * 2, [1, -1]
+            total = ambient.zero()
+            for row, c in zip(picks, coeffs):
+                total = total + elem(ambient, row).scale(c)
+            s = elem_sign(total)
+            assert combination_sign(picks, coeffs, ds) == s
+            combo_seen.add(s)
+    assert row_seen == combo_seen == {-1, 0, 1}
+
+
+def test_from_rows_matches_the_weight_built_place():
+    """A place built from integer rows is the place built from its weights:
+    the same rows and denominator (rows handed over with a common factor are
+    reduced), JSON, invariants, values and residues.  Values, signs and
+    residues build no weights."""
+    rng = random.Random(53)
+    count = 0
+    for field in (QQ, F5):
+        for levels in range(1, 7):
+            for zero_frac in (0.0, 0.3, 1.0):
+                n = rng.randint(1, 4)
+                place = random_monomial_place(rng, field, n, levels=levels, zero_frac=zero_frac)
+                c = rng.randint(1, 6)
+                rows = [[c * x for x in row] for row in place._rows]
+                built = MonomialPlace.from_rows(field, n, place.ambient, rows, c * place._den)
+                assert built._rows == place._rows and built._den == place._den
+                assert built.kernel_lattice() == place.kernel_lattice()
+                for _ in range(4):
+                    f = random_ratfunc(rng, field, n)
+                    assert built.value(f) == place.value(f)
+                    assert built.value_sign(f) == place.value_sign(f)
+                    assert built.residue(f) == place.residue(f)
+                    m = tuple(rng.randint(-3, 3) for _ in range(n))
+                    assert built.monomial_sign(m) == place.monomial_sign(m)
+                assert "weights" not in vars(built)
+                assert built.invariants() == place.invariants()
+                assert built.to_json() == place.to_json()
+                assert built.weights == place.weights
+                count += 1
+    assert count == 2 * 6 * 3
+
+
+def naive_spv_axioms(place, sample, divides):
+    """The axiom check as it reads: every divisibility recomputed."""
+    zero = RatFunc.zero(place.field, place.arity)
+    one = RatFunc.const(place.field, place.arity, 1)
+    if divides(zero, one):
+        return (False, 6, (zero, one))
+    for x in sample:
+        for y in sample:
+            if not divides(x, y) and not divides(y, x):
+                return (False, 1, (x, y))
+    for x in sample:
+        for y in sample:
+            for z in sample:
+                if divides(x, y) and divides(y, z) and not divides(x, z):
+                    return (False, 2, (x, y, z))
+                if divides(x, y) and divides(x, z) and not divides(x, y + z):
+                    return (False, 3, (x, y, z))
+                if divides(x, y) and not divides(x * z, y * z):
+                    return (False, 4, (x, y, z))
+                if divides(x * z, y * z) and not divides(zero, z) and not divides(x, y):
+                    return (False, 5, (x, y, z))
+    return (True, None, None)
+
+
+def value_divides(place):
+    values = {}
+
+    def value(f):
+        # by identity, holding f so its id stays unique: the sample
+        # elements repeat, fresh products and sums are valued anew
+        if id(f) not in values:
+            values[id(f)] = (f, place.value(f))
+        return values[id(f)][1]
+
+    def divides(f, g):
+        vf, vg = value(f), value(g)
+        if vf is INFINITY:
+            return vg is INFINITY
+        if vg is INFINITY:
+            return True
+        return (vg - vf).sign() >= 0
+    return divides
+
+
+def test_spv_axioms_match_the_naive_check():
+    """The memoized check reports what the check as written reports: the
+    default relation on seeded places and samples, and corrupted relations
+    that must fail on the same axiom and the same first triple."""
+    rng = random.Random(59)
+    axioms = set()
+    for i in range(16):
+        field, n = (QQ, F5)[i % 2], 2 + i % 2
+        place = random_place(rng, field, n)
+        sample = [random_ratfunc(rng, field, n, max_terms=3) for _ in range(4)]
+        sample.append(sample[0] + sample[1])
+        reference = value_divides(place)
+        want = naive_spv_axioms(place, sample, reference)
+        assert want[0]
+        report = check_spv_axioms(place, sample)
+        assert (report.passed, report.axiom, report.witness) == want
+
+        a, b = rng.choice(sample), rng.choice(sample)
+        corruptions = (
+            # one pair of sample elements answered wrongly
+            lambda f, g: reference(f, g) != (f == a and g == b),
+            # nothing outside the sample (a sum) is divisible
+            lambda f, g: reference(f, g) and (g in sample or f not in sample),
+            # nothing outside the sample (a product) divides
+            lambda f, g: reference(f, g) and f in sample,
+            # every nonzero product divides
+            lambda f, g: reference(f, g) or (f not in sample and not f.is_zero()),
+        )
+        for corrupt in corruptions:
+            want = naive_spv_axioms(place, sample, corrupt)
+            report = check_spv_axioms(place, sample, divides=corrupt)
+            assert (report.passed, report.axiom, report.witness) == want
+            axioms.add(report.axiom)
+    assert {1, 3, 4, 5} <= axioms
+
+
+def test_spv_axioms_build_each_product_sum_and_value_once(monkeypatch):
+    sample = [q2(f"x1^{i}*x2^{j}+{c}") for i, j, c in ((1, 0, 1), (2, 1, 2), (0, 2, 3), (1, 1, 1))]
+    sample += [q2("0"), q2("1")]
+    n = len(sample)
+    products, rows = [], []
+    mul, value_row = RatFunc.__mul__, MonomialPlace.value_row
+    monkeypatch.setattr(RatFunc, "__mul__", lambda f, g: products.append(1) or mul(f, g))
+    monkeypatch.setattr(MonomialPlace, "value_row",
+                        lambda self, f: rows.append(1) or value_row(self, f))
+    assert check_spv_axioms(P_SQRT, sample).passed
+    pairs = n * (n + 1) // 2
+    assert len(products) == pairs
+    # every element, product and sum is valued at most once (zeros never)
+    assert len(rows) <= n + 2 * pairs + 1
+
+
+def test_spv_axiom_sample_budget():
+    sample = [q2(f"x1^{i}+1") for i in range(MAX_AXIOM_SAMPLE + 1)]
+    with pytest.raises(ValueError, match="MAX_AXIOM_SAMPLE"):
+        check_spv_axioms(P_SQRT, sample)
