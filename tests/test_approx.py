@@ -16,11 +16,20 @@ from placeforge import (
     density_witness,
     goodify,
     in_basic_open,
+    lattice,
     parse_expr,
     perturb_weights,
     signature,
 )
-from placeforge.approx import SignatureError
+from placeforge.approx import (
+    MAX_REFINE_ITER,
+    SignatureError,
+    _build_monomial,
+    _max_rank_levels,
+    _rational_collapse,
+    max_iterations,
+)
+from placeforge.ordgroup import sqrt_convergent
 from placeforge.places import Place
 
 from gen import random_irrational_place, random_monomial_place, random_ratfunc, random_tower
@@ -451,9 +460,73 @@ class TestDensityWitness:
 class TestMaxIterEnv:
     def test_env_cap_respected(self, monkeypatch):
         monkeypatch.setenv("PLACEFORGE_MAX_ITER", "1")
-        from placeforge.approx import max_iterations
-
         assert max_iterations() == 1
         monkeypatch.setenv("PLACEFORGE_MAX_ITER", "0")
         with pytest.raises(ValueError):
             max_iterations()
+
+    def test_env_cap_has_a_budget(self, monkeypatch):
+        monkeypatch.setenv("PLACEFORGE_MAX_ITER", str(MAX_REFINE_ITER))
+        assert max_iterations() == MAX_REFINE_ITER
+        monkeypatch.setenv("PLACEFORGE_MAX_ITER", str(MAX_REFINE_ITER + 1))
+        with pytest.raises(ValueError, match=f"MAX_REFINE_ITER = {MAX_REFINE_ITER}"):
+            max_iterations()
+        monkeypatch.setenv("PLACEFORGE_MAX_ITER", "many")
+        with pytest.raises(ValueError, match="PLACEFORGE_MAX_ITER must be an integer"):
+            max_iterations()
+
+
+def fraction_collapse(place, iteration):
+    """The collapse as a Fraction vector, straight from the flat weights:
+    sum over levels of 2**(-iteration * level) * (a + (p/q) * b), with p/q
+    the level's first convergent of sqrt(d) with q >= 2**iteration."""
+    eps = Fraction(1, 2**iteration)
+    out = []
+    for w in place.flat_place.weights:
+        total = Fraction(0)
+        for lv, (c, d) in enumerate(zip(w.coords, place.ambient.ds)):
+            total += eps**lv * (c.a + sqrt_convergent(d, 2**iteration) * c.b)
+        out.append(total)
+    return out
+
+
+def kernel_tie_break_cols(ints):
+    """Tie-break columns by the kernel construction: the pivot columns of
+    the HNF of the kernel of `ints`, taken in reversed column order."""
+    n = len(ints)
+    kernel = lattice.row_kernel([[w] for w in ints])
+    rev = lattice.hnf([tuple(reversed(row)) for row in kernel])
+    return sorted(n - 1 - c for c in lattice.pivot_cols(rev))
+
+
+class TestIntegerRefinement:
+    def test_rational_collapse_matches_the_fraction_formula(self):
+        rng = random.Random(13)
+        places = [random_monomial_place(rng, QQ, rng.randint(1, 4), levels=rng.randint(1, 3),
+                                        irrational=rng.random() < 0.7,
+                                        zero_frac=rng.choice([0.0, 0.3, 0.6]))
+                  for _ in range(40)]
+        places += [random_tower(rng, QQ, 2, rng.random() < 0.5) for _ in range(6)]
+        assert {d for p in places for d in p.ambient.ds} == {2, 3, 5}
+        assert any(len(p.ambient.ds) == 3 for p in places)
+        assert any(not any(w.coords[0].a or w.coords[0].b for w in p.flat_place.weights)
+                   for p in places)  # a level that is zero in every variable
+        for place in places:
+            for iteration in range(13):
+                row, den = _rational_collapse(place, iteration)
+                assert den > 0
+                assert [Fraction(x, den) for x in row] == fraction_collapse(place, iteration)
+
+    def test_max_rank_levels_match_the_kernel_construction(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            lead = rng.randint(0, n - 1)
+            ints = [0] * lead + [rng.choice([-3, -1, 1, 2, 5])]
+            ints += [rng.choice([0, 0, -2, -1, 1, 3]) for _ in range(n - lead - 1)]
+            levels = _max_rank_levels(ints)
+            assert levels[0] == ints
+            assert all(sorted(level) == [0] * (n - 1) + [1] for level in levels[1:])
+            assert [level.index(1) for level in levels[1:]] == kernel_tie_break_cols(ints)
+            inv = _build_monomial(QQ, n, levels).invariants()
+            assert inv.maximal_rank and inv.dim == 0

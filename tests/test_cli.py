@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import placeforge
 from placeforge import place_from_json
-from placeforge.approx import CLASSES, MODES
+from placeforge.approx import CLASSES, MAX_REFINE_ITER, MODES
 from placeforge.cli import main
 from placeforge.places import MAX_AXIOM_SAMPLE, MAX_TOWER_DEPTH
 
@@ -236,6 +236,29 @@ def test_axiom_sample_budget(tmp_path):
     path.write_text(json.dumps(job))
     proc = run_fresh("--spec", str(path))
     assert_one_line_error(proc, f"more than MAX_AXIOM_SAMPLE = {MAX_AXIOM_SAMPLE}")
+
+
+def test_refinement_budget(tmp_path, monkeypatch):
+    """A goodify that never converges (rational rank 2 from weights with
+    no sqrt part) runs the full MAX_REFINE_ITER budget, on three levels,
+    within the 5 s of run_fresh and exits 2; one more iteration is refused
+    with one line naming the budget."""
+    zero = {"a": "0", "b": "0"}
+    place = {"kind": "monomial", "base": "Q", "arity": 2,
+             "ambient": {"levels": [{"d": 2}, {"d": 3}, {"d": 5}]},
+             "weights": [[{"a": "1", "b": "0"}, zero, zero], [zero, zero, zero]]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "command": "goodify", "place": place, "elems": ["x1 + x2"],
+        "shape": {"mode": "preserve_residues", "class": "weighted_rational", "r1": 2},
+    }))
+    monkeypatch.setenv("PLACEFORGE_MAX_ITER", str(MAX_REFINE_ITER))
+    proc = run_fresh("--spec", str(path))
+    assert proc.returncode == 2
+    assert f"within {MAX_REFINE_ITER} refinement steps" in proc.stderr
+    monkeypatch.setenv("PLACEFORGE_MAX_ITER", str(MAX_REFINE_ITER + 1))
+    proc = run_fresh("--spec", str(path))
+    assert_one_line_error(proc, f"exceeds MAX_REFINE_ITER = {MAX_REFINE_ITER}")
 
 
 def test_json_nested_past_the_decoder_is_refused(tmp_path):
