@@ -21,13 +21,11 @@ from .ordgroup import (
     AmbientGroup,
     GroupElem,
     QuadScalar,
-    Rat,
     Subgroup,
     cmp_elem,
     convex_rank,
     in_p_divisible_hull,
     order_embedding_check,
-    quad_sign,
     rational_rank,
     subgroup_member,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "PlaceInvariants",
     "Poly",
     "QuadScalar",
-    "Rat",
     "RatFunc",
     "ResidueFieldDesc",
     "SignSignature",
@@ -83,7 +80,6 @@ __all__ = [
     "parse_expr",
     "perturb_weights",
     "place_from_json",
-    "quad_sign",
     "rational_rank",
     "signature",
     "subgroup_member",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
 
 from . import lattice
@@ -20,7 +21,7 @@ from .ordgroup import (
     AmbientGroup,
     EmbeddingVerdict,
     order_embedding_check,
-    sqrt_convergent,
+    sqrt_convergents,
 )
 from .places import (
     INFINITY,
@@ -32,11 +33,11 @@ from .places import (
 
 DEFAULT_MAX_ITER = 64
 
-# Largest refinement budget PLACEFORGE_MAX_ITER may set.  Every iteration
-# recomputes each level's convergent from the start, so a goodify that never
-# converges costs time quadratic in its iterations: weighted_rational r1 = 2
-# on weights (1, 0), in a fresh process on a 2-vCPU x86 machine, takes 0.5 s
-# at 1024 iterations (0.8 s with three levels) and 1.1 s at 2048 (2.9 s).
+# Largest refinement budget PLACEFORGE_MAX_ITER may set.  Each level carries
+# its continued-fraction expansion across iterations; what grows is the size
+# of the integers.  A goodify that never converges (weighted_rational r1 = 2
+# on weights (1, 0)) spends 0.01 s refining at 1024 iterations (0.04 s with
+# three levels) and 0.03 s at 2048 (0.2 s), in process on a 2-vCPU x86 machine.
 MAX_REFINE_ITER = 1024
 
 
@@ -218,25 +219,34 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def _rational_collapse(place: Place, iteration: int):
+def _refined_convergents(d: int):
+    """For iterations 0, 1, 2, ...: the first convergent (p, q) of sqrt(d)
+    with q >= 2**iteration, from one expansion carried across iterations."""
+    convergents = sqrt_convergents(d)
+    p, q = next(convergents)
+    for iteration in count():
+        while q < 1 << iteration:
+            p, q = next(convergents)
+        yield p, q
+
+
+def _rational_collapse(place: Place, convs, iteration: int):
     """Rational weight vector approximating the place's weights, as an
     integer row over one positive denominator.
 
-    Per level, sqrt(d) is replaced by a continued-fraction convergent p/q
-    with q at least 2**iteration; levels are then combined with
+    Per level, sqrt(d) is replaced by its convergent p/q in `convs`, with
+    q at least 2**iteration; levels are then combined with
     geometrically decaying positive factors 2**(-iteration * level), so for
     fine enough iteration every lexicographic sign condition transfers to
     the rational vector.  The denominator is the flat place's times every
     q times the last level's decay.
     """
     flat = place.flat_place
-    convs = [sqrt_convergent(d, 1 << iteration) for d in place.ambient.ds]
     den = flat._den << (iteration * (len(convs) - 1))
-    for conv in convs:
-        den *= conv.denominator
+    for _, q in convs:
+        den *= q
     row = [0] * place.arity
-    for lv, conv in enumerate(convs):
-        p, q = conv.numerator, conv.denominator
+    for lv, (p, q) in enumerate(convs):
         scale = den // (flat._den * q << (iteration * lv))
         for i, r in enumerate(flat._rows):
             a, b = r[2 * lv], r[2 * lv + 1]
@@ -295,8 +305,9 @@ def perturb_weights(sig: SignSignature, place: Place, shape: TargetShape,
         )
 
     last_reason = "no candidate satisfied the strict sign conditions"
+    levels = [_refined_convergents(d) for d in place.ambient.ds]
     for iteration in range(max_iter + 1):
-        row, den = _rational_collapse(place, iteration)
+        row, den = _rational_collapse(place, [next(lv) for lv in levels], iteration)
         if not strict and not any(row):
             # Nothing pins the direction; any nonzero vector of the
             # equality subspace serves (the strict set is empty).

@@ -2,21 +2,20 @@
 
 Scalars are real quadratic irrationals a + b*sqrt(d) with rational a, b and a
 fixed squarefree radicand d per level.  Group elements live in lexicographic
-products of such levels, level 1 dominant.  All comparisons are decided
-exactly by integer case analysis; no floating point anywhere.
+products of such levels, level 1 dominant, stored as integer rows over one
+denominator.  All comparisons are decided exactly by integer case analysis;
+no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from . import lattice
-
-Rat = Fraction
 
 # Largest radicand accepted: squarefreeness is decided by trial division up
 # to sqrt(d), about half a million steps at this bound.
@@ -28,10 +27,10 @@ MAX_RADICAND = 10**12
 MAX_LITERAL_DIGITS = 1000
 
 
-def rat_to_str(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+def ratio_str(num: int, den: int) -> str:
+    """The literal of num / den (den > 0) in lowest terms: "n" or "n/d"."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _literal_digits(s: str) -> int:
@@ -107,7 +106,7 @@ def quad_sign_int(a: int, b: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class QuadScalar:
-    """a + b*sqrt(d), exact."""
+    """a + b*sqrt(d), exact: one level of a group element, for input and printing."""
 
     a: Fraction
     b: Fraction
@@ -124,54 +123,19 @@ class QuadScalar:
     def __post_init__(self):
         check_radicand(self.d)
 
-    def _check(self, other: "QuadScalar"):
-        if self.d != other.d:
-            raise ValueError("mixed radicands in one level")
-
-    def __add__(self, other: "QuadScalar") -> "QuadScalar":
-        self._check(other)
-        return QuadScalar(self.a + other.a, self.b + other.b, self.d)
-
-    def __sub__(self, other: "QuadScalar") -> "QuadScalar":
-        self._check(other)
-        return QuadScalar(self.a - other.a, self.b - other.b, self.d)
-
-    def __neg__(self) -> "QuadScalar":
-        return QuadScalar(-self.a, -self.b, self.d)
-
-    def scale(self, c) -> "QuadScalar":
-        c = Fraction(c)
-        return QuadScalar(self.a * c, self.b * c, self.d)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def sign(self) -> int:
         num = self.a.numerator * self.b.denominator
         bnum = self.b.numerator * self.a.denominator
         return quad_sign_int(num, bnum, self.d)
 
-    def to_json(self):
-        return {"a": rat_to_str(self.a), "b": rat_to_str(self.b)}
-
-    @staticmethod
-    def from_json(obj, d: int) -> "QuadScalar":
-        return QuadScalar(rat_from_str(obj["a"]), rat_from_str(obj["b"]), d)
-
     def __str__(self):
         if self.b == 0:
-            return rat_to_str(self.a)
-        tail = f"{rat_to_str(self.b)}*sqrt({self.d})"
+            return str(self.a)
+        tail = f"{self.b}*sqrt({self.d})"
         if self.a == 0:
             return tail
         op = "+" if self.b > 0 else "-"
-        btail = f"{rat_to_str(abs(self.b))}*sqrt({self.d})"
-        return f"{rat_to_str(self.a)} {op} {btail}"
-
-
-def quad_sign(s: QuadScalar) -> int:
-    """Sign of a quadratic scalar as a real number: -1, 0 or +1."""
-    return s.sign()
+        return f"{self.a} {op} {abs(self.b)}*sqrt({self.d})"
 
 
 @dataclass(frozen=True)
@@ -191,21 +155,16 @@ class AmbientGroup:
         return len(self.ds)
 
     def zero(self) -> "GroupElem":
-        return GroupElem(self, tuple(QuadScalar.rational(0, d) for d in self.ds))
+        return GroupElem.from_row(self, (0,) * (2 * len(self.ds)))
 
     def elem(self, *coords) -> "GroupElem":
         """Build an element from per-level scalars; bare numbers become rationals."""
         if len(coords) != self.num_levels:
             raise ValueError("coordinate count must match level count")
-        out = []
-        for c, d in zip(coords, self.ds):
-            if isinstance(c, QuadScalar):
-                if c.d != d:
-                    raise ValueError("scalar radicand does not match level")
-                out.append(c)
-            else:
-                out.append(QuadScalar.rational(c, d))
-        return GroupElem(self, tuple(out))
+        return GroupElem(self, tuple(
+            c if isinstance(c, QuadScalar) else QuadScalar.rational(c, d)
+            for c, d in zip(coords, self.ds)
+        ))
 
     def to_json(self):
         return {"levels": [{"d": d} for d in self.ds]}
@@ -215,18 +174,59 @@ class AmbientGroup:
         return AmbientGroup(tuple(level["d"] for level in obj["levels"]))
 
 
-def concat_ambients(first: AmbientGroup, second: AmbientGroup) -> AmbientGroup:
-    return AmbientGroup(first.ds + second.ds)
+def align_rows(pairs):
+    """(row, den) pairs of integer rows in lowest terms, rescaled to the lcm
+    of their denominators: (rows, den), in lowest terms as a whole."""
+    pairs = list(pairs)
+    den = lcm(*(d for _, d in pairs))
+    return [tuple(row) if d == den else tuple(den // d * x for x in row) for row, d in pairs], den
 
 
-@dataclass(frozen=True)
-class GroupElem:
-    ambient: AmbientGroup
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != self.ambient.num_levels:
+def rows_from_json(objs, ambient: AmbientGroup):
+    """JSON coordinate lists as integer rows over one denominator: (rows, den)."""
+    values = []
+    for obj in objs:
+        if len(obj) != ambient.num_levels:
             raise ValueError("coordinate count must match level count")
+        values.append([rat_from_str(c[key]) for c in obj for key in ("a", "b")])
+    return lattice.clear_denominators(values)
+
+
+@dataclass(frozen=True, init=False)
+class GroupElem:
+    """Level i is (a_i + b_i*sqrt(d_i)) / den for the integer row
+    (a_1, b_1, a_2, b_2, ...) over the positive den, in lowest terms."""
+
+    ambient: AmbientGroup
+    row: tuple
+    den: int
+
+    def __init__(self, ambient: AmbientGroup, coords):
+        """The element with the per-level scalars `coords`."""
+        if len(coords) != ambient.num_levels:
+            raise ValueError("coordinate count must match level count")
+        if any(c.d != d for c, d in zip(coords, ambient.ds)):
+            raise ValueError("scalar radicand does not match level")
+        (row,), den = lattice.clear_denominators([[x for c in coords for x in (c.a, c.b)]])
+        # the class is frozen, so its constructors fill the fields through __dict__
+        self.__dict__.update(ambient=ambient, row=row, den=den)
+
+    @classmethod
+    def from_row(cls, ambient: AmbientGroup, row, den: int = 1) -> "GroupElem":
+        """The element row / den for an integer row and a positive den."""
+        if len(row) != 2 * ambient.num_levels:
+            raise ValueError("coordinate count must match level count")
+        g = gcd(den, *row)
+        elem = cls.__new__(cls)
+        elem.__dict__.update(ambient=ambient, row=tuple(x // g for x in row), den=den // g)
+        return elem
+
+    @property
+    def coords(self) -> tuple:
+        """The per-level scalars, built on each call."""
+        r, den = self.row, self.den
+        return tuple(QuadScalar(Fraction(a, den), Fraction(b, den), d)
+                     for a, b, d in zip(r[::2], r[1::2], self.ambient.ds))
 
     def _check(self, other: "GroupElem"):
         if self.ambient != other.ambient:
@@ -234,50 +234,43 @@ class GroupElem:
 
     def __add__(self, other: "GroupElem") -> "GroupElem":
         self._check(other)
-        return GroupElem(self.ambient, tuple(x + y for x, y in zip(self.coords, other.coords)))
+        (x, y), den = align_rows(((self.row, self.den), (other.row, other.den)))
+        return GroupElem.from_row(self.ambient, [a + b for a, b in zip(x, y)], den)
 
     def __sub__(self, other: "GroupElem") -> "GroupElem":
-        self._check(other)
-        return GroupElem(self.ambient, tuple(x - y for x, y in zip(self.coords, other.coords)))
+        return self + -other
 
     def __neg__(self) -> "GroupElem":
-        return GroupElem(self.ambient, tuple(-x for x in self.coords))
+        return GroupElem.from_row(self.ambient, [-x for x in self.row], self.den)
 
     def scale(self, c) -> "GroupElem":
-        return GroupElem(self.ambient, tuple(x.scale(c) for x in self.coords))
+        """c * self for a rational c."""
+        c = Fraction(c)
+        return GroupElem.from_row(self.ambient, [c.numerator * x for x in self.row],
+                                  self.den * c.denominator)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.coords)
+        return not any(self.row)
 
     def sign(self) -> int:
-        for x in self.coords:
-            s = x.sign()
-            if s != 0:
-                return s
-        return 0
+        return row_sign(self.row, self.ambient.ds)
 
     def qvec(self):
         """Coordinates over the per-level rational basis {1, sqrt(d)}."""
-        out = []
-        for x in self.coords:
-            out.append(x.a)
-            out.append(x.b)
-        return tuple(out)
+        return tuple(Fraction(x, self.den) for x in self.row)
 
     def to_json(self):
-        return [x.to_json() for x in self.coords]
+        r, den = self.row, self.den
+        return [{"a": ratio_str(a, den), "b": ratio_str(b, den)} for a, b in zip(r[::2], r[1::2])]
 
     @staticmethod
     def from_json(obj, ambient: AmbientGroup) -> "GroupElem":
-        if len(obj) != ambient.num_levels:
-            raise ValueError("coordinate count must match level count")
-        coords = tuple(QuadScalar.from_json(c, d) for c, d in zip(obj, ambient.ds))
-        return GroupElem(ambient, coords)
+        (row,), den = rows_from_json([obj], ambient)
+        return GroupElem.from_row(ambient, row, den)
 
     def __str__(self):
-        if self.ambient.num_levels == 1:
-            return str(self.coords[0])
-        return "(" + ", ".join(str(x) for x in self.coords) + ")"
+        coords = [str(x) for x in self.coords]
+        return coords[0] if len(coords) == 1 else "(" + ", ".join(coords) + ")"
 
 
 def combine(elems, coeffs, ambient: AmbientGroup) -> GroupElem:
@@ -305,6 +298,16 @@ def row_sign(row, ds) -> int:
     return 0
 
 
+def difference_sign(hi, lo, ds) -> int:
+    """Lexicographic sign of hi - lo for values given per level as (a, b)
+    integer pairs over one positive denominator, without building hi - lo."""
+    for (ha, hb), (la, lb), d in zip(hi, lo, ds):
+        s = quad_sign_int(ha - la, hb - lb, d)
+        if s:
+            return s
+    return 0
+
+
 def combination_sign(rows, coeffs, ds) -> int:
     """Lexicographic sign of sum_k coeffs[k] * rows[k], level by level."""
     for lv, d in enumerate(ds):
@@ -319,39 +322,33 @@ def combination_sign(rows, coeffs, ds) -> int:
     return 0
 
 
-def row_elem(ambient: AmbientGroup, row, den: int) -> GroupElem:
-    """The group element of an integer qvec row over `den`."""
-    return GroupElem(ambient, tuple(
-        QuadScalar(Fraction(row[2 * lv], den), Fraction(row[2 * lv + 1], den), d)
-        for lv, d in enumerate(ambient.ds)
-    ))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subgroup:
-    """The subgroup generated by `generators`.
-
-    `rows` are the generators' qvecs as integers over the one positive
-    denominator `den`.  A place passes the rows it already holds; without
-    them they are cleared once here.
-    """
+    """The subgroup generated by the integer rows over the positive den,
+    in lowest terms as a whole."""
 
     ambient: AmbientGroup
-    generators: tuple
-    rows: tuple = field(default=None, compare=False, repr=False)
-    den: int = field(default=1, compare=False, repr=False)
+    rows: tuple
+    den: int
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.ambient != self.ambient:
-                raise ValueError("generator outside the ambient group")
-        if self.rows is None:
-            rows, den = lattice.clear_denominators(self.qrows())
-            object.__setattr__(self, "rows", tuple(rows))
-            object.__setattr__(self, "den", den)
+    def __init__(self, ambient: AmbientGroup, generators):
+        """The subgroup generated by the group elements `generators`."""
+        if any(g.ambient != ambient for g in generators):
+            raise ValueError("generator outside the ambient group")
+        rows, den = align_rows((g.row, g.den) for g in generators)
+        self.__dict__.update(ambient=ambient, rows=tuple(rows), den=den)
 
-    def qrows(self):
-        return [g.qvec() for g in self.generators]
+    @classmethod
+    def from_rows(cls, ambient: AmbientGroup, rows, den: int = 1) -> "Subgroup":
+        g = gcd(den, *(x for r in rows for x in r))
+        s = cls.__new__(cls)
+        rows = tuple(tuple(x // g for x in r) for r in rows)
+        s.__dict__.update(ambient=ambient, rows=rows, den=den // g)
+        return s
+
+    @property
+    def generators(self) -> tuple:
+        return tuple(GroupElem.from_row(self.ambient, r, self.den) for r in self.rows)
 
     def to_json(self):
         return {
@@ -362,8 +359,8 @@ class Subgroup:
     @staticmethod
     def from_json(obj) -> "Subgroup":
         ambient = AmbientGroup.from_json(obj)
-        gens = tuple(GroupElem.from_json(c, ambient) for c in obj["coords"])
-        return Subgroup(ambient, gens)
+        rows, den = rows_from_json(obj["coords"], ambient)
+        return Subgroup.from_rows(ambient, rows, den)
 
 
 def rational_rank(s: Subgroup) -> int:
@@ -377,7 +374,7 @@ def _basis_and_target(s: Subgroup, x: GroupElem):
     denominator; the basis is None when there are no generators."""
     if x.ambient != s.ambient:
         raise ValueError("element outside the ambient group")
-    rows, _ = lattice.clear_denominators(s.qrows() + [x.qvec()])
+    rows, _ = align_rows([(r, s.den) for r in s.rows] + [(x.row, x.den)])
     gen_rows, target = rows[:-1], rows[-1]
     return (lattice.hnf(gen_rows) if gen_rows else None), target
 
@@ -437,15 +434,13 @@ class EmbeddingVerdict:
         return self.status == "ok"
 
 
-def _cleared_rows(elems):
-    """The elements' qvecs as integer rows over one positive denominator,
-    and the radicands of their common ambient group."""
+def _common_rows(elems):
+    """The elements' rows over one positive denominator, and the radicands
+    of their common ambient group."""
     if not elems:
         return [], ()
-    for e in elems:
-        e._check(elems[0])
-    rows, _ = lattice.clear_denominators([e.qvec() for e in elems])
-    return rows, elems[0].ambient.ds
+    group = Subgroup(elems[0].ambient, elems)
+    return group.rows, group.ambient.ds
 
 
 def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
@@ -454,14 +449,14 @@ def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
     First every integer relation among the sources must map to zero
     (otherwise the assignment is not even well defined); then each witness
     combination must have the same sign on both sides.  Order preservation
-    is checked only on the witness set.  Both sides are cleared to integer
-    rows once, and every sign is decided on those integers with each side's
-    own radicands; no group element is built.
+    is checked only on the witness set.  Each side's rows are aligned over
+    one denominator, and every sign is decided on those integers with each
+    side's own radicands; no group element is built.
     """
     if len(sources) != len(images):
         raise ValueError("sources and images must have equal length")
-    src_rows, src_ds = _cleared_rows(sources)
-    img_rows, img_ds = _cleared_rows(images)
+    src_rows, src_ds = _common_rows(sources)
+    img_rows, img_ds = _common_rows(images)
     for rel in lattice.row_kernel(src_rows):
         if combination_sign(img_rows, rel, img_ds):
             return EmbeddingVerdict("ill_defined", tuple(rel))
@@ -473,21 +468,24 @@ def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
     return EmbeddingVerdict("ok")
 
 
-def sqrt_convergent(d: int, min_den: int) -> Fraction:
-    """First continued-fraction convergent of sqrt(d) with denominator >= min_den.
-
-    Exact integer recurrence on the periodic expansion of a quadratic surd.
-    """
+def sqrt_convergents(d: int):
+    """The continued-fraction convergents (p, q) of sqrt(d), in order: an exact
+    integer recurrence on the periodic expansion of a quadratic surd."""
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise ValueError("d must not be a perfect square")
     m, den, a = 0, 1, a0
     p_prev, p = 1, a0
     q_prev, q = 0, 1
-    while q < min_den:
+    while True:
+        yield p, q
         m = den * a - m
         den = (d - m * m) // den
         a = (a0 + m) // den
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-    return Fraction(p, q)
+
+
+def sqrt_convergent(d: int, min_den: int) -> Fraction:
+    """First continued-fraction convergent of sqrt(d) with denominator >= min_den."""
+    return next(Fraction(p, q) for p, q in sqrt_convergents(d) if q >= min_den)

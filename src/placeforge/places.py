@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
 from operator import add, mul
 
 from . import lattice
@@ -23,13 +22,14 @@ from .ordgroup import (
     AmbientGroup,
     GroupElem,
     Subgroup,
+    align_rows,
     combination_sign,
     combine,
-    concat_ambients,
     convex_rank,
+    difference_sign,
     rational_rank,
-    row_elem,
     row_sign,
+    rows_from_json,
 )
 from .ratfunc import BaseField, Poly, RatFunc
 
@@ -121,7 +121,7 @@ def _validate_match(place: "Place", f: RatFunc):
 
 
 def _difference_row(hi, lo):
-    """hi - lo for two kernel minima, as one integer qvec row."""
+    """hi - lo for two kernel minima, as one integer row."""
     return [x for (ha, hb), (la, lb) in zip(hi, lo) for x in (ha - la, hb - lb)]
 
 
@@ -237,46 +237,42 @@ class MonomialPlace(Place):
     """Weight-vector place: v(x^e) = sum_i e_i * weight_i, v(poly) = min over terms."""
 
     def __init__(self, field: BaseField, arity: int, ambient: AmbientGroup, weights):
-        """A place from its weights as group elements, cleared once into rows."""
+        """A place from its weights as group elements."""
         weights = tuple(weights)
-        for w in weights:
-            if w.ambient != ambient:
-                raise ValueError("weight outside the ambient group")
-        rows, den = lattice.clear_denominators([w.qvec() for w in weights])
-        self._set_rows(field, arity, ambient, rows, den)
+        self._set_group(field, arity, Subgroup(ambient, weights))
         self.weights = weights
 
     @classmethod
     def from_rows(cls, field: BaseField, arity: int, ambient: AmbientGroup, rows, den: int = 1):
-        """A place from its weights' qvecs as integer rows over the positive
-        denominator `den`, taken to lowest terms; no group element is built."""
-        g = gcd(den, *(x for r in rows for x in r))
+        """A place from its weights as integer rows over the positive
+        denominator `den`; no group element is built."""
         place = cls.__new__(cls)
-        place._set_rows(field, arity, ambient, [tuple(x // g for x in r) for r in rows], den // g)
+        place._set_group(field, arity, Subgroup.from_rows(ambient, rows, den))
         return place
 
-    def _set_rows(self, field, arity, ambient, rows, den):
-        """The one set-up: the weights' qvecs as an integer matrix over one
-        positive denominator, in lowest terms.  Sections, kernel and value
-        group read the rows; per level, the (a, b) column pair is the form
-        term_mins takes, and `_den` turns its minima into group values."""
-        if len(rows) != arity:
+    def _set_group(self, field, arity, group: Subgroup):
+        """The one set-up: the weights' value group, its rows an integer
+        matrix over one positive denominator.  Sections and the kernel read
+        the rows; per level, the (a, b) column pair is the form term_mins
+        takes, and `_den` turns its minima into group values."""
+        if len(group.rows) != arity:
             raise ValueError("need one weight per variable")
         self.field = field
         self.arity = arity
-        self.ambient = ambient
-        self._den = den
-        self._rows = tuple(rows)
+        self.ambient = group.ambient
+        self._group = group
+        self._den = group.den
+        self._rows = rows = group.rows
         self._levels = tuple(
             (tuple(r[2 * lv] for r in rows), tuple(r[2 * lv + 1] for r in rows), d)
-            for lv, d in enumerate(ambient.ds)
+            for lv, d in enumerate(self.ambient.ds)
         )
 
     @cached_property
     def weights(self):
         """The weights as group elements; a place built from rows builds
         them on first use (to print, combine or hand over its weights)."""
-        return tuple(row_elem(self.ambient, r, self._den) for r in self._rows)
+        return tuple(GroupElem.from_row(self.ambient, r, self._den) for r in self._rows)
 
     @staticmethod
     def trivial(field: BaseField, arity: int) -> "MonomialPlace":
@@ -317,41 +313,39 @@ class MonomialPlace(Place):
         """The sign of the integer combination of the weight rows."""
         return combination_sign(self._rows, evec, self.ambient.ds)
 
+    def _minima(self, f: RatFunc):
+        """The minimal term values (hi, lo) of the nonzero f's numerator and
+        denominator: per level the integer (a, b) numerators over `_den`."""
+        return tuple(term_mins(list(p.terms), self._levels)[1] for p in (f.num, f.den))
+
     def value_sign(self, f: RatFunc):
-        """The sign of f's value row; no group element is built."""
+        """The sign of v(f) = hi - lo, decided on the minima level by level."""
         _validate_match(self, f)
         if f.is_zero():
             return INFINITY
-        _, _, hi = self._min_data(f.num)
-        _, _, lo = self._min_data(f.den)
-        return row_sign(_difference_row(hi, lo), self.ambient.ds)
+        return difference_sign(*self._minima(f), self.ambient.ds)
 
     def value_row(self, f: RatFunc):
-        """v(f) for nonzero f as an integer qvec row over `_den`: the
-        difference of the kernel minima of numerator and denominator."""
+        """v(f) for nonzero f as an integer row over `_den`: the difference
+        of the minima of numerator and denominator."""
         _validate_match(self, f)
-        _, _, hi = self._min_data(f.num)
-        _, _, lo = self._min_data(f.den)
-        return _difference_row(hi, lo)
+        return _difference_row(*self._minima(f))
 
     def value(self, f: RatFunc):
-        """v(f): its integer row, turned into a group element only on return."""
+        """v(f): its integer row over `_den`, as a group element."""
         _validate_match(self, f)
         if f.is_zero():
             return INFINITY
-        return row_elem(self.ambient, self.value_row(f), self._den)
+        return GroupElem.from_row(self.ambient, _difference_row(*self._minima(f)), self._den)
 
     def _raw_section(self, v: GroupElem):
         """The HNF-coordinate section: additive in v, so composite values
         built on it obey the valuation law exactly."""
         _, basis, urows = self._lattice_data
-        target = []
-        for q in v.qvec():
-            t, rem = divmod(q.numerator * self._den, q.denominator)
-            if rem:
-                raise NotInValueGroupError(f"{v} is not in the value group")
-            target.append(t)
-        coeffs = lattice.express_int(basis, target)
+        if self._den % v.den:
+            raise NotInValueGroupError(f"{v} is not in the value group")
+        scale = self._den // v.den
+        coeffs = lattice.express_int(basis, [scale * x for x in v.row])
         if coeffs is None:
             raise NotInValueGroupError(f"{v} is not in the value group")
         m = [0] * self.arity
@@ -392,7 +386,7 @@ class MonomialPlace(Place):
             return RatFunc.zero(self.field, k)
         _, num_mins, num_best = self._min_data(f.num)
         den_canon, den_mins, den_best = self._min_data(f.den)
-        s = row_sign(_difference_row(num_best, den_best), self.ambient.ds)
+        s = difference_sign(num_best, den_best, self.ambient.ds)
         if s > 0:
             return RatFunc.zero(self.field, k)
         if s < 0:
@@ -417,7 +411,7 @@ class MonomialPlace(Place):
         return RatFunc.make(num, den)
 
     def value_group(self) -> Subgroup:
-        return Subgroup(self.ambient, self.weights, self._rows, self._den)
+        return self._group
 
     def to_json(self):
         return {
@@ -432,8 +426,8 @@ class MonomialPlace(Place):
     def from_json(obj) -> "MonomialPlace":
         field = BaseField.from_json(obj["base"])
         ambient = AmbientGroup.from_json(obj["ambient"])
-        weights = tuple(GroupElem.from_json(w, ambient) for w in obj["weights"])
-        return MonomialPlace(field, obj["arity"], ambient, weights)
+        rows, den = rows_from_json(obj["weights"], ambient)
+        return MonomialPlace.from_rows(field, obj["arity"], ambient, rows, den)
 
     def __repr__(self):
         ws = ", ".join(str(w) for w in self.weights)
@@ -463,17 +457,18 @@ class CompositePlace(Place):
         self.outer = outer
         self.field = inner.field
         self.arity = inner.arity
-        self.ambient = concat_ambients(inner.ambient, outer.ambient)
+        self.ambient = AmbientGroup(inner.ambient.ds + outer.ambient.ds)
 
     def _split(self, v: GroupElem):
-        li = self.inner.ambient.num_levels
+        width = 2 * self.inner.ambient.num_levels
         return (
-            GroupElem(self.inner.ambient, v.coords[:li]),
-            GroupElem(self.outer.ambient, v.coords[li:]),
+            GroupElem.from_row(self.inner.ambient, v.row[:width], v.den),
+            GroupElem.from_row(self.outer.ambient, v.row[width:], v.den),
         )
 
     def _pair(self, v1: GroupElem, v2: GroupElem) -> GroupElem:
-        return GroupElem(self.ambient, v1.coords + v2.coords)
+        (r1, r2), den = align_rows(((v1.row, v1.den), (v2.row, v2.den)))
+        return GroupElem.from_row(self.ambient, r1 + r2, den)
 
     @cached_property
     def effective_weights(self):
@@ -552,18 +547,12 @@ class CompositePlace(Place):
 
     def value_group(self) -> Subgroup:
         inner, outer = self.inner.value_group(), self.outer.value_group()
-        # Inner generators are padded with outer zeros on the right, outer
-        # ones with inner zeros on the left; each zero is built once.
-        qi, qo = self.inner.ambient.zero().coords, self.outer.ambient.zero().coords
-        gens = [GroupElem(self.ambient, g.coords + qo) for g in inner.generators]
-        gens += [GroupElem(self.ambient, qi + g.coords) for g in outer.generators]
-        # The same embedding on the integer rows, over the common denominator.
-        den = lcm(inner.den, outer.den)
-        si, so = den // inner.den, den // outer.den
+        # Inner rows are padded with outer zeros on the right, outer ones
+        # with inner zeros on the left, over the common denominator.
         zi, zo = (0,) * (2 * inner.ambient.num_levels), (0,) * (2 * outer.ambient.num_levels)
-        rows = [tuple(si * x for x in r) + zo for r in inner.rows]
-        rows += [zi + tuple(so * x for x in r) for r in outer.rows]
-        return Subgroup(self.ambient, tuple(gens), tuple(rows), den)
+        rows, den = align_rows([(r + zo, inner.den) for r in inner.rows]
+                               + [(zi + r, outer.den) for r in outer.rows])
+        return Subgroup.from_rows(self.ambient, rows, den)
 
     def to_json(self):
         return {

@@ -27,6 +27,7 @@ from placeforge.approx import (
     _build_monomial,
     _max_rank_levels,
     _rational_collapse,
+    _refined_convergents,
     max_iterations,
 )
 from placeforge.ordgroup import sqrt_convergent
@@ -513,9 +514,19 @@ class TestIntegerRefinement:
                    for p in places)  # a level that is zero in every variable
         for place in places:
             for iteration in range(13):
-                row, den = _rational_collapse(place, iteration)
+                convs = [sqrt_convergent(d, 2**iteration) for d in place.ambient.ds]
+                convs = [(c.numerator, c.denominator) for c in convs]
+                row, den = _rational_collapse(place, convs, iteration)
                 assert den > 0
                 assert [Fraction(x, den) for x in row] == fraction_collapse(place, iteration)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13])
+    def test_carried_convergents_match_the_restarted_ones(self, d):
+        levels = _refined_convergents(d)
+        for iteration in range(81):
+            p, q = next(levels)
+            assert Fraction(p, q) == sqrt_convergent(d, 2**iteration)
+            assert q >= 2**iteration
 
     def test_max_rank_levels_match_the_kernel_construction(self):
         rng = random.Random(14)

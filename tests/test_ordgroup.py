@@ -1,6 +1,8 @@
 import json
+import pathlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,10 @@ from placeforge import (
     convex_rank,
     in_p_divisible_hull,
     order_embedding_check,
-    quad_sign,
     rational_rank,
     subgroup_member,
 )
-from placeforge import lattice
+from placeforge import lattice, place_from_json
 from placeforge.ordgroup import (
     MAX_LITERAL_DIGITS,
     MAX_RADICAND,
@@ -43,20 +44,20 @@ def quad(a, b, d=2):
 
 class TestQuadSign:
     def test_rational_case(self):
-        assert quad_sign(quad(1, 0)) == 1
+        assert quad(1, 0).sign() == 1
 
     def test_mixed_signs(self):
-        assert quad_sign(quad(3, -2)) == 1  # 9 > 8
-        assert quad_sign(quad(-3, 2)) == -1
+        assert quad(3, -2).sign() == 1  # 9 > 8
+        assert quad(-3, 2).sign() == -1
 
     def test_zero(self):
-        assert quad_sign(quad(0, 0)) == 0
+        assert quad(0, 0).sign() == 0
 
     @given(a=fractions_st, b=fractions_st, d=st.sampled_from([2, 3, 5, 7]))
     def test_negation_and_zero_rule(self, a, b, d):
         s = QuadScalar(a, b, d)
-        assert quad_sign(-s) == -quad_sign(s)
-        assert (quad_sign(s) == 0) == (a == 0 and b == 0)
+        assert QuadScalar(-a, -b, d).sign() == -s.sign()
+        assert (s.sign() == 0) == (a == 0 and b == 0)
 
     @given(a=fractions_st, b=fractions_st, d=st.sampled_from([2, 3, 5, 7]))
     def test_against_interval_oracle(self, a, b, d):
@@ -399,3 +400,109 @@ _LITERAL_EDGES = (
 ))
 def test_rat_from_str_matches_fraction(text):
     assert _outcome(rat_from_str, text) == _outcome(Fraction, text)
+
+
+def test_elem_radicand_must_match_its_level():
+    with pytest.raises(ValueError, match="radicand does not match level"):
+        GroupElem(AmbientGroup((2, 3)), (quad(1, 1), quad(0, 1)))
+    with pytest.raises(ValueError, match="radicand does not match level"):
+        AMB2.elem(1, QuadScalar.sqrt(3))
+
+
+def fraction_pairs(e):
+    """A group element as per-level (a, b) Fractions, read off its stored
+    integer row and denominator."""
+    return tuple((Fraction(e.row[i], e.den), Fraction(e.row[i + 1], e.den))
+                 for i in range(0, len(e.row), 2))
+
+
+def reference_sign(pairs, ds):
+    """Lexicographic sign by squaring, on Fractions."""
+    for (a, b), d in zip(pairs, ds):
+        if a == b == 0:
+            continue
+        if a >= 0 and b >= 0:
+            return 1
+        if a <= 0 and b <= 0:
+            return -1
+        return (1 if a > 0 else -1) if a * a > b * b * d else (1 if b > 0 else -1)
+    return 0
+
+
+def test_row_elements_match_a_fraction_reference():
+    """Row-backed arithmetic against per-level Fraction pairs: sums,
+    differences, negation, rational scaling, signs, and equality and hashing
+    between elements built from scalars and from rescaled rows."""
+    rng = random.Random(23)
+    for _ in range(300):
+        amb = AmbientGroup(tuple(rng.choice([2, 3, 5]) for _ in range(rng.randint(1, 3))))
+
+        def draw():
+            span = rng.choice([1, 3, 12])
+            return tuple((Fraction(rng.randint(-9, 9), rng.randint(1, span)),
+                          Fraction(rng.randint(-9, 9), rng.randint(1, span)) if rng.random() < 0.7
+                          else Fraction(0))
+                         for _ in amb.ds)
+
+        xp, yp = draw(), draw()
+        x = GroupElem(amb, tuple(QuadScalar(a, b, d) for (a, b), d in zip(xp, amb.ds)))
+        y = GroupElem(amb, tuple(QuadScalar(a, b, d) for (a, b), d in zip(yp, amb.ds)))
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        cases = [
+            (x, xp),
+            (x + y, tuple((a1 + a2, b1 + b2) for (a1, b1), (a2, b2) in zip(xp, yp))),
+            (x - y, tuple((a1 - a2, b1 - b2) for (a1, b1), (a2, b2) in zip(xp, yp))),
+            (-x, tuple((-a, -b) for a, b in xp)),
+            (x.scale(c), tuple((c * a, c * b) for a, b in xp)),
+            (y.scale(rng.randint(-3, 3)), None),
+        ]
+        for e, want in cases:
+            assert e.den > 0 and gcd(e.den, *e.row) == 1
+            if want is not None:
+                assert fraction_pairs(e) == want
+            assert e.sign() == reference_sign(fraction_pairs(e), amb.ds) == elem_sign(e)
+            assert e.is_zero() == (e.sign() == 0)
+            k = rng.randint(2, 6)
+            rescaled = GroupElem.from_row(amb, [k * v for v in e.row], k * e.den)
+            assert rescaled == e and hash(rescaled) == hash(e)
+            assert GroupElem(amb, e.coords) == e
+        assert cmp_elem(x, y) == reference_sign(fraction_pairs(x - y), amb.ds)
+
+
+def golden_group_values():
+    """(ambient, JSON element) for every group element a golden report
+    holds: monomial weights at every tower level, values and iota entries."""
+    golden = pathlib.Path(__file__).resolve().parent / "golden"
+    for path in sorted(golden.glob("*.json")):
+        report = json.loads(path.read_text())
+        stack = [report["place"]]
+        while stack:
+            place = stack.pop()
+            if place["kind"] == "composite":
+                stack += [place["inner"], place["outer"]]
+                continue
+            amb = AmbientGroup.from_json(place["ambient"])
+            for w in place["weights"]:
+                yield path.name, amb, w
+        if report["command"] == "value":
+            amb = place_from_json(report["place"]).ambient
+            for r in report["results"]:
+                if r["value"] != "infinity":
+                    yield path.name, amb, r["value"]
+        iota = report.get("iota")
+        if iota:
+            for side, levels in (("sources", "source_levels"), ("images", "image_levels")):
+                amb = AmbientGroup.from_json({"levels": iota[levels]}) if iota[side] else None
+                for v in iota[side]:
+                    yield path.name, amb, v
+
+
+def test_golden_values_round_trip_bit_exact():
+    seen = set()
+    for name, amb, obj in golden_group_values():
+        blob = json.dumps(obj, sort_keys=True)
+        elem = GroupElem.from_json(obj, amb)
+        assert json.dumps(elem.to_json(), sort_keys=True) == blob, name
+        assert GroupElem.from_json(elem.to_json(), amb) == elem
+        seen.add(name)
+    assert len(seen) == len(list((pathlib.Path(__file__).resolve().parent / "golden").glob("*.json")))

@@ -34,3 +34,10 @@ def test_traced_names_resolve_in_placeforge():
             assert attr in vars(getattr(module, cls_name)), qualname
         else:
             assert callable(getattr(module, rest, None)), qualname
+
+
+def test_quadscalar_construction_hook_exists():
+    # the tracer counts QuadScalar constructions by wrapping this method in
+    # the class's own namespace; without it a traced run fails on a KeyError
+    ordgroup = importlib.import_module("placeforge.ordgroup")
+    assert "__post_init__" in vars(ordgroup.QuadScalar)
