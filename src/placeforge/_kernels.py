@@ -24,10 +24,7 @@ def mul_terms(ea, ca, eb, cb, p):
     exponent tuple to nonzero coefficient.
     """
     if ea and eb:
-        n = len(ea[0])
-        for k in range(n):
-            ma = max(e[k] for e in ea)
-            mb = max(e[k] for e in eb)
+        for ma, mb in zip(map(max, zip(*ea)), map(max, zip(*eb))):
             if ma + mb >= EXP_LIMIT:
                 raise OverflowError("exponent overflow in polynomial product")
     if len(ea) == 1:

@@ -20,6 +20,7 @@ from . import lattice
 from .ordgroup import (
     AmbientGroup,
     EmbeddingVerdict,
+    GroupElem,
     order_embedding_check,
     sqrt_convergents,
 )
@@ -614,7 +615,8 @@ def _goodify_composite_drop(place: Place, elems, shape: TargetShape):
         if not _units_kept(betas, wmat, emat):
             continue
         if values is None:
-            values = [place.value(f) for f in nonzero]
+            den = place.flat_place._den
+            values = [GroupElem.from_row(place.ambient, row, den) for row in rows]
         images = [tower.value(f) for f in nonzero]
         witnesses = _iota_witnesses(len(values))
         verdict = order_embedding_check(values, images, witnesses)

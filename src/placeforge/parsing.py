@@ -33,7 +33,9 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
+# One match per token: an integer, a name, an operator, any other visible
+# character (an error), or the end of the text with its trailing whitespace.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\S)|\Z)")
 
 
 _ATOMS = ("num", "name")
@@ -41,27 +43,25 @@ _ATOMS = ("num", "name")
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        number, name, op = m.groups()
-        if number is not None:
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            number = m.group(1)
             if len(number) > MAX_LITERAL_DIGITS:
                 raise ParseError(
                     f"integer literal of {len(number)} digits exceeds "
                     f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}", m.start(1)
                 )
             tokens.append(("num", int(number), m.start(1)))
-        elif name is not None:
-            tokens.append(("name", name, m.start(2)))
+        elif group == 2:
+            tokens.append(("name", m.group(2), m.start(2)))
+        elif group == 3:
+            tokens.append(("op", m.group(3), m.start(3)))
+        elif group == 4:
+            # reported at the end of the previous token, before the whitespace
+            raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
         else:
-            tokens.append(("op", op, m.start(3)))
-        pos = m.end()
+            break
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -82,6 +82,8 @@ class _Parser:
         self.field = field
         self.arity = arity
         self.index_of = {name: k for k, name in enumerate(names)}
+        self.one = field.coerce(1)
+        self.zero_e = (0,) * arity
 
     def peek(self):
         return self.tokens[self.i]
@@ -104,26 +106,94 @@ class _Parser:
             raise ParseError(f"trailing input {value!r}", pos)
         return out
 
+    def monomial(self, c, e) -> RatFunc:
+        return RatFunc.monomial(self.field, self.arity, tuple(e), c)
+
+    def polynomial(self, terms) -> RatFunc:
+        return RatFunc(Poly(self.field, self.arity, terms),
+                       Poly(self.field, self.arity, {self.zero_e: self.one}))
+
+    @staticmethod
+    def poly_items(t):
+        """The (exponent, coefficient) pairs of a term that is a polynomial,
+        or None for a term with a denominator."""
+        if type(t) is tuple:
+            c, e = t
+            if not c:
+                return ()
+            return ((tuple(e), c),) if min(e, default=0) >= 0 else None
+        return t.num.terms.items() if t.den.is_one() else None
+
     def expr(self) -> RatFunc:
-        negate = False
+        """A sum, folded left to right as the RatFunc operators would.
+
+        While the running sum is a polynomial its terms stay in one dict,
+        `acc`; otherwise it is the RatFunc `out` (see add_term).  A first
+        term that is not a polynomial monomial is taken as it is, not added
+        to an empty sum.
+        """
+        sign = "+"
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            negate = True
-        out = self.term()
-        if negate:
-            out = -out
+            sign = "-"
+        t = self.term()
+        if type(t) is tuple and self.poly_items(t) is not None:
+            acc, out = self.add_term({}, None, sign, t)
+        else:
+            if type(t) is tuple:
+                t = self.monomial(*t)
+            acc, out = None, (-t if sign == "-" else t)
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                out = out + rhs if value == "+" else out - rhs
-            else:
-                return out
+            if kind != "op" or value not in "+-":
+                return out if acc is None else self.polynomial(acc)
+            self.advance()
+            acc, out = self.add_term(acc, out, value, self.term())
 
-    def term(self) -> RatFunc:
-        out = self.atom_run() if self.peek()[0] in _ATOMS else self.factor()
+    def add_term(self, acc, out, sign: str, t):
+        """The running sum (acc, out) plus or minus the term t.
+
+        A polynomial term is added into `acc` by Poly.__add__'s rules: add
+        in place, delete a key that cancels, append a new key.  Any other
+        term meets the running sum through the operators, and the sum goes
+        back to a dict as soon as it is a polynomial and a polynomial term
+        follows.
+        """
+        items = self.poly_items(t)
+        if items is not None and acc is None and out.den.is_one():
+            acc, out = dict(out.num.terms), None
+        if items is None or acc is None:
+            if acc is not None:
+                acc, out = None, self.polynomial(acc)
+            if type(t) is tuple:
+                t = self.monomial(*t)
+            return None, (out + t if sign == "+" else out - t)
+        field = self.field
+        for key, c in items:
+            if sign == "-":
+                c = field.neg(c)
+            if key in acc:
+                v = field.add(acc[key], c)
+                if v:
+                    acc[key] = v
+                else:
+                    del acc[key]
+            else:
+                acc[key] = c
+        return acc, None
+
+    def term(self):
+        """A product: the monomial (c, e) when it is one run of atoms, else
+        a RatFunc."""
+        if self.peek()[0] in _ATOMS:
+            c, e = self.atom_run()
+            kind, value, pos = self.peek()
+            if kind != "op" or value not in "*/":
+                return c, e
+            out = self.monomial(c, e)
+        else:
+            out = self.factor()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
@@ -138,49 +208,54 @@ class _Parser:
             else:
                 return out
 
-    def atom_run(self) -> RatFunc:
-        """The atoms that open a term, joined by * and /, as one monomial.
+    def atom_run(self):
+        """The atoms that open a term, joined by * and /, as one monomial
+        c*x^e: the coefficient and the list of exponents.
 
         This is the product the operators would give: the running value
         stays c*x^e, and a step overflows exactly when a polynomial product
         would.  The run ends before the first parenthesised factor; from
         there on every factor meets the running value through the operators.
         """
-        field = self.field
-        c, e = self.atom()
+        field, tokens = self.field, self.tokens
+        c, idx, k = self.atom()
+        e = [0] * self.arity
+        if idx is not None:
+            e[idx] = k
         while True:
-            kind, value, pos = self.peek()
-            if kind != "op" or value not in "*/" or self.tokens[self.i + 1][0] not in _ATOMS:
-                return RatFunc.monomial(field, self.arity, e, c)
-            self.advance()
-            ca, a = self.atom()
-            if value == "/":
-                if not ca:
-                    raise ParseError("division by zero", pos)
-                ca = field.inv(ca)
-                a = tuple(-x for x in a)
-            if c and ca:  # a zero product stays 0, whatever exponents follow
-                e = tuple(x + y for x, y in zip(e, a))
-                if any(abs(x) >= EXP_LIMIT for x in e):
+            kind, value, pos = tokens[self.i]
+            if kind != "op" or value not in "*/" or tokens[self.i + 1][0] not in _ATOMS:
+                return c, e
+            self.i += 1
+            ca, idx, k = self.atom()
+            if idx is None:
+                if value == "/":
+                    if not ca:
+                        raise ParseError("division by zero", pos)
+                    ca = field.inv(ca)
+                c = field.mul(c, ca)
+            elif c:  # a zero product stays 0, whatever exponents follow
+                x = e[idx] + k if value == "*" else e[idx] - k
+                if abs(x) >= EXP_LIMIT:
                     raise OverflowError("exponent overflow in polynomial product")
-            c = field.mul(c, ca)
+                e[idx] = x
 
     def atom(self):
-        """A literal or a declared variable with an optional power, as (c, e)."""
+        """A literal or a declared variable with an optional power, as
+        (c, index, k): c*x_index^k, with index None for a literal."""
         kind, value, pos = self.advance()
         if kind == "name":
             idx = self.index_of.get(value)
             if idx is None:
                 raise ParseError(f"unknown variable {value!r}", pos)
-        k, pos = self.exponent()
-        if kind == "name":
-            k = 1 if k is None else k
-            return self.field.coerce(1), tuple(k if j == idx else 0 for j in range(self.arity))
+            k, pos = self.exponent()
+            return self.one, idx, 1 if k is None else k
         c = self.field.coerce(value)
+        k, pos = self.exponent()
         if k is not None:
             self.check_power(k, pos, not c, (c,))
             c = pow(c, k, self.field.p) if self.field.p else c**k
-        return c, (0,) * self.arity
+        return c, None, 0
 
     def exponent(self):
         """The optional "^ [-]integer" after a base, as (k, position) or (None, None)."""
@@ -216,8 +291,8 @@ class _Parser:
     def factor(self) -> RatFunc:
         kind, value, pos = self.peek()
         if kind in _ATOMS:
-            c, e = self.atom()
-            return RatFunc.monomial(self.field, self.arity, e, c)
+            c, idx, k = self.atom()
+            return self.monomial(c, [k if j == idx else 0 for j in range(self.arity)])
         self.advance()
         if kind != "op" or value != "(":
             raise ParseError("expected a number, variable or parenthesis", pos)
@@ -291,7 +366,7 @@ def _is_plain_monomial(p: Poly) -> bool:
     if len(p.terms) != 1:
         return False
     (e, c), = p.terms.items()
-    return c == p.field.coerce(1) and sum(1 for x in e if x) <= 1
+    return c == 1 and sum(1 for x in e if x) <= 1
 
 
 def format_ratfunc(f: RatFunc, names=None) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from ._kernels import EXP_LIMIT, mul_terms
 
@@ -66,7 +66,7 @@ class BaseField:
                     raise ZeroDivisionError("denominator divisible by the characteristic")
                 return value.numerator * pow(value.denominator, -1, self.p) % self.p
             return int(value) % self.p
-        return Fraction(value)
+        return value if isinstance(value, Fraction) else Fraction(value)
 
     def add(self, x, y):
         return (x + y) % self.p if self.p else x + y
@@ -200,20 +200,19 @@ class Poly:
                 f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS}"
             )
         if self.field.p:
-            ca = [self.terms[e] for e in ea]
-            cb = [other.terms[e] for e in eb]
+            ca, cb = list(self.terms.values()), list(other.terms.values())
             out = mul_terms(ea, ca, eb, cb, self.field.p)
             return Poly(self.field, self.arity, out)
-        da = 1
-        for c in self.terms.values():
-            da = da * c.denominator // gcd(da, c.denominator)
-        db = 1
-        for c in other.terms.values():
-            db = db * c.denominator // gcd(db, c.denominator)
-        ca = [int(self.terms[e] * da) for e in ea]
-        cb = [int(other.terms[e] * db) for e in eb]
+        # over Q: clear each side's denominators to integers, multiply, and
+        # divide the product by the two scales once
+        da = lcm(*(c.denominator for c in self.terms.values()))
+        db = lcm(*(c.denominator for c in other.terms.values()))
+        ca = [c.numerator * (da // c.denominator) for c in self.terms.values()]
+        cb = [c.numerator * (db // c.denominator) for c in other.terms.values()]
         out = mul_terms(ea, ca, eb, cb, 0)
         scale = da * db
+        if scale == 1:
+            return Poly(self.field, self.arity, {e: Fraction(v) for e, v in out.items()})
         return Poly(self.field, self.arity, {e: Fraction(v, scale) for e, v in out.items()})
 
     def scaled(self, c) -> "Poly":
@@ -332,7 +331,7 @@ class RatFunc:
             num = num.shift(delta)
             den = den.shift(delta)
         _, lead = den.lex_leading()
-        if lead != field.coerce(1):
+        if lead != 1:
             inv = field.inv(lead)
             num = num.scaled(inv)
             den = den.scaled(inv)

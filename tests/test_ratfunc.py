@@ -102,6 +102,53 @@ class TestParser:
         assert parse_expr("3^10000000", 1, F5) == RatFunc.const(F5, 1, pow(3, 10**7, 5))
 
 
+# (text, message or None for a clean parse), the same over Q and GF(5): the
+# exact message and position of each refusal.  An unexpected character is
+# placed at the end of the token before it, ahead of any whitespace.
+PARSE_ERRORS = [
+    ("x1 + $", "unexpected character '$' (at position 4)"),
+    ("x1 +  $", "unexpected character '$' (at position 4)"),
+    ("  $", "unexpected character '$' (at position 0)"),
+    ("x1\t\n$", "unexpected character '$' (at position 2)"),
+    ("x1 + x2   ", None),
+    ("x1\t+\nx2 \t\n", None),
+    ("1" * 1001,
+     "integer literal of 1001 digits exceeds MAX_LITERAL_DIGITS = 1000 (at position 0)"),
+    ("x1^" + "1" * 1001,
+     "integer literal of 1001 digits exceeds MAX_LITERAL_DIGITS = 1000 (at position 3)"),
+    ("x1^", "expected an integer exponent (at position 3)"),
+    ("x1^-", "expected an integer exponent (at position 4)"),
+    ("x1^(2)", "expected an integer exponent (at position 3)"),
+    ("x1^2^3", "trailing input '^' (at position 4)"),
+    ("y1", "unknown variable 'y1' (at position 0)"),
+    ("(x1", "expected ')' (at position 3)"),
+    ("x1)", "trailing input ')' (at position 2)"),
+    ("x1 x2", "trailing input 'x2' (at position 3)"),
+    ("   ", "expected a number, variable or parenthesis (at position 3)"),
+    ("3/0", "division by zero (at position 1)"),
+    ("2^-1/0", "division by zero (at position 4)"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    @pytest.mark.parametrize("text, message", PARSE_ERRORS,
+                             ids=lambda x: repr(x[:12]) if isinstance(x, str) else None)
+    def test_message_and_position(self, text, message, field):
+        if message is None:
+            assert format_ratfunc(parse_expr(text, 2, field)) == "x1 + x2"
+            return
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, 2, field)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["3/0", "1/3", "x1 + 2*x2/3"])
+    def test_literal_zero_mod_p_divides(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, 2, BaseField(3))
+        assert str(err.value) == f"division by zero (at position {text.rindex('/')})"
+
+
 class TestArith:
     def test_add_neg_cancels(self):
         x1 = parse_expr("x1", 2, QQ)
@@ -279,6 +326,11 @@ def N(v):
     return ("num", v)
 
 
+def P(t):
+    """t in parentheses, even when it is a number or a variable."""
+    return ("par", t)
+
+
 def V(i):
     return ("var", i)
 
@@ -331,7 +383,7 @@ def render(tree):
             put(f"x{t[1] + 1}")
         else:
             put("(")
-            expr(t)
+            expr(t[1] if t[0] == "par" else t)
             put(")")
 
     expr(tree)
@@ -349,6 +401,8 @@ def fold(tree, field, arity, spots):
             return RatFunc.variable(field, arity, t[1])
         if tag == "neg":
             return -ev(t[1])
+        if tag == "par":
+            return ev(t[1])
         if tag == "pow":
             x = ev(t[1])
             pos = next(spots)
@@ -434,7 +488,39 @@ EDGE_CASES = [
     # first product overflows, although the atoms after it cancel
     (("*", ("*", ("+", ("pow", V(0), HUGE), N(1)), V(0)), ("pow", V(0), -1)), OverflowError),
     (("neg", ("*", ("/", N(3), N(4)), V(1))), "ok"),
+    # sums: a key that cancels and comes back, a sum that stops being a
+    # polynomial midway, sums that open with a quotient, one that is a
+    # polynomial again after a cancellation
+    (("+", ("+", ("-", ("+", V(0), ("*", N(4), V(0))), V(1)), V(1)), V(0)), "ok"),
+    (("+", ("+", V(0), ("/", N(1), V(1))), ("pow", V(0), 2)), "ok"),
+    (("+", ("/", P(V(0)), P(V(1))), V(0)), "ok"),
+    (("+", ("neg", ("/", V(0), V(1))), V(0)), "ok"),
+    (("-", ("+", ("/", N(1), V(1)), ("-", N(0), ("/", N(1), V(1)))), ("*", N(2), V(0))), "ok"),
 ]
+
+
+@st.composite
+def atom_runs(draw, arity):
+    """A product of atoms as it opens a term: a literal, maybe rational,
+    then variables with powers from -3 to 3, joined by * and /."""
+    run = N(draw(st.integers(0, 9)))
+    if draw(st.booleans()):
+        run = ("/", run, N(draw(st.integers(1, 9))))
+    for _ in range(draw(st.integers(0, 3))):
+        var = V(draw(st.integers(0, arity - 1)))
+        k = draw(st.integers(-3, 3))
+        run = (draw(st.sampled_from("*/")), run, var if k == 1 else ("pow", var, k))
+    return run
+
+
+@st.composite
+def long_sums(draw, arity):
+    """A + / - chain of 2 to 12 atom runs, maybe with a leading -."""
+    runs = draw(st.lists(atom_runs(arity), min_size=2, max_size=12))
+    tree = ("neg", runs[0]) if draw(st.booleans()) else runs[0]
+    for run in runs[1:]:
+        tree = (draw(st.sampled_from("+-")), tree, run)
+    return tree
 
 
 class TestParserDifferential:
@@ -451,3 +537,8 @@ class TestParserDifferential:
     @given(tree=trees(), field=st.sampled_from([QQ, F5]))
     def test_parse_matches_operator_fold(self, tree, field):
         parses_like_fold(tree, field)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=long_sums(3), field=st.sampled_from([QQ, F5, BaseField(7)]))
+    def test_long_sums_match_operator_fold(self, tree, field):
+        parses_like_fold(tree, field, arity=3)
