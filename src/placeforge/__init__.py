@@ -7,16 +7,6 @@ patch neighborhoods, preserving requested residues and values.
 """
 
 from ._kernels import backend as kernel_backend
-from .approx import (
-    GoodifyResult,
-    InfeasibleShapeError,
-    SignSignature,
-    TargetShape,
-    density_witness,
-    goodify,
-    perturb_weights,
-    signature,
-)
 from .ordgroup import (
     AmbientGroup,
     GroupElem,
@@ -33,6 +23,7 @@ from .parsing import ParseError, format_ratfunc, parse_expr
 from .places import (
     INFINITY,
     CompositePlace,
+    InfeasibleShapeError,
     MonomialPlace,
     Place,
     PlaceInvariants,
@@ -45,6 +36,20 @@ from .places import (
 from .ratfunc import BaseField, Poly, RatFunc, eq_zero
 
 __version__ = "0.1.0"
+
+# Served from `approx` on first use (PEP 562): importing placeforge, and
+# every command but goodify and witness, does not load it.  Nothing is
+# cached here; each access reads the attribute of `approx` itself.
+_APPROX = ("GoodifyResult", "SignSignature", "TargetShape", "density_witness", "goodify",
+           "perturb_weights", "signature")
+
+
+def __getattr__(name):
+    if name in _APPROX:
+        from . import approx
+
+        return getattr(approx, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AmbientGroup",

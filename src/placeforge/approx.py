@@ -26,6 +26,7 @@ from .ordgroup import (
 )
 from .places import (
     INFINITY,
+    InfeasibleShapeError,
     MonomialPlace,
     Place,
     compose,
@@ -57,14 +58,6 @@ def max_iterations() -> int:
             f"PLACEFORGE_MAX_ITER = {value} exceeds MAX_REFINE_ITER = {MAX_REFINE_ITER}"
         )
     return value
-
-
-class InfeasibleShapeError(ValueError):
-    """The target shape conflicts with the data the caller wants preserved."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 class SignatureError(ValueError):

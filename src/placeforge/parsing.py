@@ -16,14 +16,16 @@ exact.
 from __future__ import annotations
 
 import re
+from math import gcd, lcm
 
 from .ordgroup import MAX_LITERAL_DIGITS
-from .ratfunc import EXP_LIMIT, BaseField, Poly, RatFunc
+from .ratfunc import EXP_LIMIT, BaseField, Poly, RatFunc, monic
 
 # Over Q, c^k has about |k| * log2|c| bits.  A "^" is refused when |k| times
 # the largest floor(log2) of a coefficient numerator or denominator of its
-# base exceeds this, so one power stays under 2 * 4096 bits, printable in
-# full.  Coefficients +-1 cost nothing: x1^k is cheap.
+# base, in the monic form that reports print, exceeds this, so one power
+# stays under 2 * 4096 bits, printable in full.  Coefficients +-1 cost
+# nothing: x1^k is cheap.
 MAX_POWER_BITS = 4096
 
 
@@ -82,7 +84,6 @@ class _Parser:
         self.field = field
         self.arity = arity
         self.index_of = {name: k for k, name in enumerate(names)}
-        self.one = field.coerce(1)
         self.zero_e = (0,) * arity
 
     def peek(self):
@@ -106,31 +107,60 @@ class _Parser:
             raise ParseError(f"trailing input {value!r}", pos)
         return out
 
-    def monomial(self, c, e) -> RatFunc:
-        return RatFunc.monomial(self.field, self.arity, tuple(e), c)
+    def monomial(self, n, d, e) -> RatFunc:
+        """n/d * x^e in canonical form, for a pair (n, d) from `ratio`; e may
+        have negative entries."""
+        field, arity = self.field, self.arity
+        if not n:
+            return RatFunc.zero(field, arity)
+        up = tuple(x if x > 0 else 0 for x in e)
+        down = tuple(-x if x < 0 else 0 for x in e)
+        return RatFunc(Poly(field, arity, {up: n}), Poly(field, arity, {down: d}))
 
-    def polynomial(self, terms) -> RatFunc:
+    def ratio(self, n: int, d: int):
+        """The coefficient n/d (d > 0 over Q, nonzero mod p) as the pair a
+        canonical monomial stores: in lowest terms over Q, the residue over
+        1 over GF(p)."""
+        if d == 1:
+            return n, 1
+        p = self.field.p
+        if p:
+            return n * pow(d, -1, p) % p, 1
+        g = gcd(n, d)
+        return n // g, d // g
+
+    def polynomial(self, terms, d) -> RatFunc:
+        """The polynomial with int coefficients `terms` over the positive
+        integer d, in canonical form."""
+        if d != 1:
+            g = gcd(d, *terms.values())
+            if g != 1:
+                terms = {e: c // g for e, c in terms.items()}
+                d //= g
         return RatFunc(Poly(self.field, self.arity, terms),
-                       Poly(self.field, self.arity, {self.zero_e: self.one}))
+                       Poly(self.field, self.arity, {self.zero_e: d}))
 
-    @staticmethod
-    def poly_items(t):
-        """The (exponent, coefficient) pairs of a term that is a polynomial,
-        or None for a term with a denominator."""
+    def poly_items(self, t):
+        """The (exponent, coefficient) pairs of a term that is a polynomial
+        and their common denominator, or None for a term whose denominator
+        is not a constant."""
         if type(t) is tuple:
-            c, e = t
-            if not c:
-                return ()
-            return ((tuple(e), c),) if min(e, default=0) >= 0 else None
-        return t.num.terms.items() if t.den.is_one() else None
+            n, d, e = t
+            if not n:
+                return (), 1
+            return (((tuple(e), n),), d) if min(e, default=0) >= 0 else None
+        den = t.den.terms
+        if len(den) == 1 and self.zero_e in den:
+            return t.num.terms.items(), den[self.zero_e]
+        return None
 
     def expr(self) -> RatFunc:
         """A sum, folded left to right as the RatFunc operators would.
 
-        While the running sum is a polynomial its terms stay in one dict,
-        `acc`; otherwise it is the RatFunc `out` (see add_term).  A first
-        term that is not a polynomial monomial is taken as it is, not added
-        to an empty sum.
+        While the running sum is a polynomial its terms stay in one dict of
+        int coefficients over one denominator, `acc`; otherwise it is the
+        RatFunc `out` (see add_term).  A first term that is not a polynomial
+        monomial is taken as it is, not added to an empty sum.
         """
         sign = "+"
         kind, value, _ = self.peek()
@@ -139,7 +169,7 @@ class _Parser:
             sign = "-"
         t = self.term()
         if type(t) is tuple and self.poly_items(t) is not None:
-            acc, out = self.add_term({}, None, sign, t)
+            acc, out = self.add_term(({}, 1), None, sign, t)
         else:
             if type(t) is tuple:
                 t = self.monomial(*t)
@@ -147,51 +177,67 @@ class _Parser:
         while True:
             kind, value, _ = self.peek()
             if kind != "op" or value not in "+-":
-                return out if acc is None else self.polynomial(acc)
+                return out if acc is None else self.polynomial(*acc)
             self.advance()
             acc, out = self.add_term(acc, out, value, self.term())
 
     def add_term(self, acc, out, sign: str, t):
         """The running sum (acc, out) plus or minus the term t.
 
-        A polynomial term is added into `acc` by Poly.__add__'s rules: add
-        in place, delete a key that cancels, append a new key.  Any other
-        term meets the running sum through the operators, and the sum goes
-        back to a dict as soon as it is a polynomial and a polynomial term
+        A polynomial term is added into `acc` = (terms, d) by
+        Poly.__add__'s rules: add in place, delete a key that cancels,
+        append a new key.  When the term's denominator does not divide d,
+        every coefficient is first scaled up to their lcm.  Any other term
+        meets the running sum through the operators, and the sum goes back
+        to a dict as soon as it is a polynomial and a polynomial term
         follows.
         """
         items = self.poly_items(t)
-        if items is not None and acc is None and out.den.is_one():
-            acc, out = dict(out.num.terms), None
+        if items is not None and acc is None:
+            running = self.poly_items(out)
+            if running is not None:
+                acc, out = (dict(running[0]), running[1]), None
         if items is None or acc is None:
             if acc is not None:
-                acc, out = None, self.polynomial(acc)
+                acc, out = None, self.polynomial(*acc)
             if type(t) is tuple:
                 t = self.monomial(*t)
             return None, (out + t if sign == "+" else out - t)
+        (terms, d), (items, dt) = acc, items
+        scale = 1
+        if dt != d:
+            m = lcm(d, dt)
+            if m != d:
+                up = m // d
+                for key in terms:
+                    terms[key] *= up
+                d = m
+            scale = d // dt
         field = self.field
         for key, c in items:
+            if scale != 1:
+                c *= scale
             if sign == "-":
                 c = field.neg(c)
-            if key in acc:
-                v = field.add(acc[key], c)
+            if key in terms:
+                v = field.add(terms[key], c)
                 if v:
-                    acc[key] = v
+                    terms[key] = v
                 else:
-                    del acc[key]
+                    del terms[key]
             else:
-                acc[key] = c
-        return acc, None
+                terms[key] = c
+        return (terms, d), None
 
     def term(self):
-        """A product: the monomial (c, e) when it is one run of atoms, else
-        a RatFunc."""
+        """A product: the monomial (n, d, e) when it is one run of atoms,
+        else a RatFunc."""
         if self.peek()[0] in _ATOMS:
-            c, e = self.atom_run()
+            n, d, e = self.atom_run()
             kind, value, pos = self.peek()
             if kind != "op" or value not in "*/":
-                return c, e
-            out = self.monomial(c, e)
+                return n, d, e
+            out = self.monomial(n, d, e)
         else:
             out = self.factor()
         while True:
@@ -210,31 +256,34 @@ class _Parser:
 
     def atom_run(self):
         """The atoms that open a term, joined by * and /, as one monomial
-        c*x^e: the coefficient and the list of exponents.
+        n/d*x^e: the coefficient as a pair from `ratio` and the list of
+        exponents.
 
         This is the product the operators would give: the running value
-        stays c*x^e, and a step overflows exactly when a polynomial product
-        would.  The run ends before the first parenthesised factor; from
-        there on every factor meets the running value through the operators.
+        stays n/d*x^e, and a step overflows exactly when a polynomial
+        product would.  The run ends before the first parenthesised factor;
+        from there on every factor meets the running value through the
+        operators.
         """
         field, tokens = self.field, self.tokens
-        c, idx, k = self.atom()
+        n, d, idx, k = self.atom()
         e = [0] * self.arity
         if idx is not None:
             e[idx] = k
         while True:
             kind, value, pos = tokens[self.i]
             if kind != "op" or value not in "*/" or tokens[self.i + 1][0] not in _ATOMS:
-                return c, e
+                return (*self.ratio(n, d), e)
             self.i += 1
-            ca, idx, k = self.atom()
+            an, ad, idx, k = self.atom()
             if idx is None:
                 if value == "/":
-                    if not ca:
+                    if not an:
                         raise ParseError("division by zero", pos)
-                    ca = field.inv(ca)
-                c = field.mul(c, ca)
-            elif c:  # a zero product stays 0, whatever exponents follow
+                    an, ad = ad, an
+                n = field.mul(n, an)
+                d = field.mul(d, ad)
+            elif n:  # a zero product stays 0, whatever exponents follow
                 x = e[idx] + k if value == "*" else e[idx] - k
                 if abs(x) >= EXP_LIMIT:
                     raise OverflowError("exponent overflow in polynomial product")
@@ -242,20 +291,24 @@ class _Parser:
 
     def atom(self):
         """A literal or a declared variable with an optional power, as
-        (c, index, k): c*x_index^k, with index None for a literal."""
+        (n, d, index, k): n/d*x_index^k with ints n and d > 0 (residues over
+        GF(p)), and index None for a literal."""
         kind, value, pos = self.advance()
         if kind == "name":
             idx = self.index_of.get(value)
             if idx is None:
                 raise ParseError(f"unknown variable {value!r}", pos)
             k, pos = self.exponent()
-            return self.one, idx, 1 if k is None else k
-        c = self.field.coerce(value)
+            return 1, 1, idx, 1 if k is None else k
+        p = self.field.p
+        c = value % p if p else value
         k, pos = self.exponent()
-        if k is not None:
-            self.check_power(k, pos, not c, (c,))
-            c = pow(c, k, self.field.p) if self.field.p else c**k
-        return c, None, 0
+        if k is None:
+            return c, 1, None, 0
+        self.check_power(k, pos, not c, ((c, 1),))
+        if p:
+            return pow(c, k, p), 1, None, 0
+        return (c**k, 1, None, 0) if k >= 0 else (1, c**-k, None, 0)
 
     def exponent(self):
         """The optional "^ [-]integer" after a base, as (k, position) or (None, None)."""
@@ -276,12 +329,14 @@ class _Parser:
             raise ParseError("exponent overflow", pos)
         return sign * value, pos
 
-    def check_power(self, k: int, pos: int, zero: bool, coeffs):
+    def check_power(self, k: int, pos: int, zero: bool, pairs):
+        """Refuse a negative power of zero, and over Q a power past
+        MAX_POWER_BITS; `pairs` are the base's coefficients in the monic
+        form, as (n, d) pairs."""
         if k < 0 and zero:
             raise ParseError("negative power of zero", pos)
         if not self.field.p:
-            bits = max((max(abs(c.numerator), c.denominator).bit_length() - 1 for c in coeffs),
-                       default=0)
+            bits = max((max(abs(n), d).bit_length() - 1 for n, d in pairs), default=0)
             if abs(k) * bits > MAX_POWER_BITS:
                 raise ParseError(
                     f"power {k} makes coefficients of about {abs(k) * bits} bits, "
@@ -291,8 +346,8 @@ class _Parser:
     def factor(self) -> RatFunc:
         kind, value, pos = self.peek()
         if kind in _ATOMS:
-            c, idx, k = self.atom()
-            return self.monomial(c, [k if j == idx else 0 for j in range(self.arity)])
+            n, d, idx, k = self.atom()
+            return self.monomial(n, d, [k if j == idx else 0 for j in range(self.arity)])
         self.advance()
         if kind != "op" or value != "(":
             raise ParseError("expected a number, variable or parenthesis", pos)
@@ -305,7 +360,9 @@ class _Parser:
         k, pos = self.exponent()
         if k is None:
             return out
-        self.check_power(k, pos, out.is_zero(), [*out.num.terms.values(), *out.den.terms.values()])
+        _, lead = out.den.lex_leading()
+        pairs = (monic(c, lead) for poly in (out.num, out.den) for c in poly.terms.values())
+        self.check_power(k, pos, out.is_zero(), pairs)
         return out**k
 
 
@@ -321,14 +378,6 @@ def parse_expr(text: str, arity: int, field: BaseField, names=None) -> RatFunc:
     return _Parser(_tokenize(text), field, arity, names).parse()
 
 
-def _format_coeff(field: BaseField, c) -> str:
-    if field.p:
-        return str(int(c))
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _format_monomial(e, names):
     parts = []
     for k, x in enumerate(e):
@@ -339,18 +388,15 @@ def _format_monomial(e, names):
     return "*".join(parts)
 
 
-def format_poly(p: Poly, names=None) -> str:
-    if names is None:
-        names = default_names(p.arity)
-    if not p.terms:
-        return "0"
-    field = p.field
+def _format_terms(items, lead, names) -> str:
+    """Terms (exponent, coefficient), highest first, each coefficient
+    divided by `lead` as `monic` does."""
     chunks = []
-    for e, c in sorted(p.terms.items(), reverse=True):
+    for e, c in items:
+        n, d = monic(c, lead)
+        negative = n < 0
+        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
         mono = _format_monomial(e, names)
-        cs = _format_coeff(field, c)
-        negative = cs.startswith("-")
-        mag = cs[1:] if negative else cs
         if mono:
             body = mono if mag == "1" else f"{mag}*{mono}"
         else:
@@ -362,22 +408,27 @@ def format_poly(p: Poly, names=None) -> str:
     return " ".join(chunks)
 
 
-def _is_plain_monomial(p: Poly) -> bool:
-    if len(p.terms) != 1:
-        return False
-    (e, c), = p.terms.items()
-    return c == 1 and sum(1 for x in e if x) <= 1
+def format_poly(p: Poly, names=None) -> str:
+    if names is None:
+        names = default_names(p.arity)
+    if not p.terms:
+        return "0"
+    return _format_terms(sorted(p.terms.items(), reverse=True), 1, names)
 
 
 def format_ratfunc(f: RatFunc, names=None) -> str:
+    """f in the monic form, printed straight from its int coefficients."""
     if names is None:
         names = default_names(f.arity)
-    num = format_poly(f.num, names)
-    if f.den.is_one():
+    den = sorted(f.den.terms.items(), reverse=True)
+    top, lead = den[0]
+    num = _format_terms(sorted(f.num.terms.items(), reverse=True), lead, names) or "0"
+    if len(den) == 1 and not any(top):
         return num
-    den = format_poly(f.den, names)
     if len(f.num.terms) > 1:
         num = f"({num})"
-    if not _is_plain_monomial(f.den):
-        den = f"({den})"
-    return f"{num}/{den}"
+    text = _format_terms(den, lead, names)
+    # a one-term denominator prints as a monic monomial
+    if len(den) > 1 or sum(1 for x in top if x) > 1:
+        text = f"({text})"
+    return f"{num}/{text}"

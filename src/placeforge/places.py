@@ -75,6 +75,17 @@ class NotInValueGroupError(ValueError):
     pass
 
 
+class InfeasibleShapeError(ValueError):
+    """The target shape conflicts with the data the caller wants preserved.
+
+    Raised by `approx`; defined here so that the CLI can catch it without
+    loading `approx` on commands that never reach it."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class ResidueFieldDesc:
     """Purely transcendental residue field: one Laurent-monomial generator

@@ -1,16 +1,20 @@
 """Sparse multivariate polynomials and rational functions over Q and GF(p).
 
-Coefficients are exact: Fractions over the rationals, machine-word residues
-mod p over a prime field (p < 2**61).  Fractions of polynomials are reduced
-only by monomial content and a scalar normalization; equality is decided by
-cross multiplication, so no multivariate gcd is ever needed.
+Coefficients are exact integers on both fields: a rational function over
+the rationals keeps numerator and denominator as integer polynomials, one
+over a prime field (p < 2**61) as polynomials of residues mod p.  Fractions
+of polynomials are reduced only by monomial content and a scalar
+normalization; equality is decided by cross multiplication, so no
+multivariate gcd is ever needed.  The monic form that reports print, with
+the denominator's lexicographically largest coefficient 1, is read off the
+integers only when printing (see `monic`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ._kernels import EXP_LIMIT, mul_terms
 
@@ -60,13 +64,18 @@ class BaseField:
         return self.p == 0
 
     def coerce(self, value):
+        """A field element: a residue mod p, or over Q an int when the value
+        is integral and a Fraction otherwise."""
         if self.p:
             if isinstance(value, Fraction):
                 if value.denominator % self.p == 0:
                     raise ZeroDivisionError("denominator divisible by the characteristic")
                 return value.numerator * pow(value.denominator, -1, self.p) % self.p
             return int(value) % self.p
-        return value if isinstance(value, Fraction) else Fraction(value)
+        if type(value) is int:
+            return value
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
     def add(self, x, y):
         return (x + y) % self.p if self.p else x + y
@@ -89,9 +98,6 @@ class BaseField:
     def coeff_to_json(self, c):
         return int(c) if self.p else (str(c.numerator) if c.denominator == 1 else f"{c}")
 
-    def coeff_from_json(self, obj):
-        return self.coerce(Fraction(obj) if isinstance(obj, str) else obj)
-
     def to_json(self):
         return {"p": self.p} if self.p else "Q"
 
@@ -110,10 +116,22 @@ class BaseField:
 QQ = BaseField(0)
 
 
+def monic(c, lead):
+    """A coefficient c of a canonical RatFunc divided by the denominator's
+    lexicographically largest coefficient `lead`, as the reduced pair
+    (n, d), d > 0, that reports print.  Over GF(p) `lead` is 1."""
+    if lead == 1:
+        return c, 1
+    g = gcd(c, lead)
+    return c // g, lead // g
+
+
 class Poly:
     """Sparse polynomial: a map from exponent vectors to nonzero coefficients.
 
-    Immutable by convention; all operations return new instances.
+    Immutable by convention; all operations return new instances.  The
+    polynomials of a RatFunc over Q have int coefficients; one built by hand
+    may also hold Fractions (see BaseField.coerce).
     """
 
     __slots__ = ("field", "arity", "terms")
@@ -199,21 +217,8 @@ class Poly:
                 f"product of {len(ea)} by {len(eb)} terms exceeds "
                 f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS}"
             )
-        if self.field.p:
-            ca, cb = list(self.terms.values()), list(other.terms.values())
-            out = mul_terms(ea, ca, eb, cb, self.field.p)
-            return Poly(self.field, self.arity, out)
-        # over Q: clear each side's denominators to integers, multiply, and
-        # divide the product by the two scales once
-        da = lcm(*(c.denominator for c in self.terms.values()))
-        db = lcm(*(c.denominator for c in other.terms.values()))
-        ca = [c.numerator * (da // c.denominator) for c in self.terms.values()]
-        cb = [c.numerator * (db // c.denominator) for c in other.terms.values()]
-        out = mul_terms(ea, ca, eb, cb, 0)
-        scale = da * db
-        if scale == 1:
-            return Poly(self.field, self.arity, {e: Fraction(v) for e, v in out.items()})
-        return Poly(self.field, self.arity, {e: Fraction(v, scale) for e, v in out.items()})
+        ca, cb = list(self.terms.values()), list(other.terms.values())
+        return Poly(self.field, self.arity, mul_terms(ea, ca, eb, cb, self.field.p))
 
     def scaled(self, c) -> "Poly":
         f = self.field
@@ -285,10 +290,6 @@ class Poly:
             for e, c in sorted(self.terms.items(), reverse=True)
         ]
 
-    @staticmethod
-    def from_json(obj, field: BaseField, arity: int) -> "Poly":
-        return Poly.make(field, arity, {tuple(t["e"]): field.coeff_from_json(t["c"]) for t in obj})
-
     def __str__(self):
         from .parsing import format_poly
 
@@ -298,12 +299,25 @@ class Poly:
         return f"Poly({self})"
 
 
+def _integral(num: Poly, den: Poly):
+    """num and den over Q times the lcm of their coefficient denominators,
+    so that both have int coefficients."""
+    polys = (num, den)
+    scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return tuple(
+        Poly(p.field, p.arity, {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()})
+        for p in polys
+    )
+
+
 class RatFunc:
     """Quotient of two polynomials in canonical form.
 
-    Canonical means: nonzero denominator, zero is 0/1, the common monomial
-    content of numerator and denominator is removed, and the denominator's
-    lexicographically largest coefficient is 1.
+    Canonical means: nonzero denominator, zero is 0/1, and the common
+    monomial content of numerator and denominator is removed.  Over Q both
+    have int coefficients whose joint gcd is 1, and the denominator's
+    lexicographically largest coefficient is positive; over GF(p) that
+    coefficient is 1.  `monic_terms` gives the form with it 1 over Q too.
     """
 
     __slots__ = ("num", "den")
@@ -316,25 +330,36 @@ class RatFunc:
     @staticmethod
     def make(num: Poly, den: Poly) -> "RatFunc":
         num._check(den)
-        if den.is_one():
-            return RatFunc(num, den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         field, arity = num.field, num.arity
         if num.is_zero():
             return RatFunc(num, Poly.const(field, arity, 1))
-        cn = num.content_exponent()
         cd = den.content_exponent()
-        common = tuple(min(a, b) for a, b in zip(cn, cd))
-        if any(common):
-            delta = tuple(-x for x in common)
-            num = num.shift(delta)
-            den = den.shift(delta)
+        if any(cd):
+            common = tuple(map(min, num.content_exponent(), cd))
+            if any(common):
+                delta = tuple(-x for x in common)
+                num = num.shift(delta)
+                den = den.shift(delta)
         _, lead = den.lex_leading()
-        if lead != 1:
-            inv = field.inv(lead)
-            num = num.scaled(inv)
-            den = den.scaled(inv)
+        if field.p:
+            if lead != 1:
+                inv = field.inv(lead)
+                num = num.scaled(inv)
+                den = den.scaled(inv)
+            return RatFunc(num, den)
+        # over Q: divide by the joint content, with the sign of the lead
+        try:
+            g = gcd(*den.terms.values(), *num.terms.values())
+        except TypeError:  # a Fraction coefficient, from a polynomial built by hand
+            num, den = _integral(num, den)
+            g = gcd(*den.terms.values(), *num.terms.values())
+        if lead < 0:
+            g = -g
+        if g != 1:
+            num = Poly(field, arity, {e: c // g for e, c in num.terms.items()})
+            den = Poly(field, arity, {e: c // g for e, c in den.terms.items()})
         return RatFunc(num, den)
 
     @staticmethod
@@ -366,7 +391,8 @@ class RatFunc:
             return RatFunc.zero(field, arity)
         up = tuple(x if x > 0 else 0 for x in evec)
         down = tuple(-x if x < 0 else 0 for x in evec)
-        return RatFunc(Poly(field, arity, {up: c}), Poly(field, arity, {down: field.coerce(1)}))
+        # a residue mod p is an int, whose denominator is 1
+        return RatFunc(Poly(field, arity, {up: c.numerator}), Poly(field, arity, {down: c.denominator}))
 
     @property
     def field(self) -> BaseField:
@@ -419,15 +445,29 @@ class RatFunc:
     def __hash__(self):
         raise TypeError("rational functions are not hashable")
 
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+    def monic_terms(self):
+        """Numerator and denominator as term dicts in the monic form that
+        reports print: the denominator's lexicographically largest
+        coefficient is 1.  Coefficients are Fractions over Q and residues
+        over GF(p); terms keep their stored order."""
+        if self.field.p:
+            return dict(self.num.terms), dict(self.den.terms)
+        _, lead = self.den.lex_leading()
+        return tuple({e: Fraction(c, lead) for e, c in p.terms.items()} for p in (self.num, self.den))
 
-    @staticmethod
-    def from_json(obj, field: BaseField, arity: int) -> "RatFunc":
-        return RatFunc.make(
-            Poly.from_json(obj["num"], field, arity),
-            Poly.from_json(obj["den"], field, arity),
-        )
+    def to_json(self):
+        """The monic form (see monic_terms) as Poly.to_json prints terms."""
+        _, lead = self.den.lex_leading()
+        f = self.field
+
+        def terms(poly):
+            out = []
+            for e, c in sorted(poly.terms.items(), reverse=True):
+                n, d = monic(c, lead)
+                out.append({"e": list(e), "c": f.coeff_to_json(n) if d == 1 else f"{n}/{d}"})
+            return out
+
+        return {"num": terms(self.num), "den": terms(self.den)}
 
     def __str__(self):
         from .parsing import format_ratfunc

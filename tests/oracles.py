@@ -11,6 +11,9 @@ value, so the library's single flattened evaluation is checked against it.
 
 The lattice oracles decide small membership and rank questions by brute
 force / plain fraction elimination.
+
+The rational-function reference computes +, -, *, / and ** on unreduced
+pairs of coefficient dicts and decides equality by cross multiplication.
 """
 
 from fractions import Fraction
@@ -161,3 +164,93 @@ def fraction_rank(rows) -> int:
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+# --- rational functions by the definitions ---------------------------------
+#
+# A polynomial is a dict from exponent tuples to nonzero coefficients:
+# Fractions over Q (p == 0), residues mod p over GF(p).  A rational function
+# is a pair (num, den) of them with den nonzero, never reduced; two pairs
+# are equal when num1 * den2 == num2 * den1.  Nothing here calls the library.
+
+
+def ref_coeff(c, p):
+    """A rational number (int, Fraction or "n/d" text) as a coefficient."""
+    c = Fraction(c)
+    if p:
+        return c.numerator * pow(c.denominator, -1, p) % p
+    return c
+
+
+def ref_poly(terms, p):
+    out = {}
+    for e, c in terms.items():
+        c = ref_coeff(c, p)
+        if c:
+            out[tuple(e)] = c
+    return out
+
+
+def _ref_padd(a, b, p):
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + c
+        if p:
+            v %= p
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _ref_pmul(a, b, p):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = _ref_padd(out, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2 % p if p else c1 * c2}, p)
+    return out
+
+
+def _ref_pneg(a, p):
+    return {e: (-c) % p if p else -c for e, c in a.items()}
+
+
+def ref_add(f, g, p):
+    return (_ref_padd(_ref_pmul(f[0], g[1], p), _ref_pmul(g[0], f[1], p), p),
+            _ref_pmul(f[1], g[1], p))
+
+
+def ref_neg(f, p):
+    return _ref_pneg(f[0], p), f[1]
+
+
+def ref_sub(f, g, p):
+    return ref_add(f, ref_neg(g, p), p)
+
+
+def ref_mul(f, g, p):
+    return _ref_pmul(f[0], g[0], p), _ref_pmul(f[1], g[1], p)
+
+
+def ref_div(f, g, p):
+    if not g[0]:
+        raise ZeroDivisionError("division by the zero function")
+    return ref_mul(f, (g[1], g[0]), p)
+
+
+def ref_pow(f, k, p):
+    """f**k by repeated multiplication; a negative k inverts f first."""
+    if k < 0:
+        if not f[0]:
+            raise ZeroDivisionError("negative power of zero")
+        f, k = (f[1], f[0]), -k
+    one = {(0,) * len(next(iter(f[1]))): ref_coeff(1, p)}
+    out = (one, one)
+    for _ in range(k):
+        out = ref_mul(out, f, p)
+    return out
+
+
+def ref_eq(f, g, p) -> bool:
+    return _ref_pmul(f[0], g[1], p) == _ref_pmul(g[0], f[1], p)

@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import textwrap
 
 import jsonschema
 import pytest
@@ -472,3 +473,30 @@ def test_bad_max_iter_is_an_error(job, capsys, monkeypatch):
     monkeypatch.setenv("PLACEFORGE_MAX_ITER", "0")
     err = cli_error(capsys, "--spec", str(HERE / "jobs" / f"{job}.json"))
     assert "PLACEFORGE_MAX_ITER must be positive" in err
+
+
+def test_value_job_leaves_approx_unloaded():
+    # approx is served on first use of one of its names (PEP 562), and the
+    # package keeps no copy: a first use while perfbench/tracer.py is
+    # installed must leave no wrapper behind once it is uninstalled
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import placeforge
+        from placeforge import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--spec", {str(HERE / "jobs" / "value.json")!r}]) == 0
+        assert "placeforge.approx" not in sys.modules
+        sys.path.insert(0, {str(HERE.parent / "perfbench")!r})
+        import tracer as tracing
+        tracer = tracing.Tracer()
+        tracer.install()
+        assert hasattr(placeforge.goodify, "__wrapped__")
+        tracer.uninstall()
+        assert placeforge.goodify is placeforge.approx.goodify
+        assert not hasattr(placeforge.goodify, "__wrapped__")
+        assert "goodify" not in vars(placeforge)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr

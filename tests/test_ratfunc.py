@@ -1,15 +1,20 @@
 import json
+import operator
+import pathlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import placeforge as pf
 from placeforge import BaseField, ParseError, Poly, RatFunc, eq_zero, parse_expr
 from placeforge.ordgroup import MAX_LITERAL_DIGITS
 from placeforge.parsing import MAX_POWER_BITS, format_ratfunc
 
+import oracles
 from gen import random_ratfunc
 
 QQ = BaseField(0)
@@ -27,14 +32,15 @@ class TestBaseField:
     def test_coerce(self):
         assert F5.coerce(7) == 2
         assert F5.coerce(Fraction(1, 2)) == 3
-        assert QQ.coerce(3) == Fraction(3)
+        # over Q an integral value is an int, any other a Fraction
+        assert type(QQ.coerce(3)) is int and type(QQ.coerce(Fraction(6, 2))) is int
+        assert QQ.coerce(Fraction(3, 2)) == Fraction(3, 2)
 
 
 class TestParser:
     def test_monomial_quotient(self):
         f = parse_expr("x1^2/x2", 2, QQ)
-        assert f.num.terms == {(2, 0): Fraction(1)}
-        assert f.den.terms == {(0, 1): Fraction(1)}
+        assert f.monic_terms() == ({(2, 0): 1}, {(0, 1): 1})
 
     def test_product_expansion(self):
         f = parse_expr("(x1+x2)*(x1-x2)", 2, QQ)
@@ -46,10 +52,9 @@ class TestParser:
             parse_expr("1/0", 2, QQ)
 
     def test_rational_literal(self):
-        # canonical form scales the denominator to 1
+        # the monic view scales the denominator to 1
         f = parse_expr("3/2", 1, QQ)
-        assert f.num.terms == {(0,): Fraction(3, 2)}
-        assert f.den.terms == {(0,): Fraction(1)}
+        assert f.monic_terms() == ({(0,): Fraction(3, 2)}, {(0,): 1})
         assert f == RatFunc.const(QQ, 1, Fraction(3, 2))
 
     def test_negative_exponent(self):
@@ -61,7 +66,7 @@ class TestParser:
 
     def test_custom_names(self):
         f = parse_expr("t*s", 2, QQ, names=("t", "s"))
-        assert f.num.terms == {(1, 1): Fraction(1)}
+        assert f.monic_terms()[0] == {(1, 1): 1}
 
     def test_unknown_variable(self):
         with pytest.raises(ParseError):
@@ -92,7 +97,7 @@ class TestParser:
 
     def test_power_budget(self):
         # x1^k and 1^k cost nothing; over Q, 3^k has about 1.6*k bits
-        assert parse_expr(f"x1^{2**62 - 1}", 1, QQ).num.terms == {(2**62 - 1,): Fraction(1)}
+        assert parse_expr(f"x1^{2**62 - 1}", 1, QQ).monic_terms()[0] == {(2**62 - 1,): 1}
         assert parse_expr(f"(-1)^{2**62 - 1}*1^{2**62 - 1}", 1, QQ) == RatFunc.const(QQ, 1, -1)
         assert parse_expr(f"2^{MAX_POWER_BITS}", 1, QQ) == RatFunc.const(QQ, 1, 2**MAX_POWER_BITS)
         for text in ("3^10000000", f"2^{MAX_POWER_BITS + 1}", f"(x1 + 1/2)^-{MAX_POWER_BITS + 1}"):
@@ -100,6 +105,42 @@ class TestParser:
                 parse_expr(text, 1, QQ)
         # residues mod p do not grow
         assert parse_expr("3^10000000", 1, F5) == RatFunc.const(F5, 1, pow(3, 10**7, 5))
+
+
+def _over_budget(k, pos):
+    return (f"power {k} makes coefficients of about {abs(k) * (4097 // abs(k))} bits, "
+            f"over MAX_POWER_BITS = 4096 (at position {pos})")
+
+
+# (text, message or None), over Q: |k| * bits at MAX_POWER_BITS = 4096 and
+# one past it, bits read off the base's monic coefficients.  The int form of
+# x1/2^16 + 1/118098 is (59049*x1 + 32768)/3869835264: its 31 bits would
+# refuse the power 256 that the monic coefficients' 16 bits allow.
+POWER_BITS_EDGE = [
+    ("3^4096", None),
+    ("3^4097", _over_budget(4097, 2)),
+    ("65536^256", None),
+    ("131072^241", _over_budget(241, 7)),
+    ("x1*2^-4096", None),
+    ("x1*3^-4097", _over_budget(-4097, 6)),
+    ("(x1/3)^4096", None),
+    ("(x1/3)^-4097", _over_budget(-4097, 8)),
+    ("(x1/2^16 + 1/118098)^256", None),
+    ("(x1/2^16 + 1/118098)^-256", None),
+    ("(x1/2^17 + 1/3^11)^241", _over_budget(241, 19)),
+    ("(x1/2^17 + 1/3^11)^-241", _over_budget(-241, 20)),
+]
+
+
+class TestPowerBudget:
+    @pytest.mark.parametrize("text, message", POWER_BITS_EDGE, ids=[t for t, _ in POWER_BITS_EDGE])
+    def test_decision_and_position(self, text, message):
+        if message is None:
+            assert not parse_expr(text, 2, QQ).is_zero()
+            return
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, 2, QQ)
+        assert str(err.value) == message
 
 
 # (text, message or None for a clean parse), the same over Q and GF(5): the
@@ -182,13 +223,31 @@ class TestEqZero:
 class TestCanonicalForm:
     def test_content_removed(self):
         f = parse_expr("(x1^2*x2)/(x1*x2^2)", 2, QQ)
-        assert f.num.terms == {(1, 0): Fraction(1)}
-        assert f.den.terms == {(0, 1): Fraction(1)}
+        assert f.monic_terms() == ({(1, 0): 1}, {(0, 1): 1})
 
     def test_denominator_normalized(self):
         f = parse_expr("x1/(2*x2)", 2, QQ)
-        assert f.den.terms == {(0, 1): Fraction(1)}
-        assert f.num.terms == {(1, 0): Fraction(1, 2)}
+        assert f.monic_terms() == ({(1, 0): Fraction(1, 2)}, {(0, 1): 1})
+
+    @pytest.mark.parametrize("text, num, den", [
+        ("x1/2 + 1/3", {(1, 0): 3, (0, 0): 2}, {(0, 0): 6}),
+        ("x1/(2*x2)", {(1, 0): 1}, {(0, 1): 2}),
+        ("-x1/(2*x2)", {(1, 0): -1}, {(0, 1): 2}),
+        # the lex-leading denominator coefficient (at x1) is made positive
+        ("1/(x2 - 2*x1)", {(0, 0): -1}, {(0, 1): -1, (1, 0): 2}),
+        ("(6*x1 + 4)/(2*x2)", {(1, 0): 3, (0, 0): 2}, {(0, 1): 1}),
+        ("0/(3*x2)", {}, {(0, 0): 1}),
+        # a sum's int coefficients over one denominator are reduced at the end
+        ("x1/2 + x1/2 - 1/3 + 1/3", {(1, 0): 1}, {(0, 0): 1}),
+        ("1/2 - 1/2", {}, {(0, 0): 1}),
+        # and so is a run of atoms that is taken as it is
+        ("2/4/x2", {(0, 0): 1}, {(0, 1): 2}),
+    ])
+    def test_stored_form_over_q(self, text, num, den):
+        # int numerator and denominator, joint content 1, positive lead
+        f = parse_expr(text, 2, QQ)
+        assert (f.num.terms, f.den.terms) == (num, den)
+        assert all(type(c) is int for p in (f.num, f.den) for c in p.terms.values())
 
     def test_different_routes_same_function(self):
         rng = random.Random(21)
@@ -241,16 +300,35 @@ class TestPrinter:
         assert format_ratfunc(f) == "(x1 + x2)/(x1*x2)"
 
 
+def terms_text(terms) -> str:
+    """A sum of (exponent, coefficient) terms as text the parser reads,
+    every term as (c)*x1^e1*x2^e2...; printed here, not by the library."""
+    return " + ".join(
+        "*".join([f"({c})", *(f"x{i + 1}^{x}" for i, x in enumerate(e))]) for e, c in terms
+    ) or "0"
+
+
+def json_text(obj) -> str:
+    """An expression for RatFunc.to_json output."""
+    num, den = ([(t["e"], t["c"]) for t in obj[key]] for key in ("num", "den"))
+    return f"({terms_text(num)})/({terms_text(den)})"
+
+
 class TestJson:
-    def test_round_trip(self):
+    def test_print_parse_round_trip(self):
         rng = random.Random(44)
         for field in (QQ, F5):
             for _ in range(40):
                 f = random_ratfunc(rng, field, 2)
                 blob = json.dumps(f.to_json(), sort_keys=True)
-                g = RatFunc.from_json(json.loads(blob), field, 2)
-                assert f.num == g.num and f.den == g.den
+                g = parse_expr(json_text(json.loads(blob)), 2, field)
+                assert f == g
                 assert json.dumps(g.to_json(), sort_keys=True) == blob
+
+    def test_ratfunc_json_is_monic(self):
+        f = parse_expr("(x1/2 + 1/3)/(3*x2)", 2, QQ)
+        assert f.to_json() == {"num": [{"e": [1, 0], "c": "1/6"}, {"e": [0, 0], "c": "1/9"}],
+                               "den": [{"e": [0, 1], "c": "1"}]}
 
     def test_poly_json_shape(self):
         p = Poly.make(QQ, 2, {(1, 0): Fraction(3, 2), (0, 0): Fraction(-1)})
@@ -269,7 +347,7 @@ def canonical_terms(num: dict, den: dict, field: BaseField):
     common monomial content, then scale both so that the denominator's
     lexicographically largest coefficient is 1.  Returns two term lists."""
     if not num:
-        return [], [((0,) * len(next(iter(den))), field.coerce(1))]
+        return [[], [((0,) * len(next(iter(den))), 1)]]
     exps = list(num) + list(den)
     content = tuple(min(column) for column in zip(*exps))
     lead = den[max(den)]
@@ -277,7 +355,7 @@ def canonical_terms(num: dict, den: dict, field: BaseField):
         scale = pow(lead, -1, field.p)
         times = lambda c: c * scale % field.p  # noqa: E731
     else:
-        times = lambda c: c / lead  # noqa: E731
+        times = lambda c: Fraction(c) / lead  # noqa: E731
     return [
         [(tuple(x - y for x, y in zip(e, content)), times(c)) for e, c in terms.items()]
         for terms in (num, den)
@@ -308,16 +386,20 @@ class TestMake:
         for den in dens:
             f = RatFunc.make(Poly(field, 3, dict(num)), Poly(field, 3, dict(den)))
             expected = canonical_terms(num, den, field)
-            got = [list(p.terms.items()) for p in (f.num, f.den)]
-            assert [[(e, type(c), c) for e, c in t] for t in got] == \
-                [[(e, type(c), c) for e, c in t] for t in expected]
+            assert [list(t.items()) for t in f.monic_terms()] == expected
+            # the stored form: int coefficients; over Q joint content 1 and
+            # a positive lead, over GF(p) a lead of 1
+            coeffs = [*f.num.terms.values(), *f.den.terms.values()]
+            assert all(type(c) is int for c in coeffs)
+            lead = f.den.lex_leading()[1]
+            assert lead == 1 if field.p else (lead > 0 and gcd(*coeffs) == 1)
 
 
 # Differential parser test.  An expression tree is rendered to text that the
 # grammar reads back as the same tree; the reference folds the tree with
 # RatFunc.const/variable and the operators, left to right, which is what the
-# parser's result must equal term for term (insertion order included), or
-# fail with the same exception class and message.
+# parser's result must equal term for term in the monic view (insertion
+# order included), or fail with the same exception class and message.
 
 HUGE = 2**62 - 1  # the largest exponent a literal "^" accepts
 
@@ -430,7 +512,7 @@ def outcome(thunk):
         f = thunk()
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
-    return [[(e, type(c), c) for e, c in p.terms.items()] for p in (f.num, f.den)]
+    return [list(t.items()) for t in f.monic_terms()]
 
 
 def parses_like_fold(tree, field, arity=2):
@@ -542,3 +624,95 @@ class TestParserDifferential:
     @given(tree=long_sums(3), field=st.sampled_from([QQ, F5, BaseField(7)]))
     def test_long_sums_match_operator_fold(self, tree, field):
         parses_like_fold(tree, field, arity=3)
+
+
+# The library against tests/oracles.py's reference, which computes on
+# unreduced pairs of coefficient dicts.  Operands reach the library both as
+# parsed text (printed here, not by the library) and through Poly.make and
+# RatFunc.make; every result is compared by cross multiplication.
+
+
+@st.composite
+def ref_ratfuncs(draw, p, arity=2):
+    def poly(min_terms):
+        terms = {}
+        for _ in range(draw(st.integers(min_terms, 3))):
+            e = tuple(draw(st.integers(0, 3)) for _ in range(arity))
+            terms[e] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+        return oracles.ref_poly(terms, p)
+
+    num = poly(0)
+    den = poly(1)
+    while not den:
+        den = oracles.ref_poly({(0,) * arity: draw(st.integers(1, 4))}, p)
+    return num, den
+
+
+def from_ref(f, field, arity=2):
+    return RatFunc.make(Poly.make(field, arity, f[0]), Poly.make(field, arity, f[1]))
+
+
+def to_ref(f, field):
+    return oracles.ref_poly(f.num.terms, field.p), oracles.ref_poly(f.den.terms, field.p)
+
+
+class TestAgainstReference:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), field=st.sampled_from([QQ, F5]), k=st.integers(-2, 3))
+    def test_operators_and_parser(self, data, field, k):
+        p = field.p
+        f, g = data.draw(ref_ratfuncs(p)), data.draw(ref_ratfuncs(p))
+        texts = [f"({terms_text(h[0].items())})/({terms_text(h[1].items())})" for h in (f, g)]
+        lf = parse_expr(texts[0], 2, field)
+        lg = from_ref(g, field)
+        assert oracles.ref_eq(to_ref(lf, field), f, p)
+        assert oracles.ref_eq(to_ref(lg, field), g, p)
+        cases = [("+", operator.add, oracles.ref_add), ("-", operator.sub, oracles.ref_sub),
+                 ("*", operator.mul, oracles.ref_mul), ("/", operator.truediv, oracles.ref_div)]
+        for op, lib, ref in cases:
+            if op == "/" and not g[0]:
+                continue
+            expected = ref(f, g, p)
+            got = lib(lf, lg)
+            assert oracles.ref_eq(to_ref(got, field), expected, p), op
+            parsed = parse_expr(f"({texts[0]}) {op} ({texts[1]})", 2, field)
+            assert oracles.ref_eq(to_ref(parsed, field), expected, p), op
+        if f[0] or k >= 0:
+            expected = oracles.ref_pow(f, k, p)
+            assert oracles.ref_eq(to_ref(lf**k, field), expected, p)
+            assert oracles.ref_eq(to_ref(parse_expr(f"({texts[0]})^{k}", 2, field), field),
+                                  expected, p)
+        assert (lf == lg) == oracles.ref_eq(f, g, p)
+        if g[0]:
+            assert lf * lg / lg == lf
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def int_coefficients(f) -> bool:
+    return all(type(c) is int for p in (f.num, f.den) for c in p.terms.values())
+
+
+class TestRepresentation:
+    def test_benchmark_inputs_and_residues_are_int(self, monkeypatch):
+        # the evaluate and replace inputs of seed 1, over Q and GF(5)
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        spec = workloads.evaluate_inputs(pf, 1)
+        fields = set()
+        for obj, texts in zip(spec["places"], spec["elems"]):
+            place = pf.place_from_json(obj)
+            fields.add(place.field)
+            for text in texts:
+                f = parse_expr(text, place.arity, place.field)
+                assert int_coefficients(f), text
+                r = place.residue(f)
+                assert r is pf.INFINITY or int_coefficients(r), text
+        for op in workloads.replace_inputs(pf, 1)["ops"]:
+            place = pf.place_from_json(op["place"])
+            fields.add(place.field)
+            for text in op.get("elems", []) + op.get("A", []) + op.get("B", []):
+                assert int_coefficients(parse_expr(text, place.arity, place.field)), text
+        assert fields == {QQ, F5}
