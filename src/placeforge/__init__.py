@@ -12,12 +12,9 @@ from .ordgroup import (
     GroupElem,
     QuadScalar,
     Subgroup,
-    cmp_elem,
     convex_rank,
-    in_p_divisible_hull,
     order_embedding_check,
     rational_rank,
-    subgroup_member,
 )
 from .parsing import ParseError, format_ratfunc, parse_expr
 from .places import (
@@ -33,7 +30,7 @@ from .places import (
     in_basic_open,
     place_from_json,
 )
-from .ratfunc import BaseField, Poly, RatFunc, eq_zero
+from .ratfunc import BaseField, Poly, RatFunc
 
 __version__ = "0.1.0"
 
@@ -71,15 +68,12 @@ __all__ = [
     "Subgroup",
     "TargetShape",
     "check_spv_axioms",
-    "cmp_elem",
     "compose",
     "convex_rank",
     "density_witness",
-    "eq_zero",
     "format_ratfunc",
     "goodify",
     "in_basic_open",
-    "in_p_divisible_hull",
     "kernel_backend",
     "order_embedding_check",
     "parse_expr",
@@ -87,5 +81,4 @@ __all__ = [
     "place_from_json",
     "rational_rank",
     "signature",
-    "subgroup_member",
 ]

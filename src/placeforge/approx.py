@@ -90,14 +90,6 @@ class TargetShape:
             if self.d1 < 0 or self.r1 < 1:
                 raise ValueError("composite_drop needs d1 >= 0 and r1 >= 1")
 
-    def to_json(self):
-        out = {"mode": self.mode, "class": self.klass}
-        if self.r1 is not None:
-            out["r1"] = self.r1
-        if self.d1 is not None:
-            out["d1"] = self.d1
-        return out
-
     @staticmethod
     def from_json(obj) -> "TargetShape":
         return TargetShape(

@@ -8,7 +8,6 @@ shortcuts, no floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -157,22 +156,6 @@ def express_int(basis, target):
             return None
         if c:
             _row_sub(y, list(row), c)
-        coeffs.append(c)
-    if any(y):
-        return None
-    return coeffs
-
-
-def express_rat(basis, target):
-    """Rational coefficients of `target` over echelon `basis` rows, or None."""
-    y = [Fraction(t) for t in target]
-    cols = pivot_cols(basis)
-    coeffs = []
-    for row, pc in zip(basis, cols):
-        c = y[pc] / row[pc]
-        if c:
-            for j in range(len(y)):
-                y[j] -= c * row[j]
         coeffs.append(c)
     if any(y):
         return None

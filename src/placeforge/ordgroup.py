@@ -123,11 +123,6 @@ class QuadScalar:
     def __post_init__(self):
         check_radicand(self.d)
 
-    def sign(self) -> int:
-        num = self.a.numerator * self.b.denominator
-        bnum = self.b.numerator * self.a.denominator
-        return quad_sign_int(num, bnum, self.d)
-
     def __str__(self):
         if self.b == 0:
             return str(self.a)
@@ -263,11 +258,6 @@ class GroupElem:
         r, den = self.row, self.den
         return [{"a": ratio_str(a, den), "b": ratio_str(b, den)} for a, b in zip(r[::2], r[1::2])]
 
-    @staticmethod
-    def from_json(obj, ambient: AmbientGroup) -> "GroupElem":
-        (row,), den = rows_from_json([obj], ambient)
-        return GroupElem.from_row(ambient, row, den)
-
     def __str__(self):
         coords = [str(x) for x in self.coords]
         return coords[0] if len(coords) == 1 else "(" + ", ".join(coords) + ")"
@@ -280,12 +270,6 @@ def combine(elems, coeffs, ambient: AmbientGroup) -> GroupElem:
         if c:
             acc = acc + e.scale(c)
     return acc
-
-
-def cmp_elem(x: GroupElem, y: GroupElem) -> int:
-    """Lexicographic comparison: -1, 0 or +1."""
-    x._check(y)
-    return (x - y).sign()
 
 
 def row_sign(row, ds) -> int:
@@ -350,41 +334,11 @@ class Subgroup:
     def generators(self) -> tuple:
         return tuple(GroupElem.from_row(self.ambient, r, self.den) for r in self.rows)
 
-    def to_json(self):
-        return {
-            "levels": self.ambient.to_json()["levels"],
-            "coords": [g.to_json() for g in self.generators],
-        }
-
-    @staticmethod
-    def from_json(obj) -> "Subgroup":
-        ambient = AmbientGroup.from_json(obj)
-        rows, den = rows_from_json(obj["coords"], ambient)
-        return Subgroup.from_rows(ambient, rows, den)
-
 
 def rational_rank(s: Subgroup) -> int:
     """Dimension of the rational span of the generators: the rank of their
     integer rows, read off the rows' rank profile (no HNF)."""
     return lattice.int_rank(s.rows)
-
-
-def _basis_and_target(s: Subgroup, x: GroupElem):
-    """The HNF basis of the generator rows and x's row, over one common
-    denominator; the basis is None when there are no generators."""
-    if x.ambient != s.ambient:
-        raise ValueError("element outside the ambient group")
-    rows, _ = align_rows([(r, s.den) for r in s.rows] + [(x.row, x.den)])
-    gen_rows, target = rows[:-1], rows[-1]
-    return (lattice.hnf(gen_rows) if gen_rows else None), target
-
-
-def subgroup_member(s: Subgroup, x: GroupElem) -> bool:
-    """Is x an integer combination of the generators?"""
-    basis, target = _basis_and_target(s, x)
-    if basis is None:
-        return not any(target)
-    return lattice.express_int(basis, target) is not None
 
 
 def convex_rank(s: Subgroup) -> int:
@@ -399,29 +353,6 @@ def convex_rank(s: Subgroup) -> int:
     every level.
     """
     return len({c // 2 for c in lattice.rank_profile(s.rows)})
-
-
-def in_p_divisible_hull(x: GroupElem, s: Subgroup, p: int) -> bool:
-    """Is p**k * x in the subgroup for some k >= 0?
-
-    Decided by expressing x rationally over the HNF basis of the generator
-    lattice and checking every coordinate denominator is a power of p.
-    """
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
-    basis, target = _basis_and_target(s, x)
-    if basis is None:
-        return not any(target)
-    coeffs = lattice.express_rat(basis, target)
-    if coeffs is None:
-        return False
-    for c in coeffs:
-        q = c.denominator
-        while q % p == 0:
-            q //= p
-        if q != 1:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -484,8 +415,3 @@ def sqrt_convergents(d: int):
         a = (a0 + m) // den
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-
-
-def sqrt_convergent(d: int, min_den: int) -> Fraction:
-    """First continued-fraction convergent of sqrt(d) with denominator >= min_den."""
-    return next(Fraction(p, q) for p, q in sqrt_convergents(d) if q >= min_den)

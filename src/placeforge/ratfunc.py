@@ -87,16 +87,11 @@ class BaseField:
         return (-x) % self.p if self.p else -x
 
     def inv(self, x):
-        if self.p:
-            if x % self.p == 0:
-                raise ZeroDivisionError("division by zero in GF(p)")
-            return pow(x, -1, self.p)
-        if x == 0:
-            raise ZeroDivisionError("division by zero")
-        return 1 / Fraction(x)
-
-    def coeff_to_json(self, c):
-        return int(c) if self.p else (str(c.numerator) if c.denominator == 1 else f"{c}")
+        """The inverse of a residue mod p, over GF(p) only: RatFunc.make
+        divides a Q function by the integer content instead."""
+        if x % self.p == 0:
+            raise ZeroDivisionError("division by zero in GF(p)")
+        return pow(x, -1, self.p)
 
     def to_json(self):
         return {"p": self.p} if self.p else "Q"
@@ -283,13 +278,6 @@ class Poly:
     def __hash__(self):
         return hash((self.field, self.arity, frozenset(self.terms.items())))
 
-    def to_json(self):
-        f = self.field
-        return [
-            {"e": list(e), "c": f.coeff_to_json(c)}
-            for e, c in sorted(self.terms.items(), reverse=True)
-        ]
-
     def __str__(self):
         from .parsing import format_poly
 
@@ -456,15 +444,17 @@ class RatFunc:
         return tuple({e: Fraction(c, lead) for e, c in p.terms.items()} for p in (self.num, self.den))
 
     def to_json(self):
-        """The monic form (see monic_terms) as Poly.to_json prints terms."""
+        """The monic form (see monic_terms) as lists of {"e": exponents,
+        "c": coefficient} terms, lexicographically largest first: each
+        coefficient an int over GF(p), an "n" or "n/d" string over Q."""
         _, lead = self.den.lex_leading()
-        f = self.field
+        p = self.field.p
 
         def terms(poly):
             out = []
             for e, c in sorted(poly.terms.items(), reverse=True):
                 n, d = monic(c, lead)
-                out.append({"e": list(e), "c": f.coeff_to_json(n) if d == 1 else f"{n}/{d}"})
+                out.append({"e": list(e), "c": n if p else (str(n) if d == 1 else f"{n}/{d}")})
             return out
 
         return {"num": terms(self.num), "den": terms(self.den)}
@@ -476,7 +466,3 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
-
-
-def eq_zero(f: RatFunc) -> bool:
-    return f.is_zero()

@@ -20,15 +20,13 @@ from placeforge import (
     Subgroup,
     TargetShape,
     check_spv_axioms,
-    cmp_elem,
     compose,
     density_witness,
-    eq_zero,
     in_basic_open,
     parse_expr,
     signature,
-    subgroup_member,
 )
+from placeforge import lattice
 from placeforge.cli import main as cli_main
 from placeforge.parsing import format_ratfunc
 from placeforge.ordgroup import GroupElem
@@ -115,10 +113,9 @@ def test_criterion_2_value_group_decomposition():
     one = Subgroup(amb, (amb.elem(1),))
     sqrt2 = Subgroup(amb, (amb.elem(QuadScalar.sqrt(2)),))
     direct_sum = Subgroup(amb, one.generators + sqrt2.generators)
-    for g in group.generators:
-        assert subgroup_member(direct_sum, g)
-    for g in direct_sum.generators:
-        assert subgroup_member(group, g)
+    # equal subgroups: one denominator and one HNF basis of the rows
+    assert group.den == direct_sum.den
+    assert lattice.hnf(group.rows) == lattice.hnf(direct_sum.rows)
     assert len(place.kernel_lattice()) == 2
     assert place.residue_desc().num_gens == 2
 
@@ -160,7 +157,7 @@ def test_criterion_4_composition():
                 g = RatFunc.monomial(field, n, k2)
                 vf, vg = tower.value(f), tower.value(g)
                 rf, rg = inner.residue(f), inner.residue(g)
-                assert cmp_elem(vf, vg) == cmp_elem(outer.value(rf), outer.value(rg))
+                assert (vf - vg).sign() == (outer.value(rf) - outer.value(rg)).sign()
         done += 1
 
 
@@ -294,5 +291,5 @@ def test_criterion_8_cli_determinism(capsys):
         f = random_ratfunc(rng, field, n)
         text = format_ratfunc(f)
         again = parse_expr(text, n, field)
-        assert eq_zero(f - again)
+        assert (f - again).is_zero()
         assert format_ratfunc(again) == text

@@ -30,7 +30,7 @@ from placeforge.approx import (
     _refined_convergents,
     max_iterations,
 )
-from placeforge.ordgroup import sqrt_convergent
+from placeforge.ordgroup import sqrt_convergents
 from placeforge.places import Place
 
 from gen import random_irrational_place, random_monomial_place, random_ratfunc, random_tower
@@ -38,6 +38,13 @@ from oracles import elem_sign, fraction_rank, tower_value, values_agree
 
 QQ = BaseField(0)
 F5 = BaseField(5)
+
+
+def sqrt_convergent(d, min_den):
+    """The first convergent of sqrt(d) with denominator >= min_den."""
+    return next(Fraction(p, q) for p, q in sqrt_convergents(d) if q >= min_den)
+
+
 AMB = AmbientGroup((2,))
 
 

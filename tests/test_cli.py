@@ -334,7 +334,7 @@ def test_out_file_matches_stdout(capsys, tmp_path):
 def test_parse_print_parse_idempotence(capsys):
     # CLI-level spot check; the bulk round-trip property lives in the
     # ratfunc tests and the acceptance suite.
-    from placeforge import BaseField, eq_zero, parse_expr
+    from placeforge import BaseField, parse_expr
     from placeforge.parsing import format_ratfunc
 
     rng = random.Random(71)
@@ -346,7 +346,7 @@ def test_parse_print_parse_idempotence(capsys):
         f = random_ratfunc(rng, BaseField(0), 2)
         text = format_ratfunc(f)
         again = parse_expr(text, 2, BaseField(0))
-        assert eq_zero(f - again)
+        assert (f - again).is_zero()
         assert format_ratfunc(again) == text
 
 

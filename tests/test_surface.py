@@ -1,0 +1,59 @@
+"""The library's surface: every module-level name in src/placeforge has a
+user outside the tests, and every public name resolves.
+
+A function or class that only tests reach is code no command runs, though
+every CLI job still compiles it.  A name counts as used when it is named,
+as a whole word outside its own definition, in another part of
+src/placeforge (not `__init__.py`, which only re-exports) or in
+perfbench/*.py, read as text without importing anything there.
+"""
+
+import ast
+import pathlib
+import re
+
+import placeforge
+from placeforge import approx
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "placeforge"
+
+
+def module_level_definitions():
+    """(path, name, first line, last line) of each module-level function and
+    class, decorators included; the PEP 562 `__getattr__` is left out."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name != "__getattr__":
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                yield path, node.name, first, node.end_lineno
+
+
+def test_every_module_level_name_has_a_user_outside_the_tests():
+    modules = {path: path.read_text() for path in SRC.glob("*.py") if path.name != "__init__.py"}
+    perfbench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    defined, unused = 0, []
+    for path, name, first, last in module_level_definitions():
+        defined += 1
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        texts = perfbench + [text for other, text in modules.items() if other != path]
+        if path in modules:
+            lines = modules[path].splitlines()
+            texts.append("\n".join(lines[:first - 1] + lines[last:]))
+        if not any(word.search(text) for text in texts):
+            unused.append(f"{path.stem}.{name}")
+    assert defined > 50
+    assert unused == []
+
+
+def test_public_names_resolve_sorted_and_unique():
+    names = placeforge.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(placeforge, name), name
+    # the names served lazily are approx's own attributes, not copies
+    assert len(placeforge._APPROX) == 7
+    for name in placeforge._APPROX:
+        assert name in names
+        assert getattr(placeforge, name) is getattr(approx, name)
