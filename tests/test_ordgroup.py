@@ -21,6 +21,7 @@ from placeforge.ordgroup import (
     MAX_LITERAL_DIGITS,
     MAX_RADICAND,
     GroupElem,
+    align_rows,
     combine,
     rat_from_str,
     rows_from_json,
@@ -124,6 +125,53 @@ class TestRationalRank:
                 doubled = Subgroup(AMB2, gens + (gens[0] + gens[-1],))
                 assert rational_rank(doubled) == rk
             assert rk == fraction_rank([g.qvec() for g in gens]) if gens else rk == 0
+
+
+def member(s, x):
+    """x lies in the subgroup s: over one denominator, its row is an integer
+    combination of the HNF basis of s's rows."""
+    rows, _ = align_rows([(r, s.den) for r in s.rows] + [(x.row, x.den)])
+    return lattice.express_int(lattice.hnf(rows[:-1]), rows[-1]) is not None
+
+
+class TestSubgroupMember:
+    def test_five_in_two_three(self):
+        assert member(Subgroup(AMB, (AMB.elem(2), AMB.elem(3))), AMB.elem(5))
+
+    def test_sqrt2_not_in_one(self):
+        assert not member(Subgroup(AMB, (AMB.elem(1),)), AMB.elem(QuadScalar.sqrt(2)))
+
+    def test_third_not_in_one(self):
+        # the denominators count: 1/3 is in the span of 1 but not in <1>
+        assert not member(Subgroup(AMB, (AMB.elem(1),)), AMB.elem(Fraction(1, 3)))
+        assert member(Subgroup(AMB, (AMB.elem(Fraction(2, 3)), AMB.elem(1))), AMB.elem(Fraction(1, 3)))
+
+    def test_zero_always(self):
+        assert member(Subgroup(AMB, ()), AMB.zero())
+        assert member(Subgroup(AMB, (AMB.elem(7),)), AMB.zero())
+
+    def test_combinations_are_members(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            gens = tuple(GroupElem(AMB2, (random_quad(rng, 2), random_quad(rng, 2)))
+                         for _ in range(rng.randint(1, 3)))
+            s = Subgroup(AMB2, gens)
+            coeffs = [rng.randint(-4, 4) for _ in gens]
+            assert member(s, combine(s.generators, coeffs, AMB2))
+            assert member(s, sum((g.scale(c) for g, c in zip(gens, coeffs)), AMB2.zero()))
+
+    def test_unimodular_invariance(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            g1 = AMB2.elem(rng.randint(-3, 3), rng.randint(-3, 3))
+            g2 = AMB2.elem(rng.randint(-3, 3), rng.randint(-3, 3))
+            x = AMB2.elem(rng.randint(-6, 6), rng.randint(-6, 6))
+            c = rng.randint(-3, 3)
+            s1 = Subgroup(AMB2, (g1, g2))
+            s2 = Subgroup(AMB2, (g1 + g2.scale(c), g2))
+            assert member(s1, x) == member(s2, x)
+            # the HNF basis is the canonical form of the subgroup
+            assert s1.den == s2.den and lattice.hnf(s1.rows) == lattice.hnf(s2.rows)
 
 
 class TestConvexRank:
@@ -285,6 +333,26 @@ class TestOrderEmbedding:
             assert (verdict.status, verdict.witness) == self.reference(sources, images, witnesses)
             statuses[verdict.status] += 1
         assert min(statuses.values()) >= 30, statuses
+
+
+def test_json_round_trip_bit_exact():
+    # a subgroup travels as its generators' coordinate lists
+    amb = AmbientGroup((2, 3))
+    g1 = GroupElem(amb, (quad(1, 0), QuadScalar(Fraction(-7, 3), Fraction(2, 5), 3)))
+    g2 = GroupElem(amb, (quad(0, 1), QuadScalar(Fraction(0), Fraction(1), 3)))
+    s = Subgroup(amb, (g1, g2))
+    blob = json.dumps([g.to_json() for g in s.generators], sort_keys=True)
+    rows, den = rows_from_json(json.loads(blob), amb)
+    back = Subgroup.from_rows(amb, rows, den)
+    assert back == s
+    assert json.dumps([g.to_json() for g in back.generators], sort_keys=True) == blob
+
+
+def test_sample_group_json_shape():
+    amb = AmbientGroup((2,))
+    s = Subgroup(amb, (amb.elem(1),))
+    assert amb.to_json() == {"levels": [{"d": 2}]}
+    assert [g.to_json() for g in s.generators] == [[{"a": "1", "b": "0"}]]
 
 
 def test_sqrt_convergents():

@@ -36,6 +36,13 @@ class TestBaseField:
         assert type(QQ.coerce(3)) is int and type(QQ.coerce(Fraction(6, 2))) is int
         assert QQ.coerce(Fraction(3, 2)) == Fraction(3, 2)
 
+    def test_inv_over_gf_p(self):
+        assert F5.inv(2) == 3
+        big = BaseField(2**61 - 1)
+        assert big.inv(12345) * 12345 % big.p == 1
+        with pytest.raises(ZeroDivisionError):
+            F5.inv(10)
+
 
 class TestParser:
     def test_monomial_quotient(self):
@@ -333,6 +340,13 @@ class TestJson:
         f = parse_expr("(x1/2 + 4)/(3*x2)", 2, F5)
         assert f.to_json() == {"num": [{"e": [1, 0], "c": 1}, {"e": [0, 0], "c": 3}],
                                "den": [{"e": [0, 1], "c": 1}]}
+
+    def test_poly_json_shape(self):
+        # a hand-built polynomial with Fraction coefficients prints over denominator 1
+        p = Poly.make(QQ, 2, {(1, 0): Fraction(3, 2), (0, 0): Fraction(-1)})
+        f = RatFunc.make(p, Poly.const(QQ, 2, 1))
+        assert f.to_json() == {"num": [{"e": [1, 0], "c": "3/2"}, {"e": [0, 0], "c": "-1"}],
+                               "den": [{"e": [0, 0], "c": "1"}]}
 
 
 class TestOverflow:
