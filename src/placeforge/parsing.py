@@ -19,7 +19,7 @@ import re
 from math import gcd, lcm
 
 from .ordgroup import MAX_LITERAL_DIGITS
-from .ratfunc import EXP_LIMIT, BaseField, Poly, RatFunc, monic
+from .ratfunc import EXP_LIMIT, MAX_TERM_PAIRS, BaseField, Poly, RatFunc, monic
 
 # Over Q, c^k has about |k| * log2|c| bits.  A "^" is refused when |k| times
 # the largest floor(log2) of a coefficient numerator or denominator of its
@@ -35,37 +35,24 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-# One match per token: an integer, a name, an operator, any other visible
-# character (an error), or the end of the text with its trailing whitespace.
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\S)|\Z)")
+# A name as the tokenizer reads it; every declared variable name must be one.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One match per token: an integer, a name, an operator, or any other visible
+# character (an error).  A text is parsed as the list of its token strings.
+_TOKEN = re.compile(rf"\d+|{_NAME.pattern}|[-+*/^()]|\S")
+# A character that begins none of the grammar's tokens.
+_STRAY = re.compile(r"[^\s\dA-Za-z_()*/^+-]")
+# The tokens that are not atoms (a literal or a name): the operators and "",
+# which ends every token list.
+_NOT_ATOM = frozenset(("+", "-", "*", "/", "^", "(", ")", ""))
 
 
-_ATOMS = ("num", "name")
-
-
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            number = m.group(1)
-            if len(number) > MAX_LITERAL_DIGITS:
-                raise ParseError(
-                    f"integer literal of {len(number)} digits exceeds "
-                    f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}", m.start(1)
-                )
-            tokens.append(("num", int(number), m.start(1)))
-        elif group == 2:
-            tokens.append(("name", m.group(2), m.start(2)))
-        elif group == 3:
-            tokens.append(("op", m.group(3), m.start(3)))
-        elif group == 4:
-            # reported at the end of the previous token, before the whitespace
-            raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
-        else:
-            break
-    tokens.append(("end", None, len(text)))
-    return tokens
+def _span(text: str, i: int):
+    """The (start, end) of token i of `text`, (len, len) past the last one."""
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == i:
+            return m.span()
+    return len(text), len(text)
 
 
 def default_names(arity: int, prefix: str = "x"):
@@ -73,11 +60,14 @@ def default_names(arity: int, prefix: str = "x"):
 
 
 class _Parser:
+    """Recursive descent over a token list that ends in "", read by index."""
+
     # Each parenthesis level costs three stack frames (expr, term, factor);
     # this keeps deep inputs well inside the interpreter's limit.
     MAX_DEPTH = 128
 
-    def __init__(self, tokens, field: BaseField, arity: int, names):
+    def __init__(self, text: str, tokens, field: BaseField, arity: int, names):
+        self.text = text
         self.tokens = tokens
         self.i = 0
         self.depth = 0
@@ -86,25 +76,15 @@ class _Parser:
         self.index_of = {name: k for k, name in enumerate(names)}
         self.zero_e = (0,) * arity
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r}", pos)
-        self.advance()
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, _span(self.text, i)[0])
 
     def parse(self) -> RatFunc:
         out = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {value!r}", pos)
+        t = self.tokens[self.i]
+        if t:
+            value = int(t) if t.isdecimal() else t
+            raise self.error(f"trailing input {value!r}", self.i)
         return out
 
     def monomial(self, n, d, e) -> RatFunc:
@@ -148,7 +128,7 @@ class _Parser:
             n, d, e = t
             if not n:
                 return (), 1
-            return (((tuple(e), n),), d) if min(e, default=0) >= 0 else None
+            return (((tuple(e), n),), d) if not e or min(e) >= 0 else None
         den = t.den.terms
         if len(den) == 1 and self.zero_e in den:
             return t.num.terms.items(), den[self.zero_e]
@@ -162,10 +142,10 @@ class _Parser:
         RatFunc `out` (see add_term).  A first term that is not a polynomial
         monomial is taken as it is, not added to an empty sum.
         """
+        tokens = self.tokens
         sign = "+"
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        if tokens[self.i] == "-":
+            self.i += 1
             sign = "-"
         t = self.term()
         if type(t) is tuple and self.poly_items(t) is not None:
@@ -175,11 +155,11 @@ class _Parser:
                 t = self.monomial(*t)
             acc, out = None, (-t if sign == "-" else t)
         while True:
-            kind, value, _ = self.peek()
-            if kind != "op" or value not in "+-":
+            sign = tokens[self.i]
+            if sign != "+" and sign != "-":
                 return out if acc is None else self.polynomial(*acc)
-            self.advance()
-            acc, out = self.add_term(acc, out, value, self.term())
+            self.i += 1
+            acc, out = self.add_term(acc, out, sign, self.term())
 
     def add_term(self, acc, out, sign: str, t):
         """The running sum (acc, out) plus or minus the term t.
@@ -232,150 +212,178 @@ class _Parser:
     def term(self):
         """A product: the monomial (n, d, e) when it is one run of atoms,
         else a RatFunc."""
-        if self.peek()[0] in _ATOMS:
+        tokens = self.tokens
+        if tokens[self.i] in _NOT_ATOM:
+            out = self.factor()
+        else:
             n, d, e = self.atom_run()
-            kind, value, pos = self.peek()
-            if kind != "op" or value not in "*/":
+            op = tokens[self.i]
+            if op != "*" and op != "/":
                 return n, d, e
             out = self.monomial(n, d, e)
-        else:
-            out = self.factor()
         while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                if value == "*":
-                    out = out * rhs
-                else:
-                    if rhs.is_zero():
-                        raise ParseError("division by zero", pos)
-                    out = out / rhs
-            else:
+            i = self.i
+            op = tokens[i]
+            if op != "*" and op != "/":
                 return out
+            self.i = i + 1
+            num, den = out.num.terms, out.den.terms
+            # Atoms after a polynomial fold into one product (see atom_run); a
+            # parenthesised factor, or any factor after a numerator too large
+            # for one product (MAX_TERM_PAIRS), meets it through the operators.
+            if (tokens[i + 1] not in _NOT_ATOM and num and len(num) <= MAX_TERM_PAIRS
+                    and len(den) == 1 and self.zero_e in den):
+                out = out * self.monomial(*self.atom_run(op, [max(c) for c in zip(*num)]))
+                continue
+            rhs = self.factor()
+            if op == "*":
+                out = out * rhs
+            else:
+                if rhs.is_zero():
+                    raise self.error("division by zero", i)
+                out = out / rhs
 
-    def atom_run(self):
-        """The atoms that open a term, joined by * and /, as one monomial
-        n/d*x^e: the coefficient as a pair from `ratio` and the list of
-        exponents.
+    def atom_run(self, op="*", top=None):
+        """The atoms from here on joined by * and /, the first one taken with
+        `op`, as one monomial n/d*x^e: the coefficient as a pair from `ratio`
+        and the list of exponents.  The run ends before a parenthesised
+        factor.
 
-        This is the product the operators would give: the running value
-        stays n/d*x^e, and a step overflows exactly when a polynomial
-        product would.  The run ends before the first parenthesised factor;
-        from there on every factor meets the running value through the
-        operators.
+        This is the product the operators would give, one atom at a time.
+        For the atoms that open a term (`top` None) the running value stays
+        n/d*x^e, and a step overflows exactly when a polynomial product
+        would.  Atoms that multiply a nonzero polynomial over a constant,
+        whose numerator has the top exponents `top`, keep that numerator
+        times n*x^e: a step overflows exactly when top plus e reaches
+        EXP_LIMIT, and one that lowers an exponent, after which the
+        denominator need not be a constant, ends the run.
         """
-        field, tokens = self.field, self.tokens
-        n, d, idx, k = self.atom()
-        e = [0] * self.arity
-        if idx is not None:
-            e[idx] = k
+        p, tokens = self.field.p, self.tokens
+        n, d, e = 1, 1, [0] * self.arity
+        i = self.i - 1
         while True:
-            kind, value, pos = tokens[self.i]
-            if kind != "op" or value not in "*/" or tokens[self.i + 1][0] not in _ATOMS:
-                return (*self.ratio(n, d), e)
-            self.i += 1
             an, ad, idx, k = self.atom()
+            last = False
             if idx is None:
-                if value == "/":
+                if op == "/":
                     if not an:
-                        raise ParseError("division by zero", pos)
+                        raise self.error("division by zero", i)
                     an, ad = ad, an
-                n = field.mul(n, an)
-                d = field.mul(d, ad)
+                n, d = (n * an % p, d * ad % p) if p else (n * an, d * ad)
             elif n:  # a zero product stays 0, whatever exponents follow
-                x = e[idx] + k if value == "*" else e[idx] - k
-                if abs(x) >= EXP_LIMIT:
+                x = e[idx] + k if op == "*" else e[idx] - k
+                if abs(x) >= EXP_LIMIT if top is None else top[idx] + x >= EXP_LIMIT:
                     raise OverflowError("exponent overflow in polynomial product")
+                last = top is not None and x < e[idx]
                 e[idx] = x
+            i = self.i
+            op = tokens[i]
+            if last or (op != "*" and op != "/") or tokens[i + 1] in _NOT_ATOM:
+                return (*self.ratio(n, d), e)
+            self.i = i + 1
 
     def atom(self):
         """A literal or a declared variable with an optional power, as
         (n, d, index, k): n/d*x_index^k with ints n and d > 0 (residues over
         GF(p)), and index None for a literal."""
-        kind, value, pos = self.advance()
-        if kind == "name":
-            idx = self.index_of.get(value)
-            if idx is None:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            k, pos = self.exponent()
-            return 1, 1, idx, 1 if k is None else k
+        tokens = self.tokens
+        i = self.i
+        t = tokens[i]
+        self.i = i + 1
+        idx = self.index_of.get(t)
+        if idx is not None:
+            return 1, 1, idx, (self.exponent() if tokens[i + 1] == "^" else 1)
+        if not t.isdecimal():
+            raise self.error(f"unknown variable {t!r}", i)
         p = self.field.p
-        c = value % p if p else value
-        k, pos = self.exponent()
-        if k is None:
+        c = int(t) % p if p else int(t)
+        if tokens[i + 1] != "^":
             return c, 1, None, 0
-        self.check_power(k, pos, not c, ((c, 1),))
+        k = self.exponent()
+        self.check_power(k, self.i - 1, not c, ((c, 1),))
         if p:
             return pow(c, k, p), 1, None, 0
         return (c**k, 1, None, 0) if k >= 0 else (1, c**-k, None, 0)
 
-    def exponent(self):
-        """The optional "^ [-]integer" after a base, as (k, position) or (None, None)."""
-        kind, value, pos = self.peek()
-        if kind != "op" or value != "^":
-            return None, None
-        self.advance()
-        sign = 1
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            sign = -1
-        kind, value, pos = self.peek()
-        if kind != "num":
-            raise ParseError("expected an integer exponent", pos)
-        self.advance()
-        if value >= 2**62:
-            raise ParseError("exponent overflow", pos)
-        return sign * value, pos
+    def exponent(self) -> int:
+        """The "[-]integer" after the "^" that is the next token; the
+        integer is the last token read."""
+        tokens = self.tokens
+        negative = tokens[self.i + 1] == "-"
+        i = self.i + 1 + negative
+        t = tokens[i]
+        if not t.isdecimal():
+            raise self.error("expected an integer exponent", i)
+        self.i = i + 1
+        k = int(t)
+        if k >= 2**62:
+            raise self.error("exponent overflow", i)
+        return -k if negative else k
 
-    def check_power(self, k: int, pos: int, zero: bool, pairs):
+    def check_power(self, k: int, i: int, zero: bool, pairs):
         """Refuse a negative power of zero, and over Q a power past
-        MAX_POWER_BITS; `pairs` are the base's coefficients in the monic
-        form, as (n, d) pairs."""
+        MAX_POWER_BITS, at token i; `pairs` are the base's coefficients in
+        the monic form, as (n, d) pairs."""
         if k < 0 and zero:
-            raise ParseError("negative power of zero", pos)
+            raise self.error("negative power of zero", i)
         if not self.field.p:
             bits = max((max(abs(n), d).bit_length() - 1 for n, d in pairs), default=0)
             if abs(k) * bits > MAX_POWER_BITS:
-                raise ParseError(
-                    f"power {k} makes coefficients of about {abs(k) * bits} bits, "
-                    f"over MAX_POWER_BITS = {MAX_POWER_BITS}", pos
-                )
+                raise self.error(f"power {k} makes coefficients of about {abs(k) * bits} bits, "
+                                 f"over MAX_POWER_BITS = {MAX_POWER_BITS}", i)
 
     def factor(self) -> RatFunc:
-        kind, value, pos = self.peek()
-        if kind in _ATOMS:
+        tokens = self.tokens
+        i = self.i
+        t = tokens[i]
+        if t not in _NOT_ATOM:
             n, d, idx, k = self.atom()
             return self.monomial(n, d, [k if j == idx else 0 for j in range(self.arity)])
-        self.advance()
-        if kind != "op" or value != "(":
-            raise ParseError("expected a number, variable or parenthesis", pos)
+        if t != "(":
+            raise self.error("expected a number, variable or parenthesis", i)
         if self.depth == self.MAX_DEPTH:
-            raise ParseError(f"parentheses nested deeper than {self.MAX_DEPTH}", pos)
+            raise self.error(f"parentheses nested deeper than {self.MAX_DEPTH}", i)
+        self.i = i + 1
         self.depth += 1
         out = self.expr()
-        self.expect_op(")")
+        if tokens[self.i] != ")":
+            raise self.error("expected ')'", self.i)
+        self.i += 1
         self.depth -= 1
-        k, pos = self.exponent()
-        if k is None:
+        if tokens[self.i] != "^":
             return out
+        k = self.exponent()
         _, lead = out.den.lex_leading()
         pairs = (monic(c, lead) for poly in (out.num, out.den) for c in poly.terms.values())
-        self.check_power(k, pos, out.is_zero(), pairs)
+        self.check_power(k, self.i - 1, out.is_zero(), pairs)
         return out**k
 
 
 def parse_expr(text: str, arity: int, field: BaseField, names=None) -> RatFunc:
-    """Parse an expression into a canonical rational function."""
+    """Parse an expression into a canonical rational function.  `names`
+    (default x1..xn) must be distinct identifiers [A-Za-z_][A-Za-z0-9_]*."""
     if names is None:
         names = default_names(arity)
-    if len(names) != arity:
+    elif len(names) != arity:
         raise ValueError("need one name per variable")
-    if len(set(names)) != arity:
-        repeated = next(name for i, name in enumerate(names) if name in names[:i])
-        raise ValueError(f"variable names must be distinct; {repeated!r} repeats")
-    return _Parser(_tokenize(text), field, arity, names).parse()
+    else:
+        for name in names:
+            if not (isinstance(name, str) and _NAME.fullmatch(name)):
+                raise ValueError(f"variable name {name!r} is not an identifier")
+        if len(set(names)) != arity:
+            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ValueError(f"variable names must be distinct; {repeated!r} repeats")
+    tokens = _TOKEN.findall(text)
+    if _STRAY.search(text) or max(map(len, tokens), default=0) > MAX_LITERAL_DIGITS:
+        # a token's own refusal comes before any other, left to right
+        for i, t in enumerate(tokens):
+            if _STRAY.match(t):  # placed at the end of the previous token
+                raise ParseError(f"unexpected character {t!r}", _span(text, i - 1)[1] if i else 0)
+            if len(t) > MAX_LITERAL_DIGITS and t.isdecimal():
+                raise ParseError(f"integer literal of {len(t)} digits exceeds MAX_LITERAL_DIGITS"
+                                 f" = {MAX_LITERAL_DIGITS}", _span(text, i)[0])
+    tokens.append("")
+    return _Parser(text, tokens, field, arity, names).parse()
 
 
 def _format_monomial(e, names):
@@ -406,14 +414,6 @@ def _format_terms(items, lead, names) -> str:
         else:
             chunks.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(chunks)
-
-
-def format_poly(p: Poly, names=None) -> str:
-    if names is None:
-        names = default_names(p.arity)
-    if not p.terms:
-        return "0"
-    return _format_terms(sorted(p.terms.items(), reverse=True), 1, names)
 
 
 def format_ratfunc(f: RatFunc, names=None) -> str:

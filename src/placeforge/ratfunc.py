@@ -278,14 +278,6 @@ class Poly:
     def __hash__(self):
         return hash((self.field, self.arity, frozenset(self.terms.items())))
 
-    def __str__(self):
-        from .parsing import format_poly
-
-        return format_poly(self)
-
-    def __repr__(self):
-        return f"Poly({self})"
-
 
 def _integral(num: Poly, den: Poly):
     """num and den over Q times the lcm of their coefficient denominators,

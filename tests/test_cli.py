@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import placeforge
-from placeforge import place_from_json
+from placeforge import parsing, place_from_json
 from placeforge.approx import CLASSES, MAX_REFINE_ITER, MODES
 from placeforge.cli import main
 from placeforge.places import MAX_AXIOM_SAMPLE, MAX_TOWER_DEPTH
@@ -402,6 +402,17 @@ def test_repeated_variable_names_are_refused(capsys):
     args = ("value", "--place", place, "--vars", "a,a", "--elem", "a")
     assert "variable names must be distinct; 'a' repeats" in cli_error(capsys, *args)
     assert_one_line_error(run_fresh(*args), "'a' repeats")
+
+
+def test_variable_names_must_be_identifiers(capsys):
+    schema = json.loads((PACKAGE / "schemas" / "jobspec.schema.json").read_text())
+    assert schema["properties"]["vars"]["items"]["pattern"] == f"^{parsing._NAME.pattern}$"
+    place = json.dumps(json.loads((HERE / "jobs" / "value.json").read_text())["place"])
+    for names in ("a-b,c", "c,é"):
+        args = ("residue", "--place", place, "--vars", names)
+        assert "job spec does not match schema at $.vars[" in cli_error(capsys, *args)
+    assert_one_line_error(run_fresh("value", "--place", place, "--vars", "a-b,c", "--elem", "c"),
+                          "does not match '^[A-Za-z_][A-Za-z0-9_]*$'")
 
 
 def test_unwritable_out_path_is_an_error(capsys, tmp_path):

@@ -86,6 +86,13 @@ class TestParser:
         with pytest.raises(ValueError, match="'t' repeats"):
             parse_expr("s", 3, QQ, names=["t", "s", "t"])
 
+    def test_names_must_be_identifiers(self):
+        # the tokenizer reads no other name, so an element could never use it
+        for names in (("a-b", "c"), ("", "c"), ("c", "x 1"), ("1a", "c"), ("c", "é"), ("c", 1)):
+            with pytest.raises(ValueError, match="is not an identifier"):
+                parse_expr("c", 2, QQ, names=names)
+        assert parse_expr("_a + B_9", 2, QQ, names=("_a", "B_9")) == parse_expr("x1 + x2", 2, QQ)
+
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as err:
             parse_expr("x1 + ?", 2, QQ)
