@@ -11,7 +11,6 @@ an enumerated outer place handles value-preserving dimension drops.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import count
 from math import gcd
@@ -33,31 +32,13 @@ from .places import (
     in_basic_open,
 )
 
-DEFAULT_MAX_ITER = 64
-
-# Largest refinement budget PLACEFORGE_MAX_ITER may set.  Each level carries
-# its continued-fraction expansion across iterations; what grows is the size
-# of the integers.  A goodify that never converges (weighted_rational r1 = 2
-# on weights (1, 0)) spends 0.01 s refining at 1024 iterations (0.04 s with
-# three levels) and 0.03 s at 2048 (0.2 s), in process on a 2-vCPU x86 machine.
-MAX_REFINE_ITER = 1024
-
-
-def max_iterations() -> int:
-    raw = os.environ.get("PLACEFORGE_MAX_ITER")
-    if raw is None:
-        return DEFAULT_MAX_ITER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError("PLACEFORGE_MAX_ITER must be an integer") from None
-    if value < 1:
-        raise ValueError("PLACEFORGE_MAX_ITER must be positive")
-    if value > MAX_REFINE_ITER:
-        raise ValueError(
-            f"PLACEFORGE_MAX_ITER = {value} exceeds MAX_REFINE_ITER = {MAX_REFINE_ITER}"
-        )
-    return value
+# Refinement steps perturb_weights takes before it gives up.  Each level
+# carries its continued-fraction expansion across iterations; what grows is
+# the size of the integers.  Seeded goodify and witness inputs converge within
+# 3 steps; one that never converges (weighted_rational r1 = 2 on weights
+# (1, 0), one or three levels) gives up after 1.5 ms, in process on a 2-vCPU
+# x86 machine.
+MAX_REFINE_ITER = 64
 
 
 class SignatureError(ValueError):
@@ -262,8 +243,7 @@ def _build_monomial(field, n, level_rows, den=1):
     return MonomialPlace.from_rows(field, n, AmbientGroup((2,) * len(level_rows)), rows, den)
 
 
-def perturb_weights(sig: SignSignature, place: Place, shape: TargetShape,
-                    max_iter: int = None) -> PerturbResult:
+def perturb_weights(sig: SignSignature, place: Place, shape: TargetShape) -> PerturbResult:
     """New weights in the target class matching every signature sign.
 
     Equalities hold exactly at every step because the rational collapse is
@@ -273,8 +253,6 @@ def perturb_weights(sig: SignSignature, place: Place, shape: TargetShape,
     """
     if shape.klass == "composite_drop":
         raise ValueError("composite_drop is handled by the tower construction")
-    if max_iter is None:
-        max_iter = max_iterations()
     n = place.arity
     strict = sig.strict()
     equalities = sig.equalities()
@@ -292,7 +270,7 @@ def perturb_weights(sig: SignSignature, place: Place, shape: TargetShape,
 
     last_reason = "no candidate satisfied the strict sign conditions"
     levels = [_refined_convergents(d) for d in place.ambient.ds]
-    for iteration in range(max_iter + 1):
+    for iteration in range(MAX_REFINE_ITER + 1):
         row, den = _rational_collapse(place, [next(lv) for lv in levels], iteration)
         if not strict and not any(row):
             # Nothing pins the direction; any nonzero vector of the
@@ -319,15 +297,14 @@ def perturb_weights(sig: SignSignature, place: Place, shape: TargetShape,
             return PerturbResult(candidate, iteration)
         last_reason = "candidate broke a signature sign; refining"
     raise InfeasibleShapeError(
-        f"no admissible weights within {max_iter} refinement steps: {last_reason}"
+        f"no admissible weights within MAX_REFINE_ITER = {MAX_REFINE_ITER} refinement steps: "
+        f"{last_reason}"
     )
 
 
 def _equality_subspace_vector(equalities, n):
     """First integer basis vector of {w : m . w = 0 for all equality
     vectors m}, or None when that space is zero."""
-    if not equalities:
-        return [1] + [0] * (n - 1)
     cols = [[m[i] for m in equalities] for i in range(n)]
     basis = lattice.row_kernel(cols)
     return list(basis[0]) if basis else None
@@ -478,7 +455,7 @@ def _iota_json(sources, images, witnesses, verdict: EmbeddingVerdict):
     }
 
 
-def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> GoodifyResult:
+def goodify(place: Place, elems, shape: TargetShape) -> GoodifyResult:
     """Produce a place of the target class preserving the requested data.
 
     preserve_residues: residues of all value-zero elements and the sign of
@@ -490,8 +467,6 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
     """
     elems = list(elems)
     nonzero = [f for f in elems if not f.is_zero()]
-    if max_iter is None:
-        max_iter = max_iterations()
 
     if shape.mode == "preserve_both":
         reason = _class_invariant_report(place, shape)
@@ -524,7 +499,7 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
                              checks=_identity_checks(nonzero, signs))
 
     sig = signature(place, elems)
-    result = perturb_weights(sig, place, shape, max_iter)
+    result = perturb_weights(sig, place, shape)
     checks = _residue_checks(place, result.place, nonzero, sig.sources, sig.signs)
     for entry in checks:
         if entry["sign_q"] != entry["sign_p"]:
@@ -538,24 +513,6 @@ def goodify(place: Place, elems, shape: TargetShape, max_iter: int = None) -> Go
         checks=checks,
         notices=sig.notices,
     )
-
-
-def _units_kept(betas, wmat, emat) -> bool:
-    """The unit condition beta = E * (W * beta), on integer rows.
-
-    With no basis (every value zero) E * (W * beta) is the zero row, so
-    every beta must vanish.
-    """
-    width = len(betas[0]) if betas else 0
-    basis = [
-        [sum(c * beta[j] for c, beta in zip(wrow, betas) if c) for j in range(width)]
-        for wrow in wmat
-    ]
-    for beta, erow in zip(betas, emat):
-        for j in range(width):
-            if sum(c * b[j] for c, b in zip(erow, basis) if c) != beta[j]:
-                return False
-    return True
 
 
 def _goodify_composite_drop(place: Place, elems, shape: TargetShape):
@@ -575,35 +532,20 @@ def _goodify_composite_drop(place: Place, elems, shape: TargetShape):
         )
 
     nonzero = [f for f in elems if not f.is_zero()]
-    # Integer basis of the group generated by the values, with both change
-    # of basis matrices: basis = W * values, values = E * basis.  The value
-    # rows share one denominator, which changes no integer relation.
-    rows = [place.value_row(f) for f in nonzero]
-    h, u, pivots = lattice.hnf_transform(rows)
-    basis_rows = [tuple(h[r]) for r, _ in pivots]
-    wmat = [tuple(u[r]) for r, _ in pivots]
-    emat = [tuple(lattice.express_int(basis_rows, row)) for row in rows]
+    den = place.flat_place._den
+    values = [GroupElem.from_row(place.ambient, place.value_row(f), den) for f in nonzero]
+    witnesses = _iota_witnesses(len(values))
 
     # The outer place gives weight 1 to one consumed generator.  A larger
-    # weight c scales every beta by c, which changes neither the unit
-    # condition (linear and homogeneous) nor the order-embedding verdict.
+    # weight c scales the outer part of every image by c, which changes no
+    # order-embedding verdict.  The assignment is well defined (no verdict
+    # "ill_defined") exactly when every corrected unit stays a unit.
     k = inv.dim
-    inner_width = 2 * place.ambient.num_levels
     field = place.field
-    values = None
     for attempt, consumed in enumerate(range(k), start=1):
         level = [1 if i == consumed else 0 for i in range(k)]
-        outer = _build_monomial(field, k, [level])
-        tower = compose(place, outer)
-        # beta: the outer part of each tower value, as an integer row.
-        betas = [tower.value_row(f)[inner_width:] for f in nonzero]
-        if not _units_kept(betas, wmat, emat):
-            continue
-        if values is None:
-            den = place.flat_place._den
-            values = [GroupElem.from_row(place.ambient, row, den) for row in rows]
+        tower = compose(place, _build_monomial(field, k, [level]))
         images = [tower.value(f) for f in nonzero]
-        witnesses = _iota_witnesses(len(values))
         verdict = order_embedding_check(values, images, witnesses)
         if not verdict.ok:
             continue
@@ -620,8 +562,7 @@ def _goodify_composite_drop(place: Place, elems, shape: TargetShape):
     )
 
 
-def density_witness(place: Place, finite_on, vanishing_on, shape: TargetShape,
-                    max_iter: int = None) -> GoodifyResult:
+def density_witness(place: Place, finite_on, vanishing_on, shape: TargetShape) -> GoodifyResult:
     """A place of the target class in the given patch neighborhood of `place`.
 
     Sign preservation of all the defining elements implies membership, so
@@ -634,7 +575,7 @@ def density_witness(place: Place, finite_on, vanishing_on, shape: TargetShape,
         raise ValueError("the starting place is not in the requested neighborhood")
     mode = "preserve_values" if shape.klass == "composite_drop" else "preserve_residues"
     shape = TargetShape(mode=mode, klass=shape.klass, r1=shape.r1, d1=shape.d1)
-    result = goodify(place, finite_on + vanishing_on, shape, max_iter)
+    result = goodify(place, finite_on + vanishing_on, shape)
     if not in_basic_open(result.place, finite_on, vanishing_on):
         raise AssertionError("sign preservation should have implied membership")
     return result

@@ -21,9 +21,9 @@ from . import lattice
 # to sqrt(d), about half a million steps at this bound.
 MAX_RADICAND = 10**12
 
-# Most digits a number literal may carry, counting the digits an exponent
-# ("1e5") adds; checked before any conversion, so a huge literal is refused
-# instead of built.  Below CPython's own int-string limit of 4300 digits.
+# Most digits a number literal may carry; checked before any conversion, so
+# a huge literal is refused instead of built.  Below CPython's own
+# int-string limit of 4300 digits.
 MAX_LITERAL_DIGITS = 1000
 
 
@@ -33,39 +33,23 @@ def ratio_str(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def _literal_digits(s: str) -> int:
-    """Upper bound on the digits of the integers Fraction(s) would build:
-    the mantissa's digits plus the exponent's magnitude."""
-    mantissa, _, exponent = s.lower().partition("e")
-    digits = sum(c.isdecimal() for c in mantissa)
-    magnitude = exponent.strip().lstrip("+-").replace("_", "")
-    if magnitude.isdecimal():
-        # a longer exponent is over the budget without converting it
-        digits += int(magnitude) if len(magnitude) <= 9 else MAX_LITERAL_DIGITS + 1
-    return digits
-
-
-# The place schema's literal form; [0-9] keeps it ASCII.
-_SCHEMA_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# The place schema's literal form: an integer, or a fraction whose
+# denominator is not zero; [0-9] keeps it ASCII.
+_LITERAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def rat_from_str(s: str) -> Fraction:
-    if not isinstance(s, str):
-        return Fraction(s)
-    # Without an exponent a literal has at most len(s) digits; only longer
-    # or exponent literals need counting.
-    if len(s) > MAX_LITERAL_DIGITS or "e" in s or "E" in s:
-        if _literal_digits(s) > MAX_LITERAL_DIGITS:
-            shown = s if len(s) <= 24 else s[:20] + "..."
-            raise ValueError(
-                f"literal {shown!r} has more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits"
-            )
-    # The schema's form converts by int; anything else (spaces, "+", "_",
-    # decimals, exponents, other scripts' digits) is left to Fraction.
-    m = _SCHEMA_LITERAL.fullmatch(s)
+    """The rational a literal of the place schema's form "n" or "n/d" spells."""
+    m = _LITERAL.fullmatch(s)
+    shown = s if len(s) <= 24 else s[:20] + "..."
     if m is None:
-        return Fraction(s)
+        raise ValueError(f"literal {shown!r} is not of the form n or n/d with d > 0")
     num, den = m.groups()
+    # every character but a sign and a slash is a digit
+    if len(s) - s.startswith("-") - (den is not None) > MAX_LITERAL_DIGITS:
+        raise ValueError(
+            f"literal {shown!r} has more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits"
+        )
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 

@@ -22,13 +22,11 @@ from placeforge import (
     signature,
 )
 from placeforge.approx import (
-    MAX_REFINE_ITER,
     SignatureError,
     _build_monomial,
     _max_rank_levels,
     _rational_collapse,
     _refined_convergents,
-    max_iterations,
 )
 from placeforge.ordgroup import sqrt_convergents
 from placeforge.places import Place
@@ -150,6 +148,17 @@ class TestPerturbWeights:
         with pytest.raises(InfeasibleShapeError):
             perturb_weights(sig, P_SQRT,
                             TargetShape("preserve_residues", "weighted_rational", r1=3))
+
+    @pytest.mark.parametrize("shape", [
+        TargetShape("preserve_residues", "discrete"),
+        TargetShape("preserve_residues", "weighted_rational", r1=1),
+    ])
+    def test_arity_zero_has_no_weight_to_perturb(self, shape):
+        # the equality locus of a place on no variables is the zero space
+        place = MonomialPlace(QQ, 0, AMB, ())
+        sig = signature(place, [RatFunc.const(QQ, 0, 1)])
+        with pytest.raises(InfeasibleShapeError, match="every weight to zero"):
+            perturb_weights(sig, place, shape)
 
 
 class TestGoodify:
@@ -317,16 +326,17 @@ class TestGoodify:
         assert len(attempts) == place.residue_desc().num_gens == 2
 
     def test_composite_drop_all_zero_values(self, embedding_verdicts):
-        # Every value is zero, so the values' basis is empty and the unit
-        # condition asks every beta to vanish: 1 + x2 keeps residue value 0,
-        # while x2 would get the consumed generator's weight 1.
+        # Every value is zero, so every integer relation holds among them
+        # and a well-defined embedding sends each to zero: 1 + x2 keeps
+        # residue value 0, while x2 would get the consumed generator's
+        # weight 1.
         drop = TargetShape("preserve_values", "composite_drop", r1=2, d1=0)
         result = goodify(P_10, [q2("1 + x2")], drop)
         assert result.iterations == 1 and result.iota["verdict"] == "ok"
         assert result.place.value(q2("1 + x2")).is_zero()
         with pytest.raises(InfeasibleShapeError):
             goodify(P_10, [q2("1 + x2"), q2("x2")], drop)
-        assert embedding_verdicts == ["ok"]
+        assert embedding_verdicts == ["ok", "ill_defined"]
 
     def test_composite_drop_keeps_sqrt_columns(self):
         # v(x2*x3) = sqrt(2) alone spans its group, so its corrected unit x3
@@ -339,10 +349,10 @@ class TestGoodify:
 
     def test_composite_drop_matches_fraction_reference(self, embedding_verdicts):
         """The chosen outer generator is the first one that an independent
-        reference accepts; the unit condition rejects every attempt whose
-        assignment is ill defined before any group value is built."""
+        reference accepts: attempt i gets the i-th embedding verdict, the
+        first "ok" falls on the reference's attempt and none comes before."""
         rng = random.Random(41)
-        outcomes = []
+        outcomes, statuses = [], set()
         for i in range(60):
             field, n = (QQ, F5)[i % 2], 2 + i % 4
             place = (random_irrational_place(rng, field, n + 1) if i % 3 else
@@ -354,17 +364,22 @@ class TestGoodify:
             shape = TargetShape("preserve_values", "composite_drop",
                                 r1=inv.rr + 1, d1=place.arity - inv.rr - 1)
             want = reference_drop_attempt(place, elems)
+            embedding_verdicts.clear()
             if want is None:
                 with pytest.raises(InfeasibleShapeError):
                     goodify(place, elems, shape)
+                assert "ok" not in embedding_verdicts
+                statuses.update(embedding_verdicts)
                 outcomes.append(None)
                 continue
             result = goodify(place, elems, shape)
             assert result.iterations == want
+            assert embedding_verdicts.index("ok") == want - 1 == len(embedding_verdicts) - 1
+            statuses.update(embedding_verdicts)
             for f in elems:
                 assert values_agree(result.place.value(f), tower_value(result.place, f))
             outcomes.append(want)
-        assert "ill_defined" not in embedding_verdicts
+        assert "ill_defined" in statuses  # attempts rejected as ill defined
         assert None in outcomes and 1 in outcomes and max(o or 0 for o in outcomes) >= 2
 
     def test_goodify_composite_input(self):
@@ -463,25 +478,6 @@ class TestDensityWitness:
         assert isinstance(result.place, CompositePlace)
         assert result.place.invariants().dim == 0
         assert in_basic_open(result.place, A, B)
-
-
-class TestMaxIterEnv:
-    def test_env_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("PLACEFORGE_MAX_ITER", "1")
-        assert max_iterations() == 1
-        monkeypatch.setenv("PLACEFORGE_MAX_ITER", "0")
-        with pytest.raises(ValueError):
-            max_iterations()
-
-    def test_env_cap_has_a_budget(self, monkeypatch):
-        monkeypatch.setenv("PLACEFORGE_MAX_ITER", str(MAX_REFINE_ITER))
-        assert max_iterations() == MAX_REFINE_ITER
-        monkeypatch.setenv("PLACEFORGE_MAX_ITER", str(MAX_REFINE_ITER + 1))
-        with pytest.raises(ValueError, match=f"MAX_REFINE_ITER = {MAX_REFINE_ITER}"):
-            max_iterations()
-        monkeypatch.setenv("PLACEFORGE_MAX_ITER", "many")
-        with pytest.raises(ValueError, match="PLACEFORGE_MAX_ITER must be an integer"):
-            max_iterations()
 
 
 def fraction_collapse(place, iteration):
