@@ -21,7 +21,8 @@ def mul_terms(ea, ca, eb, cb, p):
 
     ea/eb: lists of exponent tuples; ca/cb: integer coefficients, residues
     mod p when p > 0 and arbitrary ints when p == 0.  Returns a dict from
-    exponent tuple to nonzero coefficient.
+    exponent tuple to nonzero coefficient.  Both fields accumulate in one
+    loop, which reduces each partial sum mod p when p > 0.
     """
     if ea and eb:
         for ma, mb in zip(map(max, zip(*ea)), map(max, zip(*eb))):
@@ -39,24 +40,16 @@ def mul_terms(ea, ca, eb, cb, p):
             if v:
                 out[tuple(x + y for x, y in zip(e, s)) if shifted else e] = v
         return out
-    if p:
-        for e1, c1 in zip(ea, ca):
-            for e2, c2 in zip(eb, cb):
-                key = tuple(x + y for x, y in zip(e1, e2))
-                v = (out.get(key, 0) + c1 * c2) % p
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-    else:
-        for e1, c1 in zip(ea, ca):
-            for e2, c2 in zip(eb, cb):
-                key = tuple(x + y for x, y in zip(e1, e2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+    for e1, c1 in zip(ea, ca):
+        for e2, c2 in zip(eb, cb):
+            key = tuple(x + y for x, y in zip(e1, e2))
+            v = out.get(key, 0) + c1 * c2
+            if p:
+                v %= p
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
     return out
 
 

@@ -24,12 +24,12 @@ from .ordgroup import (
     sqrt_convergents,
 )
 from .places import (
-    INFINITY,
     InfeasibleShapeError,
     MonomialPlace,
     Place,
     compose,
     in_basic_open,
+    sign_char,
 )
 
 # Refinement steps perturb_weights takes before it gives up.  Each level
@@ -85,16 +85,15 @@ class TargetShape:
 class SignSignature:
     """Finite sign fingerprint of a place on a list of elements.
 
-    Entries are (integer exponent vector m, sign of the value of x^m);
-    they record every tie and strict comparison among the terms of the
-    elements, plus the sign of each element's own value.  Vectors are
-    stored with lexicographically positive orientation, so no vector can
-    carry two signs and the zero vector only ever carries sign 0.
+    Entries are (integer exponent vector m in the place's variables, sign
+    of the value of x^m); they record every tie and strict comparison among
+    the terms of the elements, plus the sign of each element's own value.
+    Vectors are stored with lexicographically positive orientation, so no
+    vector can carry two signs and the zero vector only ever carries sign 0.
     `sources` keeps the printed elements the signature came from, and
     `signs` the sign of each one's value.
     """
 
-    arity: int
     entries: frozenset
     sources: tuple = ()
     notices: tuple = ()
@@ -107,17 +106,8 @@ class SignSignature:
         return [(m, s) for m, s in self.entries if s != 0]
 
 
-def _lex_positive(m):
-    for x in m:
-        if x > 0:
-            return True
-        if x < 0:
-            return False
-    return False
-
-
 def _orient(m, s):
-    if _lex_positive(m) or not any(m):
+    if m >= (0,) * len(m):  # Python orders tuples lexicographically
         return m, s
     return tuple(-x for x in m), -s
 
@@ -167,9 +157,7 @@ def signature(place: Place, elems) -> SignSignature:
         m = tuple(x - y for x, y in zip(sides[0], sides[1]))
         signs.append(place.value_sign(f))
         add(m, signs[-1])
-    return SignSignature(
-        place.arity, frozenset(entries.items()), tuple(sources), tuple(notices), tuple(signs)
-    )
+    return SignSignature(frozenset(entries.items()), tuple(sources), tuple(notices), tuple(signs))
 
 
 @dataclass
@@ -398,17 +386,11 @@ class GoodifyResult:
         return out
 
 
-def _sign_char(s) -> str:
-    if s is INFINITY:
-        return "inf"
-    return {1: "+", 0: "0", -1: "-"}[s]
-
-
 def _check(text, sign_q, sign_p, residue_equal=None):
     """One entry of a report's checks: an element, its value sign under the
     old and the new place, and whether its residues agree (None when its
     value is not 0, so it has no residue to compare)."""
-    return {"elem": text, "sign_q": _sign_char(sign_q), "sign_p": _sign_char(sign_p),
+    return {"elem": text, "sign_q": sign_char(sign_q), "sign_p": sign_char(sign_p),
             "residue_equal": residue_equal}
 
 

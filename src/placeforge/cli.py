@@ -13,7 +13,7 @@ import json
 import sys
 from importlib import resources
 
-from .parsing import default_names, format_ratfunc, parse_expr
+from .parsing import check_names, default_names, format_ratfunc, parse_expr
 from .places import (
     INFINITY,
     InfeasibleShapeError,
@@ -22,6 +22,7 @@ from .places import (
     check_tower_depth,
     compose,
     place_from_json,
+    sign_char,
 )
 from .ratfunc import BaseField, RatFunc
 
@@ -189,18 +190,10 @@ def _place_from_spec(spec, key="place") -> Place:
     return place
 
 
-def _elems_from_spec(spec, place: Place, key="elems"):
-    names = spec.get("vars") or default_names(place.arity)
-    out = []
-    for text in spec.get(key, []):
-        out.append(parse_expr(text, place.arity, place.field, names))
-    return out
-
-
 def _value_result(text: str, v) -> dict:
     if v is INFINITY:
-        return {"elem": text, "value": "infinity", "sign": "inf"}
-    return {"elem": text, "value": v.to_json(), "sign": {1: "+", 0: "0", -1: "-"}[v.sign()]}
+        return {"elem": text, "value": "infinity", "sign": sign_char(v)}
+    return {"elem": text, "value": v.to_json(), "sign": sign_char(v.sign())}
 
 
 def _run(spec) -> dict:
@@ -208,6 +201,11 @@ def _run(spec) -> dict:
     if command not in COMMANDS:
         raise JobError(f"unknown or missing command {command!r}")
     place = _place_from_spec(spec)
+    # An empty `vars` list, like none, means x1..xn.
+    names = check_names(spec.get("vars") or None, place.arity)
+
+    def parse(key="elems"):
+        return [parse_expr(text, place.arity, place.field, names) for text in spec.get(key, [])]
 
     if command in ("classify", "compose"):
         if command == "compose":
@@ -223,11 +221,9 @@ def _run(spec) -> dict:
 
         shape = TargetShape.from_json(spec.get("shape", {"class": "discrete"}))
         if command == "goodify":
-            result = goodify(place, _elems_from_spec(spec, place), shape)
+            result = goodify(place, parse(), shape)
         else:
-            finite_on = _elems_from_spec(spec, place, "A")
-            vanishing_on = _elems_from_spec(spec, place, "B")
-            result = density_witness(place, finite_on, vanishing_on, shape)
+            result = density_witness(place, parse("A"), parse("B"), shape)
         report = result.report()
         if command == "witness":
             report["in_neighborhood"] = True  # density_witness returns no place outside it
@@ -236,7 +232,7 @@ def _run(spec) -> dict:
         return report
 
     texts = spec.get("elems", [])
-    elems = _elems_from_spec(spec, place)
+    elems = parse()
     if command == "value":
         results = [_value_result(text, place.value(f)) for text, f in zip(texts, elems)]
         return {"command": "value", "place": place.to_json(), "results": results}
@@ -244,14 +240,13 @@ def _run(spec) -> dict:
     if command == "residue":
         desc = place.residue_desc()
         gen_names = default_names(desc.num_gens, prefix="u")
-        var_names = spec.get("vars") or default_names(place.arity)
         results = []
         for text, f in zip(texts, elems):
             r = place.residue(f)
             shown = "infinity" if r is INFINITY else format_ratfunc(r, gen_names)
             results.append({"elem": text, "residue": shown})
         gens = [
-            format_ratfunc(RatFunc.monomial(place.field, place.arity, g), var_names)
+            format_ratfunc(RatFunc.monomial(place.field, place.arity, g), names)
             for g in desc.gens
         ]
         return {

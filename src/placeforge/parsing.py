@@ -359,20 +359,26 @@ class _Parser:
         return out**k
 
 
-def parse_expr(text: str, arity: int, field: BaseField, names=None) -> RatFunc:
-    """Parse an expression into a canonical rational function.  `names`
-    (default x1..xn) must be distinct identifiers [A-Za-z_][A-Za-z0-9_]*."""
+def check_names(names, arity: int):
+    """`names`, or x1..xn when it is None: `arity` distinct identifiers
+    [A-Za-z_][A-Za-z0-9_]*, else a ValueError."""
     if names is None:
-        names = default_names(arity)
-    elif len(names) != arity:
+        return default_names(arity)
+    if len(names) != arity:
         raise ValueError("need one name per variable")
-    else:
-        for name in names:
-            if not (isinstance(name, str) and _NAME.fullmatch(name)):
-                raise ValueError(f"variable name {name!r} is not an identifier")
-        if len(set(names)) != arity:
-            repeated = next(name for i, name in enumerate(names) if name in names[:i])
-            raise ValueError(f"variable names must be distinct; {repeated!r} repeats")
+    for name in names:
+        if not (isinstance(name, str) and _NAME.fullmatch(name)):
+            raise ValueError(f"variable name {name!r} is not an identifier")
+    if len(set(names)) != arity:
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ValueError(f"variable names must be distinct; {repeated!r} repeats")
+    return names
+
+
+def parse_expr(text: str, arity: int, field: BaseField, names=None) -> RatFunc:
+    """Parse an expression into a canonical rational function in the
+    variables `names`, checked by `check_names`."""
+    names = check_names(names, arity)
     tokens = _TOKEN.findall(text)
     if _STRAY.search(text) or max(map(len, tokens), default=0) > MAX_LITERAL_DIGITS:
         # a token's own refusal comes before any other, left to right

@@ -50,6 +50,12 @@ class Infinity:
 
 INFINITY = Infinity()
 
+
+def sign_char(s) -> str:
+    """A value sign (1, 0 or -1), or INFINITY, as reports print it."""
+    return "inf" if s is INFINITY else "-0+"[s + 1]
+
+
 # Deepest nesting of composite places accepted from JSON input; checked by
 # place_from_json before it builds anything.  Decoding and classifying
 # build no flat place, kernel basis or HNF, since every level's dim and
@@ -88,11 +94,9 @@ class InfeasibleShapeError(ValueError):
 
 @dataclass(frozen=True)
 class ResidueFieldDesc:
-    """Purely transcendental residue field: one Laurent-monomial generator
-    per kernel-lattice basis vector (flattened through towers)."""
+    """Purely transcendental residue field: one Laurent monomial in the
+    place's variables per kernel-lattice basis vector (flattened through towers)."""
 
-    field: BaseField
-    arity: int
     gens: tuple
 
     @property
@@ -134,6 +138,16 @@ def _validate_match(place: "Place", f: RatFunc):
 def _difference_row(hi, lo):
     """hi - lo for two kernel minima, as one integer row."""
     return [x for (ha, hb), (la, lb) in zip(hi, lo) for x in (ha - la, hb - lb)]
+
+
+def _add_combination(start, coeffs, rows):
+    """start + sum of c_k * row_k over the coefficients and rows, as a tuple."""
+    m = list(start)
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, x in enumerate(row):
+                m[j] += c * x
+    return tuple(m)
 
 
 class Place:
@@ -359,26 +373,15 @@ class MonomialPlace(Place):
         coeffs = lattice.express_int(basis, [scale * x for x in v.row])
         if coeffs is None:
             raise NotInValueGroupError(f"{v} is not in the value group")
-        m = [0] * self.arity
-        for c, urow in zip(coeffs, urows):
-            if c:
-                for j in range(self.arity):
-                    m[j] += c * urow[j]
-        return tuple(m)
+        return _add_combination((0,) * self.arity, coeffs, urows)
 
     def residue_desc(self) -> ResidueFieldDesc:
-        return ResidueFieldDesc(self.field, self.arity, self._kernel)
+        return ResidueFieldDesc(self._kernel)
 
     def residue_dim(self) -> int:
         """arity - rr: the kernel lattice of the weight rows has rank
         arity minus their rank."""
         return self.arity - lattice.int_rank(self._rows)
-
-    def _kernel_coords(self, delta):
-        coords = lattice.express_int(list(self._kernel), list(delta))
-        if coords is None:
-            raise AssertionError("surviving monomial outside the kernel lattice")
-        return tuple(coords)
 
     def residue(self, f: RatFunc):
         """Image of f in the residue field K(u_1..u_k), or 0 / infinity.
@@ -402,23 +405,21 @@ class MonomialPlace(Place):
             return RatFunc.zero(self.field, k)
         if s < 0:
             return INFINITY
-        num_terms = {}
-        for e, c in num_mins.items():
-            delta = tuple(x - y for x, y in zip(e, den_canon))
-            num_terms[self._kernel_coords(delta)] = c
-        den_terms = {}
-        for e, c in den_mins.items():
-            delta = tuple(x - y for x, y in zip(e, den_canon))
-            den_terms[self._kernel_coords(delta)] = c
+        sides = []
         shift = [0] * k
-        for terms in (num_terms, den_terms):
-            for e in terms:
+        for mins in (num_mins, den_mins):
+            terms = {}
+            for e, c in mins.items():
+                coords = lattice.express_int(self._kernel, [x - y for x, y in zip(e, den_canon)])
+                if coords is None:
+                    raise AssertionError("surviving monomial outside the kernel lattice")
+                terms[tuple(coords)] = c
                 for j in range(k):
-                    if e[j] < shift[j]:
-                        shift[j] = e[j]
-        lift = tuple(-x for x in shift)
-        num = Poly.make(self.field, k, {tuple(x + y for x, y in zip(e, lift)): c for e, c in num_terms.items()})
-        den = Poly.make(self.field, k, {tuple(x + y for x, y in zip(e, lift)): c for e, c in den_terms.items()})
+                    if coords[j] < shift[j]:
+                        shift[j] = coords[j]
+            sides.append(terms)
+        num, den = (Poly.make(self.field, k, {tuple(x - y for x, y in zip(e, shift)): c
+                                              for e, c in terms.items()}) for terms in sides)
         return RatFunc.make(num, den)
 
     def value_group(self) -> Subgroup:
@@ -526,13 +527,7 @@ class CompositePlace(Place):
         v1, v2 = self._split(v)
         m0 = self.inner._raw_section(v1)
         coords = self.outer._raw_section(v2)
-        igens = self.inner.residue_desc().gens
-        m = list(m0)
-        for c, gen in zip(coords, igens):
-            if c:
-                for j in range(self.arity):
-                    m[j] += c * gen[j]
-        return tuple(m)
+        return _add_combination(m0, coords, self.inner.residue_desc().gens)
 
     def residue_desc(self) -> ResidueFieldDesc:
         return self._residue_desc
@@ -546,15 +541,9 @@ class CompositePlace(Place):
         """The outer residue generators flattened through the inner ones;
         derived once per place, since a tower never changes."""
         igens = self.inner.residue_desc().gens
-        flat = []
-        for m in self.outer.residue_desc().gens:
-            vec = [0] * self.arity
-            for c, gen in zip(m, igens):
-                if c:
-                    for j in range(self.arity):
-                        vec[j] += c * gen[j]
-            flat.append(tuple(vec))
-        return ResidueFieldDesc(self.field, self.arity, tuple(flat))
+        zero = (0,) * self.arity
+        return ResidueFieldDesc(tuple(_add_combination(zero, m, igens)
+                                      for m in self.outer.residue_desc().gens))
 
     def value_group(self) -> Subgroup:
         inner, outer = self.inner.value_group(), self.outer.value_group()

@@ -391,9 +391,7 @@ class RatFunc:
         return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc.make(self.num - other.num, self.den)
-        return RatFunc.make(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + -other
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)

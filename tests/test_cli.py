@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import placeforge
 from placeforge import parsing, place_from_json
 from placeforge.approx import CLASSES, MAX_REFINE_ITER, MODES
-from placeforge.cli import main
+from placeforge.cli import COMMANDS, main
 from placeforge.places import MAX_AXIOM_SAMPLE, MAX_TOWER_DEPTH
 
 HERE = pathlib.Path(__file__).parent
@@ -193,6 +193,23 @@ def test_names_and_weights_ending_in_a_newline_are_refused(tmp_path):
                           "job spec does not match schema at $.vars[0]")
     proc = run_fresh("classify", "--place", json.dumps(one_weight_place("3\n")))
     assert_one_line_error(proc, "place does not match schema at $.weights[0][0].a")
+
+
+def test_variable_names_are_checked_without_elements(capsys, tmp_path):
+    """Every command checks `vars` against the place's arity, also when it
+    parses no element (residue prints its generators in those names)."""
+    job = json.loads((HERE / "jobs" / "residue.json").read_text())
+    job["elems"] = []
+    cases = ((["a"], "need one name per variable"),
+             (["a", "a"], "variable names must be distinct; 'a' repeats"),
+             (["a", "b", "c"], "need one name per variable"))
+    for i, (names, message) in enumerate(cases):
+        path = tmp_path / f"job{i}.json"
+        path.write_text(json.dumps(dict(job, vars=names)))
+        for command in COMMANDS:
+            assert main([command, "--spec", str(path)]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert_one_line_error(run_fresh("--spec", str(path)), cases[-1][1])
 
 
 def test_malformed_outer_place_is_refused():

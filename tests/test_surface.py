@@ -57,3 +57,29 @@ def test_public_names_resolve_sorted_and_unique():
     for name in placeforge._APPROX:
         assert name in names
         assert getattr(placeforge, name) is getattr(approx, name)
+
+
+def test_every_import_is_used():
+    """Each name a module in src/placeforge imports is read in that module.
+    Re-exports count as reads in `__init__.py` when they are in `__all__`,
+    and an import kept for its side effect is marked `# noqa: F401`."""
+    imported, unused = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(placeforge.__all__)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported += 1
+                if name not in read:
+                    unused.append(f"{path.stem}: {name}")
+    assert imported > 50
+    assert unused == []
