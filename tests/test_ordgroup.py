@@ -490,11 +490,17 @@ def test_row_elements_match_a_fraction_reference():
         assert (x - y).sign() == reference_sign(fraction_pairs(x - y), amb.ds)
 
 
+def golden_reports():
+    tests = pathlib.Path(__file__).resolve().parent
+    return [tests / "golden" / job.name for job in sorted((tests / "jobs").glob("*.json"))]
+
+
 def golden_group_values():
     """(ambient, JSON element) for every group element a golden report
-    holds: monomial weights at every tower level, values and iota entries."""
-    golden = pathlib.Path(__file__).resolve().parent / "golden"
-    for path in sorted(golden.glob("*.json")):
+    holds: monomial weights at every tower level, values and iota entries.
+    The golden reports are those of the jobs in tests/jobs; tests/golden
+    also holds the digest file of tests/test_digests.py."""
+    for path in golden_reports():
         report = json.loads(path.read_text())
         stack = [report["place"]]
         while stack:
@@ -527,4 +533,4 @@ def test_golden_values_round_trip_bit_exact():
         assert json.dumps(elem.to_json(), sort_keys=True) == blob, name
         assert rows_from_json([elem.to_json()], amb) == ([elem.row], elem.den)
         seen.add(name)
-    assert len(seen) == len(list((pathlib.Path(__file__).resolve().parent / "golden").glob("*.json")))
+    assert len(seen) == len(golden_reports())
