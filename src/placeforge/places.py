@@ -87,10 +87,6 @@ class InfeasibleShapeError(ValueError):
     Raised by `approx`; defined here so that the CLI can catch it without
     loading `approx` on commands that never reach it."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 @dataclass(frozen=True)
 class ResidueFieldDesc:
@@ -154,42 +150,15 @@ class Place:
     """Common surface of monomial and composite places.
 
     Every place evaluates through one monomial place, `flat_place`: term
-    values, initial forms and the kernel lattice all come from it.
+    values, initial forms and the kernel lattice all come from it.  Each
+    subclass defines `flat_place`, `value`, `residue`, `_raw_section`,
+    `residue_desc`, `residue_dim` (the transcendence degree of the residue
+    field, from ranks alone), `value_group` and `to_json`.
     """
 
     field: BaseField
     arity: int
     ambient: AmbientGroup
-
-    def value(self, f: RatFunc):
-        raise NotImplementedError
-
-    def residue(self, f: RatFunc):
-        raise NotImplementedError
-
-    def _raw_section(self, v: GroupElem):
-        raise NotImplementedError
-
-    def residue_desc(self) -> ResidueFieldDesc:
-        raise NotImplementedError
-
-    def residue_dim(self) -> int:
-        """Transcendence degree of the residue field (the place's dim),
-        from ranks alone: no kernel basis is built."""
-        raise NotImplementedError
-
-    def value_group(self) -> Subgroup:
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
-
-    @property
-    def flat_place(self) -> "MonomialPlace":
-        """The monomial place this place evaluates through."""
-        raise NotImplementedError
-
-    # -- shared derived operations -------------------------------------
 
     def monomial_value(self, evec) -> GroupElem:
         """Value of the Laurent monomial x^evec (a group homomorphism)."""
@@ -354,6 +323,8 @@ class MonomialPlace(Place):
         """v(f) for nonzero f as an integer row over `_den`: the difference
         of the minima of numerator and denominator."""
         _validate_match(self, f)
+        if f.is_zero():
+            raise ValueError("the zero function has no value row")
         return _difference_row(*self._minima(f))
 
     def value(self, f: RatFunc):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import sub
 
 from ._kernels import EXP_LIMIT, mul_terms
 
@@ -59,10 +60,6 @@ class BaseField:
             if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.p == 0
-
     def coerce(self, value):
         """A field element: a residue mod p, or over Q an int when the value
         is integral and a Fraction otherwise."""
@@ -105,7 +102,7 @@ class BaseField:
         return BaseField(int(obj))
 
     def __str__(self):
-        return "Q" if self.is_rationals else f"GF({self.p})"
+        return f"GF({self.p})" if self.p else "Q"
 
 
 QQ = BaseField(0)
@@ -163,13 +160,6 @@ class Poly:
         c = field.coerce(value)
         return Poly(field, arity, {(0,) * arity: c} if c else {})
 
-    @staticmethod
-    def variable(field: BaseField, arity: int, index: int) -> "Poly":
-        if not 0 <= index < arity:
-            raise ValueError("variable index out of range")
-        e = tuple(1 if k == index else 0 for k in range(arity))
-        return Poly(field, arity, {e: field.coerce(1)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -177,7 +167,7 @@ class Poly:
         return len(self.terms) == 1 and self.terms.get((0,) * self.arity) == 1
 
     def _check(self, other: "Poly"):
-        if self.field != other.field or self.arity != other.arity:
+        if (self.field is not other.field and self.field != other.field) or self.arity != other.arity:
             raise ValueError("polynomials over different rings")
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -235,18 +225,6 @@ class Poly:
                 base = base * base
             k >>= 1
         return result
-
-    def shift(self, delta) -> "Poly":
-        """Multiply by the monomial x^delta (delta may be negative if it divides)."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = tuple(x + y for x, y in zip(e, delta))
-            if any(x < 0 for x in ne):
-                raise ValueError("monomial shift below zero")
-            if any(x >= EXP_LIMIT for x in ne):
-                raise OverflowError("exponent overflow")
-            out[ne] = c
-        return Poly(self.field, self.arity, out)
 
     def content_exponent(self):
         """Componentwise minimum exponent over the terms (the monomial content)."""
@@ -319,9 +297,9 @@ class RatFunc:
         if any(cd):
             common = tuple(map(min, num.content_exponent(), cd))
             if any(common):
-                delta = tuple(-x for x in common)
-                num = num.shift(delta)
-                den = den.shift(delta)
+                # x^common divides every term, so no exponent leaves the range
+                num, den = (Poly(field, arity, {tuple(map(sub, e, common)): c for e, c in p.terms.items()})
+                            for p in (num, den))
         _, lead = den.lex_leading()
         if field.p:
             if lead != 1:
@@ -343,20 +321,18 @@ class RatFunc:
         return RatFunc(num, den)
 
     @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc.make(p, Poly.const(p.field, p.arity, 1))
-
-    @staticmethod
     def zero(field: BaseField, arity: int) -> "RatFunc":
-        return RatFunc.from_poly(Poly.zero(field, arity))
+        return RatFunc(Poly(field, arity, {}), Poly(field, arity, {(0,) * arity: 1}))
 
     @staticmethod
     def const(field: BaseField, arity: int, value) -> "RatFunc":
-        return RatFunc.from_poly(Poly.const(field, arity, value))
+        return RatFunc.monomial(field, arity, (0,) * arity, value)
 
     @staticmethod
     def variable(field: BaseField, arity: int, index: int) -> "RatFunc":
-        return RatFunc.from_poly(Poly.variable(field, arity, index))
+        if not 0 <= index < arity:
+            raise ValueError("variable index out of range")
+        return RatFunc.monomial(field, arity, tuple(int(k == index) for k in range(arity)))
 
     @staticmethod
     def monomial(field: BaseField, arity: int, evec, coeff=1) -> "RatFunc":

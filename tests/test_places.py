@@ -9,6 +9,7 @@ from placeforge import (
     AmbientGroup,
     BaseField,
     MonomialPlace,
+    Poly,
     QuadScalar,
     RatFunc,
     Subgroup,
@@ -86,6 +87,13 @@ class TestValue:
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
             P_SQRT.value(parse_expr("x1", 2, F5))
+
+    def test_zero_function_has_no_value_row(self):
+        zero = RatFunc.zero(QQ, 2)
+        tower = compose(P_10, gauss_place(1))
+        for place in (MonomialPlace.trivial(QQ, 2), P_SQRT, tower):
+            with pytest.raises(ValueError, match="^the zero function has no value row$"):
+                place.value_row(zero)
 
 
 class TestResidue:
@@ -512,7 +520,8 @@ class TestFlatTowerValue:
             tie = tie + RatFunc.monomial(field, n, gen, rng.randint(1, 4))
         base = random_poly(rng, field, n, max_degree=3, max_terms=1, nonzero=True)
         den = random_poly(rng, field, n, nonzero=True)
-        return RatFunc.from_poly(base) * tie / RatFunc.from_poly(den)
+        one = Poly.const(field, n, 1)
+        return RatFunc.make(base, one) * tie / RatFunc.make(den, one)
 
     def test_flat_value_matches_tower_value(self):
         rng = random.Random(12)

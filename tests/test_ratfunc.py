@@ -416,6 +416,50 @@ class TestMake:
             assert lead == 1 if field.p else (lead > 0 and gcd(*coeffs) == 1)
 
 
+class TestConstants:
+    """zero, const and variable build their canonical form directly; it
+    must be exactly what make() gives, coefficient types included."""
+
+    FIELDS = (QQ, F5, BaseField(2**61 - 1))
+    VALUES = (0, 1, -3, 12, Fraction(2, 3), Fraction(7, 4), Fraction(-5, 6), Fraction(-4, 10))
+
+    @staticmethod
+    def stored(build):
+        try:
+            f = build()
+        except Exception as exc:  # the same error type and message
+            return type(exc), str(exc)
+        sides = [[(e, c, type(c)) for e, c in p.terms.items()] for p in (f.num, f.den)]
+        return sides, f.num.field, f.den.field, f.num.arity, f.den.arity
+
+    def test_constants_store_the_terms_make_gives(self):
+        count = 0
+        for field in self.FIELDS:
+            for n in range(4):
+                zero, one = (0,) * n, Poly.const(field, n, 1)
+
+                def made(terms):
+                    return lambda: RatFunc.make(Poly.make(field, n, terms), one)
+
+                assert self.stored(lambda: RatFunc.zero(field, n)) == self.stored(made({}))
+                for value in self.VALUES:
+                    assert (self.stored(lambda: RatFunc.const(field, n, value))
+                            == self.stored(made({zero: value}))), (field, n, value)
+                    count += 1
+                for i in range(n):
+                    e = tuple(int(k == i) for k in range(n))
+                    assert self.stored(lambda: RatFunc.variable(field, n, i)) == self.stored(made({e: 1}))
+                    count += 1
+        assert count == 3 * (4 * len(self.VALUES) + 6)
+        # GF(5) refuses a denominator divisible by 5, as make() does
+        assert self.stored(lambda: RatFunc.const(F5, 2, Fraction(-4, 10)))[0] is ZeroDivisionError
+
+    @pytest.mark.parametrize("n,index", [(0, 0), (2, -1), (2, 2), (3, 7)])
+    def test_variable_index_out_of_range(self, n, index):
+        with pytest.raises(ValueError, match="^variable index out of range$"):
+            RatFunc.variable(QQ, n, index)
+
+
 # Differential parser test.  An expression tree is rendered to text that the
 # grammar reads back as the same tree; the reference folds the tree with
 # RatFunc.const/variable and the operators, left to right, which is what the
