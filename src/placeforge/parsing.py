@@ -16,7 +16,7 @@ exact.
 from __future__ import annotations
 
 import re
-from math import gcd, lcm
+from math import gcd
 
 from .ordgroup import MAX_LITERAL_DIGITS
 from .ratfunc import EXP_LIMIT, MAX_TERM_PAIRS, BaseField, Poly, RatFunc, monic
@@ -93,8 +93,11 @@ class _Parser:
         field, arity = self.field, self.arity
         if not n:
             return RatFunc.zero(field, arity)
-        up = tuple(x if x > 0 else 0 for x in e)
-        down = tuple(-x if x < 0 else 0 for x in e)
+        if min(e, default=0) >= 0:
+            up, down = tuple(e), self.zero_e
+        else:
+            up = tuple(x if x > 0 else 0 for x in e)
+            down = tuple(-x if x < 0 else 0 for x in e)
         return RatFunc(Poly(field, arity, {up: n}), Poly(field, arity, {down: d}))
 
     def ratio(self, n: int, d: int):
@@ -109,118 +112,28 @@ class _Parser:
         g = gcd(n, d)
         return n // g, d // g
 
-    def polynomial(self, terms, d) -> RatFunc:
-        """The polynomial with int coefficients `terms` over the positive
-        integer d, in canonical form."""
-        if d != 1:
-            g = gcd(d, *terms.values())
-            if g != 1:
-                terms = {e: c // g for e, c in terms.items()}
-                d //= g
-        return RatFunc(Poly(self.field, self.arity, terms),
-                       Poly(self.field, self.arity, {self.zero_e: d}))
-
-    def poly_items(self, t):
-        """The (exponent, coefficient) pairs of a term that is a polynomial
-        and their common denominator, or None for a term whose denominator
-        is not a constant."""
-        if type(t) is tuple:
-            n, d, e = t
-            if not n:
-                return (), 1
-            return (((tuple(e), n),), d) if not e or min(e) >= 0 else None
-        den = t.den.terms
-        if len(den) == 1 and self.zero_e in den:
-            return t.num.terms.items(), den[self.zero_e]
-        return None
-
     def expr(self) -> RatFunc:
-        """A sum, folded left to right as the RatFunc operators would.
-
-        While the running sum is a polynomial its terms stay in one dict of
-        int coefficients over one denominator, `acc`; otherwise it is the
-        RatFunc `out` (see add_term).  A first term that is not a polynomial
-        monomial is taken as it is, not added to an empty sum.
-        """
+        """A sum, folded left to right by the RatFunc operators."""
         tokens = self.tokens
-        sign = "+"
-        if tokens[self.i] == "-":
+        negative = tokens[self.i] == "-"
+        if negative:
             self.i += 1
-            sign = "-"
-        t = self.term()
-        if type(t) is tuple and self.poly_items(t) is not None:
-            acc, out = self.add_term(({}, 1), None, sign, t)
-        else:
-            if type(t) is tuple:
-                t = self.monomial(*t)
-            acc, out = None, (-t if sign == "-" else t)
+        out = -self.term() if negative else self.term()
         while True:
             sign = tokens[self.i]
             if sign != "+" and sign != "-":
-                return out if acc is None else self.polynomial(*acc)
+                return out
             self.i += 1
-            acc, out = self.add_term(acc, out, sign, self.term())
+            out = out + self.term() if sign == "+" else out - self.term()
 
-    def add_term(self, acc, out, sign: str, t):
-        """The running sum (acc, out) plus or minus the term t.
-
-        A polynomial term is added into `acc` = (terms, d) by
-        Poly.__add__'s rules: add in place, delete a key that cancels,
-        append a new key.  When the term's denominator does not divide d,
-        every coefficient is first scaled up to their lcm.  Any other term
-        meets the running sum through the operators, and the sum goes back
-        to a dict as soon as it is a polynomial and a polynomial term
-        follows.
-        """
-        items = self.poly_items(t)
-        if items is not None and acc is None:
-            running = self.poly_items(out)
-            if running is not None:
-                acc, out = (dict(running[0]), running[1]), None
-        if items is None or acc is None:
-            if acc is not None:
-                acc, out = None, self.polynomial(*acc)
-            if type(t) is tuple:
-                t = self.monomial(*t)
-            return None, (out + t if sign == "+" else out - t)
-        (terms, d), (items, dt) = acc, items
-        scale = 1
-        if dt != d:
-            m = lcm(d, dt)
-            if m != d:
-                up = m // d
-                for key in terms:
-                    terms[key] *= up
-                d = m
-            scale = d // dt
-        field = self.field
-        for key, c in items:
-            if scale != 1:
-                c *= scale
-            if sign == "-":
-                c = field.neg(c)
-            if key in terms:
-                v = field.add(terms[key], c)
-                if v:
-                    terms[key] = v
-                else:
-                    del terms[key]
-            else:
-                terms[key] = c
-        return (terms, d), None
-
-    def term(self):
-        """A product: the monomial (n, d, e) when it is one run of atoms,
-        else a RatFunc."""
+    def term(self) -> RatFunc:
+        """A product, folded left to right; see atom_run for the runs of
+        atoms that fold into one monomial."""
         tokens = self.tokens
         if tokens[self.i] in _NOT_ATOM:
             out = self.factor()
         else:
-            n, d, e = self.atom_run()
-            op = tokens[self.i]
-            if op != "*" and op != "/":
-                return n, d, e
-            out = self.monomial(n, d, e)
+            out = self.monomial(*self.atom_run())
         while True:
             i = self.i
             op = tokens[i]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
+from operator import index, sub
 
 from ._kernels import EXP_LIMIT, mul_terms
 
@@ -61,17 +61,17 @@ class BaseField:
                 raise ValueError(f"{self.p} is not prime")
 
     def coerce(self, value):
-        """A field element: a residue mod p, or over Q an int when the value
-        is integral and a Fraction otherwise."""
+        """The int or Fraction `value` as a field element: a residue mod p,
+        or over Q an int when the value is integral and a Fraction
+        otherwise."""
+        if isinstance(value, int):
+            return value % self.p if self.p else int(value)
+        if not isinstance(value, Fraction):
+            raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
         if self.p:
-            if isinstance(value, Fraction):
-                if value.denominator % self.p == 0:
-                    raise ZeroDivisionError("denominator divisible by the characteristic")
-                return value.numerator * pow(value.denominator, -1, self.p) % self.p
-            return int(value) % self.p
-        if type(value) is int:
-            return value
-        value = Fraction(value)
+            if value.denominator % self.p == 0:
+                raise ZeroDivisionError("denominator divisible by the characteristic")
+            return value.numerator * pow(value.denominator, -1, self.p) % self.p
         return value.numerator if value.denominator == 1 else value
 
     def add(self, x, y):
@@ -137,7 +137,7 @@ class Poly:
     def make(field: BaseField, arity: int, items) -> "Poly":
         terms = {}
         for e, c in dict(items).items():
-            e = tuple(int(x) for x in e)
+            e = tuple(map(index, e))
             if len(e) != arity:
                 raise ValueError("exponent vector length must equal the arity")
             if any(x < 0 for x in e):
@@ -162,9 +162,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get((0,) * self.arity) == 1
 
     def _check(self, other: "Poly"):
         if (self.field is not other.field and self.field != other.field) or self.arity != other.arity:
@@ -338,6 +335,7 @@ class RatFunc:
     def monomial(field: BaseField, arity: int, evec, coeff=1) -> "RatFunc":
         """c * x^evec as a rational function; evec is a tuple of integers,
         negative entries included.  Built in canonical form directly."""
+        evec = tuple(map(index, evec))
         if len(evec) != arity:
             raise ValueError("exponent vector length must equal the arity")
         if any(abs(x) >= EXP_LIMIT for x in evec):
@@ -362,8 +360,24 @@ class RatFunc:
         return self.num.is_zero()
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc.make(self.num + other.num, self.den)
+        zero = (0,) * self.arity
+        a = self.den.terms.get(zero) if len(self.den.terms) == 1 else None
+        b = other.den.terms.get(zero) if len(other.den.terms) == 1 else None
+        if a and b:
+            # two polynomials over positive integer constants (1 over GF(p)):
+            # their sum over the lcm of the constants, divided by the joint
+            # content, is the canonical form make() would give
+            d = lcm(a, b)
+            num = ((self.num if a == d else self.num.scaled(d // a))
+                   + (other.num if b == d else other.num.scaled(d // b)))
+            if not num.terms:
+                d = 1
+            elif d != 1:
+                g = gcd(d, *num.terms.values())
+                if g != 1:
+                    num = Poly(num.field, num.arity, {e: c // g for e, c in num.terms.items()})
+                    d //= g
+            return RatFunc(num, Poly(num.field, num.arity, {zero: d}))
         return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":

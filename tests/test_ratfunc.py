@@ -2,6 +2,7 @@ import json
 import operator
 import pathlib
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -35,6 +36,25 @@ class TestBaseField:
         # over Q an integral value is an int, any other a Fraction
         assert type(QQ.coerce(3)) is int and type(QQ.coerce(Fraction(6, 2))) is int
         assert QQ.coerce(Fraction(3, 2)) == Fraction(3, 2)
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    @pytest.mark.parametrize("value", [0.5, 2.7, 3.0, "3", "1/2", None])
+    def test_inexact_coefficients_refused(self, field, value):
+        message = f"^coefficient {re.escape(repr(value))} is not an int or a Fraction$"
+        for build in (lambda: field.coerce(value), lambda: Poly.make(field, 1, {(1,): value}),
+                      lambda: RatFunc.const(field, 1, value),
+                      lambda: RatFunc.monomial(field, 2, (1, -1), value)):
+            with pytest.raises(TypeError, match=message):
+                build()
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    @pytest.mark.parametrize("e", [(1.5, 2.9), (2.0, 0), ("1", 0), (1, None)])
+    def test_inexact_exponents_refused(self, field, e):
+        for build in (lambda: Poly.make(field, 2, {e: 1}), lambda: RatFunc.monomial(field, 2, e)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                build()
+        # exact integers of any int type are taken as they are
+        assert Poly.make(field, 2, {(True, 2): 1}).terms == {(1, 2): 1}
 
     def test_inv_over_gf_p(self):
         assert F5.inv(2) == 3
@@ -220,6 +240,47 @@ class TestArith:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             parse_expr("1", 1, QQ) / RatFunc.zero(QQ, 1)
+
+    @staticmethod
+    def polynomial(rng, field, n, d):
+        """A random polynomial over the constant d, in canonical form."""
+        terms = {tuple(rng.randint(0, 3) for _ in range(n)): rng.randint(-6, 6)
+                 for _ in range(rng.randint(0, 4))}
+        return RatFunc.make(Poly.make(field, n, terms), Poly.const(field, n, d))
+
+    def test_polynomial_sum_stores_the_terms_make_gives(self):
+        """The sum of two polynomials over constants stores exactly the
+        terms of the general formula, for + and -, cancellation included."""
+        rng = random.Random(7)
+        count = 0
+        for field in (QQ, F5, BaseField(2**61 - 1)):
+            for n in range(4):
+                for da, db in ((1, 1), (6, 6), (4, 9), (3, 1), (12, 18), (1, 7)):
+                    for _ in range(6):
+                        a = self.polynomial(rng, field, n, da)
+                        b = self.polynomial(rng, field, n, db)
+                        for lhs, rhs in ((a, b), (a, -a), (a, a), (-a, a)):
+                            for got, sign in ((lhs + rhs, 1), (lhs - rhs, -1)):
+                                other = rhs.num.scaled(sign) * lhs.den
+                                want = RatFunc.make(lhs.num * rhs.den + other, lhs.den * rhs.den)
+                                for g, w in ((got.num, want.num), (got.den, want.den)):
+                                    assert g.terms == w.terms, (field, n, lhs, rhs, sign)
+                                    assert all(type(c) is int for c in g.terms.values())
+                                    assert (g.field, g.arity) == (field, n)
+                                count += 1
+        assert count == 3 * 4 * 6 * 6 * 8
+        # a cancelling sum is 0/1, whatever the constants
+        half = RatFunc.const(QQ, 2, Fraction(1, 2))
+        assert (half - half).den.terms == {(0, 0): 1}
+
+    def test_polynomial_sum_over_different_rings(self):
+        pairs = [(RatFunc.const(QQ, 2, 3), RatFunc.const(F5, 2, 1)),
+                 (RatFunc.const(QQ, 2, Fraction(1, 2)), RatFunc.const(QQ, 3, Fraction(1, 3))),
+                 (RatFunc.variable(F5, 1, 0), RatFunc.variable(QQ, 1, 0))]
+        for a, b in pairs:
+            for op in (operator.add, operator.sub):
+                with pytest.raises(ValueError, match="^polynomials over different rings$"):
+                    op(a, b)
 
 
 class TestEqZero:

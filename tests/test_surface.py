@@ -1,10 +1,10 @@
-"""The library's surface: every module-level name in src/placeforge has a
-user outside the tests, and every public name resolves.
+"""The library's surface: every module-level name and private method in
+src/placeforge has a user outside the tests, and every public name resolves.
 
-A function or class that only tests reach is code no command runs, though
-every CLI job still compiles it.  A name counts as used when it is named,
-as a whole word outside its own definition, in another part of
-src/placeforge (not `__init__.py`, which only re-exports) or in
+A function, class or private method that only tests reach is code no
+command runs, though every CLI job still compiles it.  A name counts as used
+when it is named, as a whole word outside its own definition, in another
+part of src/placeforge (not `__init__.py`, which only re-exports) or in
 perfbench/*.py, read as text without importing anything there.
 """
 
@@ -21,12 +21,27 @@ SRC = ROOT / "src" / "placeforge"
 
 def module_level_definitions():
     """(path, name, first line, last line) of each module-level function and
-    class, decorators included; the PEP 562 `__getattr__` is left out."""
+    class, and of each private method: one whose name starts with "_" or
+    one of a class whose name does.  Decorators are included; dunder
+    methods, which the language calls, and the PEP 562 `__getattr__` are
+    left out."""
+
+    def span(node):
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        return first, node.end_lineno
+
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name != "__getattr__":
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                yield path, node.name, first, node.end_lineno
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name == "__getattr__":
+                continue
+            yield path, node.name, *span(node)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                name = getattr(method, "name", "")
+                if (isinstance(method, ast.FunctionDef) and not name.endswith("__")
+                        and (name.startswith("_") or node.name.startswith("_"))):
+                    yield path, name, *span(method)
 
 
 def test_every_module_level_name_has_a_user_outside_the_tests():
