@@ -74,7 +74,6 @@ class _Parser:
         self.field = field
         self.arity = arity
         self.index_of = {name: k for k, name in enumerate(names)}
-        self.zero_e = (0,) * arity
 
     def error(self, message: str, i: int) -> ParseError:
         return ParseError(message, _span(self.text, i)[0])
@@ -93,11 +92,8 @@ class _Parser:
         field, arity = self.field, self.arity
         if not n:
             return RatFunc.zero(field, arity)
-        if min(e, default=0) >= 0:
-            up, down = tuple(e), self.zero_e
-        else:
-            up = tuple(x if x > 0 else 0 for x in e)
-            down = tuple(-x if x < 0 else 0 for x in e)
+        up = tuple(x if x > 0 else 0 for x in e)
+        down = tuple(-x if x < 0 else 0 for x in e)
         return RatFunc(Poly(field, arity, {up: n}), Poly(field, arity, {down: d}))
 
     def ratio(self, n: int, d: int):
@@ -113,18 +109,22 @@ class _Parser:
         return n // g, d // g
 
     def expr(self) -> RatFunc:
-        """A sum, folded left to right by the RatFunc operators."""
+        """A sum, folded left to right by RatFunc.sum."""
+        return RatFunc.sum(self.summands())
+
+    def summands(self):
+        """The terms of a sum, each with its sign applied, parsed one at a
+        time as the fold asks for them."""
         tokens = self.tokens
-        negative = tokens[self.i] == "-"
-        if negative:
-            self.i += 1
-        out = -self.term() if negative else self.term()
+        sign = tokens[self.i]
+        self.i += sign == "-"
         while True:
+            t = self.term()
+            yield -t if sign == "-" else t
             sign = tokens[self.i]
             if sign != "+" and sign != "-":
-                return out
+                return
             self.i += 1
-            out = out + self.term() if sign == "+" else out - self.term()
 
     def term(self) -> RatFunc:
         """A product, folded left to right; see atom_run for the runs of
@@ -140,12 +140,12 @@ class _Parser:
             if op != "*" and op != "/":
                 return out
             self.i = i + 1
-            num, den = out.num.terms, out.den.terms
+            num = out.num.terms
             # Atoms after a polynomial fold into one product (see atom_run); a
             # parenthesised factor, or any factor after a numerator too large
             # for one product (MAX_TERM_PAIRS), meets it through the operators.
             if (tokens[i + 1] not in _NOT_ATOM and num and len(num) <= MAX_TERM_PAIRS
-                    and len(den) == 1 and self.zero_e in den):
+                    and out.den.constant()):
                 out = out * self.monomial(*self.atom_run(op, [max(c) for c in zip(*num)]))
                 continue
             rhs = self.factor()

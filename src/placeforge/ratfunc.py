@@ -118,6 +118,18 @@ def monic(c, lead):
     return c // g, lead // g
 
 
+def _add_into(terms: dict, other: dict, k: int, field: BaseField) -> dict:
+    """`terms` plus k times the terms `other`, in place: a key whose
+    coefficient cancels is deleted, a new key goes last."""
+    for e, v in other.items():
+        v = field.add(terms[e], v * k) if e in terms else v * k
+        if v:
+            terms[e] = v
+        else:
+            del terms[e]
+    return terms
+
+
 class Poly:
     """Sparse polynomial: a map from exponent vectors to nonzero coefficients.
 
@@ -163,24 +175,18 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def constant(self):
+        """The coefficient when this is a nonzero constant, else None."""
+        terms = self.terms
+        return terms.get((0,) * self.arity) if len(terms) == 1 else None
+
     def _check(self, other: "Poly"):
         if (self.field is not other.field and self.field != other.field) or self.arity != other.arity:
             raise ValueError("polynomials over different rings")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self.terms)
-        f = self.field
-        for e, c in other.terms.items():
-            if e in out:
-                v = f.add(out[e], c)
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-            else:
-                out[e] = c
-        return Poly(f, self.arity, out)
+        return Poly(self.field, self.arity, _add_into(dict(self.terms), other.terms, 1, self.field))
 
     def __neg__(self) -> "Poly":
         f = self.field
@@ -265,6 +271,28 @@ def _integral(num: Poly, den: Poly):
     )
 
 
+def _content_free(num: Poly, den: Poly, lead) -> "RatFunc":
+    """num/den over Q, int coefficients, divided by the gcd of all their
+    coefficients taken with the sign of `lead`: the last step of the
+    canonical form."""
+    g = gcd(*den.terms.values(), *num.terms.values())
+    if lead < 0:
+        g = -g
+    if g != 1:
+        field, arity = num.field, num.arity
+        num = Poly(field, arity, {e: c // g for e, c in num.terms.items()})
+        den = Poly(field, arity, {e: c // g for e, c in den.terms.items()})
+    return RatFunc(num, den)
+
+
+def _polynomial(ring: Poly, terms: dict, d: int) -> "RatFunc":
+    """The polynomial with int coefficients `terms` over the positive int d,
+    in the ring of `ring`, in canonical form; over GF(p) d is 1 and so is
+    the content."""
+    field, arity = ring.field, ring.arity
+    return _content_free(Poly(field, arity, terms), Poly(field, arity, {(0,) * arity: d}), d)
+
+
 class RatFunc:
     """Quotient of two polynomials in canonical form.
 
@@ -304,18 +332,10 @@ class RatFunc:
                 num = num.scaled(inv)
                 den = den.scaled(inv)
             return RatFunc(num, den)
-        # over Q: divide by the joint content, with the sign of the lead
         try:
-            g = gcd(*den.terms.values(), *num.terms.values())
+            return _content_free(num, den, lead)
         except TypeError:  # a Fraction coefficient, from a polynomial built by hand
-            num, den = _integral(num, den)
-            g = gcd(*den.terms.values(), *num.terms.values())
-        if lead < 0:
-            g = -g
-        if g != 1:
-            num = Poly(field, arity, {e: c // g for e, c in num.terms.items()})
-            den = Poly(field, arity, {e: c // g for e, c in den.terms.items()})
-        return RatFunc(num, den)
+            return _content_free(*_integral(num, den), lead)
 
     @staticmethod
     def zero(field: BaseField, arity: int) -> "RatFunc":
@@ -359,26 +379,37 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    @staticmethod
+    def sum(summands) -> "RatFunc":
+        """The sum of one or more RatFuncs, folded left to right.  A run of
+        polynomials over positive integer constants (1 over GF(p)) adds in
+        place into one dict over the lcm of their constants, in time linear
+        in its terms, and is divided by its joint content once; canonical
+        form over a constant is unique, so this is what make() would give.
+        Any other summand meets the running sum through make()."""
+        summands = iter(summands)
+        out = next(summands)
+        terms = None  # while a run lasts, the running sum is terms over d
+        for t in summands:
+            c = t.den.constant()
+            if c and terms is None and (d := out.den.constant()):
+                terms = dict(out.num.terms)
+            elif not c and terms is not None:
+                out, terms = _polynomial(out.num, terms, d), None
+            if terms is None:
+                out = RatFunc.make(out.num * t.den + t.num * out.den, out.den * t.den)
+                continue
+            out.num._check(t.num)
+            m = lcm(d, c)
+            if m != d:
+                up, d = m // d, m
+                for e in terms:
+                    terms[e] *= up
+            _add_into(terms, t.num.terms, d // c, out.field)
+        return out if terms is None else _polynomial(out.num, terms, d)
+
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        zero = (0,) * self.arity
-        a = self.den.terms.get(zero) if len(self.den.terms) == 1 else None
-        b = other.den.terms.get(zero) if len(other.den.terms) == 1 else None
-        if a and b:
-            # two polynomials over positive integer constants (1 over GF(p)):
-            # their sum over the lcm of the constants, divided by the joint
-            # content, is the canonical form make() would give
-            d = lcm(a, b)
-            num = ((self.num if a == d else self.num.scaled(d // a))
-                   + (other.num if b == d else other.num.scaled(d // b)))
-            if not num.terms:
-                d = 1
-            elif d != 1:
-                g = gcd(d, *num.terms.values())
-                if g != 1:
-                    num = Poly(num.field, num.arity, {e: c // g for e, c in num.terms.items()})
-                    d //= g
-            return RatFunc(num, Poly(num.field, num.arity, {zero: d}))
-        return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
+        return RatFunc.sum((self, other))
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + -other

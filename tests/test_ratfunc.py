@@ -281,6 +281,48 @@ class TestArith:
             for op in (operator.add, operator.sub):
                 with pytest.raises(ValueError, match="^polynomials over different rings$"):
                     op(a, b)
+        # a ring mismatch later in a run of polynomials is refused too
+        with pytest.raises(ValueError, match="^polynomials over different rings$"):
+            RatFunc.sum([RatFunc.const(QQ, 2, 3), RatFunc.const(QQ, 2, 4), RatFunc.const(QQ, 1, 1)])
+
+    def test_sum_stores_the_terms_of_the_folded_formula(self):
+        """RatFunc.sum over a mix of polynomials over constants and other
+        functions stores exactly the terms of the left fold of
+        make(a.num * b.den + b.num * a.den, a.den * b.den)."""
+        rng = random.Random(11)
+        for field in (QQ, F5):
+            for n in (1, 2):
+                for _ in range(25):
+                    items = []
+                    for _ in range(rng.randint(1, 7)):
+                        f = self.polynomial(rng, field, n, rng.choice((1, 2, 3, 6)))
+                        if rng.random() < 0.3:
+                            f = f / (RatFunc.variable(field, n, 0) + RatFunc.const(field, n, 1))
+                        items += [f, -f] if rng.random() < 0.2 else [f]
+                    want = items[0]
+                    for t in items[1:]:
+                        want = RatFunc.make(want.num * t.den + t.num * want.den, want.den * t.den)
+                    got = RatFunc.sum(items)
+                    assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms), items
+
+    def test_a_long_sum_parses_in_linear_work(self, monkeypatch):
+        """The terms stored over all the polynomials that parsing a sum of k
+        monomials builds stay under 6k: the running sum is not copied at
+        each + or -, which would store about k^2 / 2."""
+        stored = []
+        init = Poly.__init__
+
+        def counting(self, field, arity, terms):
+            stored.append(len(terms))
+            init(self, field, arity, terms)
+
+        monkeypatch.setattr(Poly, "__init__", counting)
+        for k in (200, 400):
+            text = "".join(f" {'+-'[i % 2]} {i % 7 + 1}/{i % 5 + 1}*x1^{i}*x2" for i in range(k))
+            stored.clear()
+            f = parse_expr(text.lstrip(" +"), 2, QQ)
+            assert len(f.num.terms) == k
+            assert sum(stored) < 6 * k, sum(stored)
 
 
 class TestEqZero:
