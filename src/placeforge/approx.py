@@ -414,13 +414,19 @@ def _identity_checks(nonzero, signs):
 
 
 def _iota_witnesses(count: int):
-    """Unit vectors and pairwise differences: the prescribed combinations."""
+    """Unit vectors and pairwise differences: the prescribed combinations,
+    each a copy of one zero list with one or two entries set."""
+    zero = [0] * count
     out = []
     for i in range(count):
-        out.append(tuple(1 if k == i else 0 for k in range(count)))
+        w = zero.copy()
+        w[i] = 1
+        out.append(tuple(w))
     for i in range(count):
         for j in range(i + 1, count):
-            out.append(tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(count)))
+            w = zero.copy()
+            w[i], w[j] = 1, -1
+            out.append(tuple(w))
     return out
 
 
@@ -549,7 +555,10 @@ def density_witness(place: Place, finite_on, vanishing_on, shape: TargetShape) -
 
     Sign preservation of all the defining elements implies membership, so
     this is residue-preserving goodification over their union (value
-    preservation through the tower, for the composite class).
+    preservation through the tower, for the composite class).  Membership
+    of the result is read off goodify's checks, whose `sign_p` is each
+    nonzero element's value sign on the result place, in order; a zero
+    element lies in every basic open set.
     """
     finite_on = list(finite_on)
     vanishing_on = list(vanishing_on)
@@ -558,6 +567,9 @@ def density_witness(place: Place, finite_on, vanishing_on, shape: TargetShape) -
     mode = "preserve_values" if shape.klass == "composite_drop" else "preserve_residues"
     shape = TargetShape(mode=mode, klass=shape.klass, r1=shape.r1, d1=shape.d1)
     result = goodify(place, finite_on + vanishing_on, shape)
-    if not in_basic_open(result.place, finite_on, vanishing_on):
-        raise AssertionError("sign preservation should have implied membership")
+    checks = iter(result.checks)
+    for elems, refused in ((finite_on, ("-",)), (vanishing_on, ("-", "0"))):
+        for f in elems:
+            if not f.is_zero() and next(checks)["sign_p"] in refused:
+                raise AssertionError("sign preservation should have implied membership")
     return result

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
 from . import lattice
@@ -318,11 +318,17 @@ class Subgroup:
     def generators(self) -> tuple:
         return tuple(GroupElem.from_row(self.ambient, r, self.den) for r in self.rows)
 
+    @cached_property
+    def rank_profile(self) -> list:
+        """The pivot columns of the rows (`lattice.rank_profile`), found on
+        first use; `rational_rank` and `convex_rank` both read them."""
+        return lattice.rank_profile(self.rows)
+
 
 def rational_rank(s: Subgroup) -> int:
     """Dimension of the rational span of the generators: the rank of their
-    integer rows, read off the rows' rank profile (no HNF)."""
-    return lattice.int_rank(s.rows)
+    integer rows, the length of their rank profile (no HNF)."""
+    return len(s.rank_profile)
 
 
 def convex_rank(s: Subgroup) -> int:
@@ -336,7 +342,7 @@ def convex_rank(s: Subgroup) -> int:
     column: one rank profile (fraction-free elimination, no HNF) decides
     every level.
     """
-    return len({c // 2 for c in lattice.rank_profile(s.rows)})
+    return len({c // 2 for c in s.rank_profile})
 
 
 @dataclass(frozen=True)

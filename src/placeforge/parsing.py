@@ -16,6 +16,7 @@ exact.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import gcd
 
 from .ordgroup import MAX_LITERAL_DIGITS
@@ -55,6 +56,7 @@ def _span(text: str, i: int):
     return len(text), len(text)
 
 
+@lru_cache(maxsize=64)
 def default_names(arity: int, prefix: str = "x"):
     return tuple(f"{prefix}{i}" for i in range(1, arity + 1))
 
@@ -66,14 +68,14 @@ class _Parser:
     # this keeps deep inputs well inside the interpreter's limit.
     MAX_DEPTH = 128
 
-    def __init__(self, text: str, tokens, field: BaseField, arity: int, names):
+    def __init__(self, text: str, tokens, field: BaseField, arity: int, index_of):
         self.text = text
         self.tokens = tokens
         self.i = 0
         self.depth = 0
         self.field = field
         self.arity = arity
-        self.index_of = {name: k for k, name in enumerate(names)}
+        self.index_of = index_of  # shared between parses: read only
 
     def error(self, message: str, i: int) -> ParseError:
         return ParseError(message, _span(self.text, i)[0])
@@ -288,10 +290,26 @@ def check_names(names, arity: int):
     return names
 
 
+@lru_cache(maxsize=64)
+def _cached_index(names, arity: int):
+    return {name: k for k, name in enumerate(check_names(names, arity))}
+
+
+def _name_index(names, arity: int):
+    """{name: position} of the names `check_names` accepts, built once per
+    distinct (names, arity); a list of names is looked up as a tuple.  Names
+    that cannot be a cache key are checked on every call, so every bad input
+    meets check_names' own error."""
+    try:
+        return _cached_index(tuple(names) if type(names) is list else names, arity)
+    except TypeError:
+        return _cached_index.__wrapped__(names, arity)
+
+
 def parse_expr(text: str, arity: int, field: BaseField, names=None) -> RatFunc:
     """Parse an expression into a canonical rational function in the
     variables `names`, checked by `check_names`."""
-    names = check_names(names, arity)
+    index_of = _name_index(names, arity)
     tokens = _TOKEN.findall(text)
     if _STRAY.search(text) or max(map(len, tokens), default=0) > MAX_LITERAL_DIGITS:
         # a token's own refusal comes before any other, left to right
@@ -302,7 +320,7 @@ def parse_expr(text: str, arity: int, field: BaseField, names=None) -> RatFunc:
                 raise ParseError(f"integer literal of {len(t)} digits exceeds MAX_LITERAL_DIGITS"
                                  f" = {MAX_LITERAL_DIGITS}", _span(text, i)[0])
     tokens.append("")
-    return _Parser(text, tokens, field, arity, names).parse()
+    return _Parser(text, tokens, field, arity, index_of).parse()
 
 
 def _format_monomial(e, names):

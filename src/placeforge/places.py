@@ -127,7 +127,8 @@ class PlaceInvariants:
 
 
 def _validate_match(place: "Place", f: RatFunc):
-    if f.field != place.field or f.arity != place.arity:
+    field = f.field
+    if (field is not place.field and field != place.field) or f.arity != place.arity:
         raise ValueError("element does not live in the place's function field")
 
 
@@ -206,15 +207,23 @@ class Place:
         return num_mins, den_mins
 
     def invariants(self) -> PlaceInvariants:
-        """dim, rr and rank from rank profiles of integer rows alone: rr is
-        the rank of the value group's rows, rank the number of levels that
-        hold a pivot column, and dim comes from `residue_dim`.  No kernel,
-        no HNF and, for a tower, no flat place is built."""
+        """dim, rr and rank from one rank profile of the value group's
+        integer rows: rr is its length, rank the number of levels that hold
+        a pivot column, and dim = n - rr.  No kernel, no HNF and, for a
+        tower, no flat place is built.
+
+        dim = n - rr is Abhyankar's equality.  For a monomial place the
+        residue field is generated by the kernel lattice of the weight
+        rows, of rank n - rr.  For a tower P∘Q the residue field is Q's
+        and the value group's rows are P's and Q's in block form, so
+        rr = rr_P + rr_Q; by induction dim_Q = arity_Q - rr_Q with
+        arity_Q = dim_P = n - rr_P, so dim = n - rr again, for every tower
+        built on monomial places."""
         n = self.arity
         group = self.value_group()
-        dim = self.residue_dim()
         rr = rational_rank(group)
         rank = convex_rank(group)
+        dim = n - rr
         return PlaceInvariants(
             dim=dim,
             rr=rr,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index, sub
+from operator import add, index, sub
 
 from ._kernels import EXP_LIMIT, mul_terms
 
@@ -285,12 +285,40 @@ def _content_free(num: Poly, den: Poly, lead) -> "RatFunc":
     return RatFunc(num, den)
 
 
-def _polynomial(ring: Poly, terms: dict, d: int) -> "RatFunc":
-    """The polynomial with int coefficients `terms` over the positive int d,
-    in the ring of `ring`, in canonical form; over GF(p) d is 1 and so is
-    the content."""
+# In a run of RatFunc.sum that has met a monomial denominator, every
+# exponent of the running sum and of each summand, as a Laurent monomial,
+# stays below this in absolute value.  Then no partial sum, and no product
+# that the fold through make() forms, reaches EXP_LIMIT, so the run raises
+# nowhere and the fold would not either; a summand past it meets the
+# running sum through make(), as in the fold.
+_LAURENT_BOUND = EXP_LIMIT >> 2
+
+
+def _laurent_terms(terms: dict, a):
+    """The terms of a polynomial over x^a as Laurent terms c*x^(e - a), or
+    None when an exponent reaches _LAURENT_BOUND in absolute value."""
+    out = {}
+    for e, c in terms.items():
+        e = tuple(map(sub, e, a))
+        if max(e) >= _LAURENT_BOUND or min(e) <= -_LAURENT_BOUND:
+            return None
+        out[e] = c
+    return out
+
+
+def _polynomial(ring: Poly, terms: dict, d: int, laurent: bool = False) -> "RatFunc":
+    """The Laurent polynomial with int coefficients `terms` over the
+    positive int d, in the ring of `ring`, in canonical form; over GF(p) d
+    is 1 and so is the content.  Exponents may be negative only when
+    `laurent`: the denominator is then d*x^D, for D the least exponent that
+    clears every negative one, and no monomial content is left to remove."""
     field, arity = ring.field, ring.arity
-    return _content_free(Poly(field, arity, terms), Poly(field, arity, {(0,) * arity: d}), d)
+    low = (0,) * arity
+    if laurent and terms:
+        low = tuple(-x if x < 0 else 0 for x in map(min, zip(*terms)))
+        if any(low):
+            terms = {tuple(map(add, e, low)): c for e, c in terms.items()}
+    return _content_free(Poly(field, arity, terms), Poly(field, arity, {low: d}), d)
 
 
 class RatFunc:
@@ -382,21 +410,35 @@ class RatFunc:
     @staticmethod
     def sum(summands) -> "RatFunc":
         """The sum of one or more RatFuncs, folded left to right.  A run of
-        polynomials over positive integer constants (1 over GF(p)) adds in
-        place into one dict over the lcm of their constants, in time linear
-        in its terms, and is divided by its joint content once; canonical
-        form over a constant is unique, so this is what make() would give.
-        Any other summand meets the running sum through make()."""
+        summands whose denominators have one term c*x^a, c a positive
+        integer (1 over GF(p)), adds in place into one dict over the lcm of
+        their constants, in time linear in its terms, and is put in
+        canonical form once.  While every a is 0 the dict holds the
+        polynomial itself; once one is not, it holds Laurent exponents e - a
+        (see _LAURENT_BOUND).  Canonical form over a monomial is unique, so
+        this is what make() would give.  Any other summand meets the
+        running sum through make()."""
         summands = iter(summands)
         out = next(summands)
         terms = None  # while a run lasts, the running sum is terms over d
         for t in summands:
-            c = t.den.constant()
-            if c and terms is None and (d := out.den.constant()):
-                terms = dict(out.num.terms)
-            elif not c and terms is not None:
-                out, terms = _polynomial(out.num, terms, d), None
-            if terms is None:
+            den = t.den.terms
+            items = None
+            if len(den) == 1:
+                ((a, c),) = den.items()
+                if terms is None and len(out.den.terms) == 1:
+                    ((shift, d),) = out.den.terms.items()
+                    laurent = any(shift)
+                    terms = _laurent_terms(out.num.terms, shift) if laurent else dict(out.num.terms)
+                if terms is not None and not (laurent or any(a)):
+                    items = t.num.terms  # a polynomial into a polynomial run
+                elif terms is not None and (laurent or all(max(e) < _LAURENT_BOUND for e in terms)):
+                    # a run turns Laurent only while every exponent is in bounds
+                    items = _laurent_terms(t.num.terms, a)
+                    laurent = laurent or items is not None
+            if items is None:
+                if terms is not None:
+                    out, terms = _polynomial(out.num, terms, d, laurent), None
                 out = RatFunc.make(out.num * t.den + t.num * out.den, out.den * t.den)
                 continue
             out.num._check(t.num)
@@ -405,8 +447,8 @@ class RatFunc:
                 up, d = m // d, m
                 for e in terms:
                     terms[e] *= up
-            _add_into(terms, t.num.terms, d // c, out.field)
-        return out if terms is None else _polynomial(out.num, terms, d)
+            _add_into(terms, items, d // c, out.field)
+        return out if terms is None else _polynomial(out.num, terms, d, laurent)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.sum((self, other))

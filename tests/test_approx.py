@@ -21,9 +21,12 @@ from placeforge import (
     perturb_weights,
     signature,
 )
+from placeforge import approx
 from placeforge.approx import (
+    GoodifyResult,
     SignatureError,
     _build_monomial,
+    _iota_witnesses,
     _max_rank_levels,
     _rational_collapse,
     _refined_convergents,
@@ -471,6 +474,30 @@ class TestDensityWitness:
         with pytest.raises(ValueError):
             density_witness(P_SQRT, [q2("1/x1")], [], TargetShape("preserve_residues", "discrete"))
 
+    @pytest.mark.parametrize("signs, ok", [
+        (("0", "+", "+"), True),
+        (("-", "+", "+"), False),
+        (("+", "-", "+"), False),
+        (("+", "+", "0"), False),
+        (("+", "+", "-"), False),
+    ])
+    def test_membership_is_read_from_the_report(self, monkeypatch, signs, ok):
+        """The closing membership test reads each nonzero element's
+        `sign_p` from goodify's checks, in order, past the zero elements:
+        `-` refuses an element of A, `-` or `0` one of B."""
+        zero = q2("0")
+        A, B = [zero, q2("x1"), zero, q2("x2")], [zero, q2("x1*x2")]
+        report = GoodifyResult(P_23, checks=[
+            {"elem": str(f), "sign_q": "+", "sign_p": s, "residue_equal": None}
+            for f, s in zip([A[1], A[3], B[1]], signs)])
+        monkeypatch.setattr(approx, "goodify", lambda place, elems, shape: report)
+        shape = TargetShape("preserve_residues", "discrete")
+        if ok:
+            assert density_witness(P_23, A, B, shape) is report
+        else:
+            with pytest.raises(AssertionError, match="should have implied membership"):
+                density_witness(P_23, A, B, shape)
+
     def test_zero_dimensional_tower_witness(self):
         A, B = [q2("x1")], [q2("x1^2")]
         result = density_witness(P_10, A, B,
@@ -501,6 +528,22 @@ def kernel_tie_break_cols(ints):
     kernel = lattice.row_kernel([[w] for w in ints])
     rev = lattice.hnf([tuple(reversed(row)) for row in kernel])
     return sorted(n - 1 - c for c in lattice.pivot_cols(rev))
+
+
+def generator_iota_witnesses(count):
+    """The witnesses as one conditional generator expression per entry."""
+    out = []
+    for i in range(count):
+        out.append(tuple(1 if k == i else 0 for k in range(count)))
+    for i in range(count):
+        for j in range(i + 1, count):
+            out.append(tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(count)))
+    return out
+
+
+@pytest.mark.parametrize("count", range(9))
+def test_iota_witnesses_match_the_generator_form(count):
+    assert _iota_witnesses(count) == generator_iota_witnesses(count)
 
 
 class TestIntegerRefinement:

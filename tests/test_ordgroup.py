@@ -128,6 +128,21 @@ class TestRationalRank:
                 assert rational_rank(doubled) == rk
             assert rk == fraction_rank([g.qvec() for g in gens]) if gens else rk == 0
 
+    def test_both_ranks_share_one_rank_profile(self, monkeypatch):
+        """rational_rank and convex_rank on one Subgroup eliminate its rows
+        once, in either order and however often they are asked."""
+        calls = []
+        rank_profile = lattice.rank_profile
+        monkeypatch.setattr(lattice, "rank_profile",
+                            lambda rows: calls.append(rows) or rank_profile(rows))
+        gens = (AMB2.elem(1, 0), AMB2.elem(QuadScalar.sqrt(2), 5), AMB2.elem(0, 3))
+        for first, second in ((rational_rank, convex_rank), (convex_rank, rational_rank)):
+            s = Subgroup(AMB2, gens)
+            calls.clear()
+            assert (first(s), second(s), first(s), second(s)) == (
+                (3, 2, 3, 2) if first is rational_rank else (2, 3, 2, 3))
+            assert calls == [s.rows]
+
 
 def member(s, x):
     """x lies in the subgroup s: over one denominator, its row is an integer

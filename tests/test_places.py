@@ -310,6 +310,73 @@ def test_residue_dim_is_the_kernel_rank_and_invariants_run_no_hnf(hnf_calls):
     assert {p.residue_dim() for p in places} >= {0, 1, 2, 3}
 
 
+def abhyankar_places():
+    """Seeded places from tests/gen.py, every kind placeforge builds:
+    monomial places with 1-6 levels, the same with one level zero on every
+    weight and one weight a repeated or scaled copy of another, and towers
+    of depth 1-3 nested on either side."""
+    rng = random.Random(23)
+    places = []
+    for i in range(36):
+        field, n, levels = (QQ, F5)[i % 2], 1 + i % 6, 1 + (i * 5) % 6
+        place = random_monomial_place(rng, field, n, levels=levels, zero_frac=(0.25, 0.6)[i % 2])
+        rows = [list(w.row) for w in place.weights]
+        zero = rng.randrange(levels)
+        for row in rows:
+            row[2 * zero:2 * zero + 2] = 0, 0
+        src, dst = rng.randrange(n), rng.randrange(n)
+        rows[dst] = [rng.choice((1, -2, 3)) * x for x in rows[src]]
+        dens = [w.den for w in place.weights]
+        dens[dst] = dens[src]
+        weights = [GroupElem.from_row(place.ambient, r, d) for r, d in zip(rows, dens)]
+        places += [place, MonomialPlace(field, n, place.ambient, weights)]
+        for nest in ("inner", "outer"):
+            places.append(random_tower(rng, field, n, i % 4 < 2, 1 + i % 3, nest))
+    return places
+
+
+def test_invariants_take_dim_from_abhyankars_equality():
+    """Every place placeforge builds has dim + rr = n, so invariants take
+    dim = n - rr: it agrees with residue_dim and with the kernel basis that
+    the HNF builds, and the abhyankar flag holds."""
+    places = abhyankar_places()
+    for place in places:
+        inv = place.invariants()
+        assert inv.dim == place.residue_dim() == len(place.kernel_lattice()), place
+        assert inv.abhyankar and inv.dim + inv.rr == place.arity
+        assert inv.rr == fraction_rank(place.value_group().rows)
+    assert {p.invariants().dim for p in places} >= {0, 1, 2, 3}
+
+
+def test_invariants_of_a_monomial_place_run_one_rank_profile(monkeypatch):
+    """dim, rr and rank of a monomial place come from one elimination of
+    its weight rows, which later calls reuse."""
+    calls = []
+    rank_profile = lattice.rank_profile
+    monkeypatch.setattr(lattice, "rank_profile",
+                        lambda rows: calls.append(rows) or rank_profile(rows))
+    place = place_from_json({"kind": "monomial", "base": "Q", "arity": 3,
+                             "ambient": {"levels": [{"d": 2}, {"d": 3}]},
+                             "weights": [[{"a": "1", "b": "0"}, {"a": "0", "b": "0"}],
+                                         [{"a": "2", "b": "0"}, {"a": "1", "b": "1"}],
+                                         [{"a": "0", "b": "1"}, {"a": "0", "b": "0"}]]})
+    first = place.invariants()
+    assert (first.dim, first.rr, first.rank) == (0, 3, 2)
+    assert place.invariants() == first
+    assert len(calls) == 1
+
+
+def test_elements_over_an_equal_field_object_are_accepted():
+    """A place checks an element's field by identity first, then by
+    equality: an equal field built separately is the same field."""
+    place = MonomialPlace.from_rows(BaseField(5), 2, AMB, [(1, 0), (2, 0)])
+    f = parse_expr("x1 + x2", 2, BaseField(5))
+    assert f.field is not place.field
+    assert place.value_sign(f) == 1
+    with pytest.raises(ValueError, match="does not live in the place's function field"):
+        place.value_sign(parse_expr("x1 + x2", 2, BaseField(7)))
+
+
 def test_invariants_of_a_48_by_48_place_match_fraction_elimination(hnf_calls):
     """Arity 48 and 48 levels (weights in +-9, radicand 2), eight variables
     valued in the span of the others: rr, dim and rank against the

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import placeforge as pf
-from placeforge import BaseField, ParseError, Poly, RatFunc, parse_expr
+from placeforge import BaseField, ParseError, Poly, RatFunc, parse_expr, parsing
 from placeforge.ordgroup import MAX_LITERAL_DIGITS
 from placeforge.parsing import MAX_POWER_BITS, format_ratfunc
+from placeforge.ratfunc import EXP_LIMIT
 
 import oracles
 from gen import random_ratfunc
@@ -112,6 +113,36 @@ class TestParser:
             with pytest.raises(ValueError, match="is not an identifier"):
                 parse_expr("c", 2, QQ, names=names)
         assert parse_expr("_a + B_9", 2, QQ, names=("_a", "B_9")) == parse_expr("x1 + x2", 2, QQ)
+
+    def test_name_tables_are_built_once_per_name_set(self, monkeypatch):
+        """parse_expr checks a set of names and builds its index once per
+        (names, arity), a list and a tuple of the same names alike."""
+        checked = []
+        check_names = parsing.check_names
+        monkeypatch.setattr(parsing, "check_names",
+                            lambda names, arity: checked.append(names) or check_names(names, arity))
+        names = ["alpha_pf", "beta_pf"]
+        for _ in range(3):
+            assert parse_expr("alpha_pf*beta_pf", 2, QQ, names=names).monic_terms()[0] == {(1, 1): 1}
+            assert parse_expr("beta_pf", 2, QQ, names=tuple(names)).monic_terms()[0] == {(0, 1): 1}
+        assert checked == [tuple(names)]
+
+    @pytest.mark.parametrize("names, arity, message", [
+        (["a", "a"], 2, "variable names must be distinct; 'a' repeats"),
+        (("a", "b", "a"), 3, "variable names must be distinct; 'a' repeats"),
+        (["a"], 2, "need one name per variable"),
+        ((1, "b"), 2, "variable name 1 is not an identifier"),
+        (["a", ["b"]], 2, r"variable name \['b'\] is not an identifier"),
+        (["a", {"b": 1}], 2, r"variable name \{'b': 1\} is not an identifier"),
+        ([None, "b"], 2, "variable name None is not an identifier"),
+        (("a", "b\n"), 2, r"variable name 'b\\n' is not an identifier"),
+    ])
+    def test_bad_names_are_refused_on_every_call(self, names, arity, message):
+        """A bad name set, hashable or not, meets check_names' own error on
+        every call; no failure is cached."""
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                parse_expr("a", arity, QQ, names=names)
 
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as err:
@@ -323,6 +354,69 @@ class TestArith:
             f = parse_expr(text.lstrip(" +"), 2, QQ)
             assert len(f.num.terms) == k
             assert sum(stored) < 6 * k, sum(stored)
+
+    def test_a_long_laurent_sum_parses_in_linear_work(self, monkeypatch):
+        """A sum of Laurent monomials adds in one run over its monomial
+        denominators: parsing x1^-1 + x1 + ... + x1^-k + x1^k stores under
+        8 terms per pair, not the about k^2 that a running sum through
+        make() stores, and gives what that left fold gives."""
+        stored = []
+        init = Poly.__init__
+
+        def counting(self, field, arity, terms):
+            stored.append(len(terms))
+            init(self, field, arity, terms)
+
+        for field in (QQ, F5):
+            for k in (100, 200):
+                text = " + ".join(f"{i % 4 + 1}*x1^-{i} + x1^{i}*x2/{i % 3 + 1}"
+                                  for i in range(1, k + 1))
+                monkeypatch.setattr(Poly, "__init__", counting)
+                stored.clear()
+                f = parse_expr(text, 2, field)
+                monkeypatch.setattr(Poly, "__init__", init)
+                assert sum(stored) < 8 * k, sum(stored)
+                summands = [parse_expr(t, 2, field) for t in text.split(" + ")]
+                want = summands[0]
+                for t in summands[1:]:
+                    want = RatFunc.make(want.num * t.den + t.num * want.den, want.den * t.den)
+                assert (f.num.terms, f.den.terms) == (want.num.terms, want.den.terms)
+                assert len(f.num.terms) == 2 * k and list(f.den.terms) == [(k, 0)]
+
+    def test_laurent_runs_match_the_make_fold(self):
+        """RatFunc.sum over Laurent monomials, polynomials over constants and
+        quotients by x1 + 1 stores the terms of the left fold through make(),
+        or raises its error, also with exponents near EXP_LIMIT, where the
+        fold's products overflow."""
+        rng = random.Random(13)
+        near = (EXP_LIMIT - 1, 1 - EXP_LIMIT, EXP_LIMIT >> 2, (EXP_LIMIT >> 2) - 1, -(EXP_LIMIT >> 2))
+        outcomes = set()
+        for field in (QQ, F5, BaseField(7)):
+            for _ in range(300):
+                n = rng.randint(1, 3)
+                items = []
+                for _ in range(rng.randint(1, 7)):
+                    e = [rng.randint(-3, 3) for _ in range(n)]
+                    huge = rng.random() < 0.15
+                    if huge:
+                        e[0] = rng.choice(near)
+                    f = RatFunc.monomial(field, n, e, rng.randint(-4, 4))
+                    if not huge and rng.random() < 0.3:
+                        f = f * self.polynomial(rng, field, n, rng.choice((1, 2, 3)))
+                    if not huge and rng.random() < 0.15:
+                        f = f / (RatFunc.variable(field, n, 0) + RatFunc.const(field, n, 1))
+                    items += [f, -f] if rng.random() < 0.2 else [f]
+
+                def fold():
+                    want = items[0]
+                    for t in items[1:]:
+                        want = RatFunc.make(want.num * t.den + t.num * want.den, want.den * t.den)
+                    return want
+
+                got = outcome(lambda: RatFunc.sum(items))
+                assert got == outcome(fold), items
+                outcomes.add(got[0] if type(got[0]) is type else "ok")
+        assert outcomes == {"ok", OverflowError}
 
 
 class TestEqZero:
