@@ -27,6 +27,7 @@ from .places import (
     InfeasibleShapeError,
     MonomialPlace,
     Place,
+    _validate_match,
     compose,
     in_basic_open,
     sign_char,
@@ -119,7 +120,11 @@ def signature(place: Place, elems) -> SignSignature:
     integer level rows of the place's flat monomial place (term values are
     a group homomorphism in the exponent, also through a tower); no group
     element is built.  Each pair of terms is queried once, and the search
-    for a minimal term reuses those pairwise signs.
+    for a minimal term reuses those pairwise signs.  An element's own sign
+    comes from the same comparisons: the value of a polynomial is the
+    minimum of its term values, so v(f) is the value of x^m for m the
+    minimal numerator term minus the minimal denominator term, and no
+    second pass over the terms is made.
     """
     entries = {}
     notices = []
@@ -137,6 +142,7 @@ def signature(place: Place, elems) -> SignSignature:
         if f.is_zero():
             notices.append(f"skipped zero element {f}")
             continue
+        _validate_match(place, f)
         sources.append(str(f))
         sides = []
         for poly in (f.num, f.den):
@@ -155,7 +161,7 @@ def signature(place: Place, elems) -> SignSignature:
                     best = i
             sides.append(exps[best])
         m = tuple(x - y for x, y in zip(sides[0], sides[1]))
-        signs.append(place.value_sign(f))
+        signs.append(place.monomial_sign(m))
         add(m, signs[-1])
     return SignSignature(frozenset(entries.items()), tuple(sources), tuple(notices), tuple(signs))
 

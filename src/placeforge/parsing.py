@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import gcd
 
 from .ordgroup import MAX_LITERAL_DIGITS
-from .ratfunc import EXP_LIMIT, MAX_TERM_PAIRS, BaseField, Poly, RatFunc, monic
+from .ratfunc import EXP_LIMIT, MAX_TERM_PAIRS, BaseField, RatFunc, monic
 
 # Over Q, c^k has about |k| * log2|c| bits.  A "^" is refused when |k| times
 # the largest floor(log2) of a coefficient numerator or denominator of its
@@ -88,20 +88,10 @@ class _Parser:
             raise self.error(f"trailing input {value!r}", self.i)
         return out
 
-    def monomial(self, n, d, e) -> RatFunc:
-        """n/d * x^e in canonical form, for a pair (n, d) from `ratio`; e may
-        have negative entries."""
-        field, arity = self.field, self.arity
-        if not n:
-            return RatFunc.zero(field, arity)
-        up = tuple(x if x > 0 else 0 for x in e)
-        down = tuple(-x if x < 0 else 0 for x in e)
-        return RatFunc(Poly(field, arity, {up: n}), Poly(field, arity, {down: d}))
-
     def ratio(self, n: int, d: int):
-        """The coefficient n/d (d > 0 over Q, nonzero mod p) as the pair a
-        canonical monomial stores: in lowest terms over Q, the residue over
-        1 over GF(p)."""
+        """The coefficient n/d (d > 0 over Q, nonzero mod p) as the pair
+        `RatFunc.reduced_monomial` takes: in lowest terms over Q, the
+        residue over 1 over GF(p)."""
         if d == 1:
             return n, 1
         p = self.field.p
@@ -135,7 +125,7 @@ class _Parser:
         if tokens[self.i] in _NOT_ATOM:
             out = self.factor()
         else:
-            out = self.monomial(*self.atom_run())
+            out = RatFunc.reduced_monomial(self.field, self.arity, *self.atom_run())
         while True:
             i = self.i
             op = tokens[i]
@@ -148,7 +138,8 @@ class _Parser:
             # for one product (MAX_TERM_PAIRS), meets it through the operators.
             if (tokens[i + 1] not in _NOT_ATOM and num and len(num) <= MAX_TERM_PAIRS
                     and out.den.constant()):
-                out = out * self.monomial(*self.atom_run(op, [max(c) for c in zip(*num)]))
+                run = self.atom_run(op, [max(c) for c in zip(*num)])
+                out = out * RatFunc.reduced_monomial(self.field, self.arity, *run)
                 continue
             rhs = self.factor()
             if op == "*":
@@ -253,7 +244,8 @@ class _Parser:
         t = tokens[i]
         if t not in _NOT_ATOM:
             n, d, idx, k = self.atom()
-            return self.monomial(n, d, [k if j == idx else 0 for j in range(self.arity)])
+            return RatFunc.reduced_monomial(self.field, self.arity, n, d,
+                                            [k if j == idx else 0 for j in range(self.arity)])
         if t != "(":
             raise self.error("expected a number, variable or parenthesis", i)
         if self.depth == self.MAX_DEPTH:

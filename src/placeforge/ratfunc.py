@@ -389,12 +389,20 @@ class RatFunc:
         if any(abs(x) >= EXP_LIMIT for x in evec):
             raise OverflowError("exponent overflow")
         c = field.coerce(coeff)
-        if not c:
+        # a residue mod p is an int, whose denominator is 1
+        return RatFunc.reduced_monomial(field, arity, c.numerator, c.denominator, evec)
+
+    @staticmethod
+    def reduced_monomial(field: BaseField, arity: int, n: int, d: int, evec) -> "RatFunc":
+        """n/d * x^evec in canonical form, for ints n and d > 0 in lowest
+        terms (over GF(p), n a residue and d = 1) and integer exponents,
+        negative entries included.  Nothing is checked or coerced: the
+        caller has done that (`monomial`, the parser)."""
+        if not n:
             return RatFunc.zero(field, arity)
         up = tuple(x if x > 0 else 0 for x in evec)
         down = tuple(-x if x < 0 else 0 for x in evec)
-        # a residue mod p is an int, whose denominator is 1
-        return RatFunc(Poly(field, arity, {up: c.numerator}), Poly(field, arity, {down: c.denominator}))
+        return RatFunc(Poly(field, arity, {up: n}), Poly(field, arity, {down: d}))
 
     @property
     def field(self) -> BaseField:

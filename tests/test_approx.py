@@ -9,6 +9,7 @@ from placeforge import (
     CompositePlace,
     InfeasibleShapeError,
     MonomialPlace,
+    Poly,
     QuadScalar,
     RatFunc,
     TargetShape,
@@ -34,7 +35,13 @@ from placeforge.approx import (
 from placeforge.ordgroup import sqrt_convergents
 from placeforge.places import Place
 
-from gen import random_irrational_place, random_monomial_place, random_ratfunc, random_tower
+from gen import (
+    random_irrational_place,
+    random_monomial_place,
+    random_poly,
+    random_ratfunc,
+    random_tower,
+)
 from oracles import elem_sign, fraction_rank, tower_value, values_agree
 
 QQ = BaseField(0)
@@ -95,6 +102,57 @@ class TestSignature:
             # ties recorded with sign 0 exactly for equal-value term pairs
             for m, s in sig.entries:
                 assert place.monomial_value(m).sign() == s
+
+    def test_element_signs_match_value_sign(self):
+        """Each element's sign comes from the signature's own term
+        comparisons; it must be the sign value_sign computes from the term
+        minima, on monomial places of 1-3 levels and on towers of depth 1-2
+        nested both ways, for elements with tied terms and of value zero."""
+        rng = random.Random(24)
+        places = []
+        for field in (QQ, F5):
+            for levels in (1, 2, 3):
+                for n in (2, 4, 6):
+                    for irrational in (False, True):
+                        places.append(random_monomial_place(rng, field, n, levels, irrational))
+            for depth in (1, 2):
+                for nest in ("inner", "outer"):
+                    for irrational_inner in (False, True):
+                        places.append(random_tower(rng, field, 4, irrational_inner, depth, nest))
+        tied = zeros = 0
+        for place in places:
+            elems = signature_elements(rng, place)
+            nonzero = [f for f in elems if not f.is_zero()]
+            sig = signature(place, elems)
+            assert list(sig.signs) == [place.value_sign(f) for f in nonzero]
+            tied += any(s == 0 and any(m) for m, s in sig.entries)
+            zeros += sig.signs.count(0)
+        # most places see a tie, and every place at least z, z*z, 3
+        assert tied >= len(places) // 2 and zeros >= 3 * len(places)
+
+    def test_foreign_element_refused(self):
+        with pytest.raises(ValueError, match="does not live in the place's function field"):
+            signature(P_SQRT, [parse_expr("x1 + x3", 3, QQ)])
+
+
+def signature_elements(rng, place):
+    """Random g, h, their product and sum, the value-zero g*x^eh / (h*x^eg)
+    (eg, eh minimal exponents of g, h) and its square, two terms tied by a
+    kernel vector (alone, over a random h, and divided by one of them, so
+    of value zero), a constant and the zero element."""
+    field, n = place.field, place.arity
+    one = Poly.const(field, n, 1)
+    g, h = (RatFunc.make(random_poly(rng, field, n, nonzero=True), one) for _ in range(2))
+    eg, eh = (min(place.initial_form(f)[0]) for f in (g, h))
+    z = g * RatFunc.monomial(field, n, eh) / (h * RatFunc.monomial(field, n, eg))
+    elems = [g, h, g * h, g + h, z, z * z, RatFunc.const(field, n, 3), RatFunc.zero(field, n)]
+    for k in place.kernel_lattice()[:2]:
+        e = [rng.randint(0, 2) for _ in range(n)]
+        hi = tuple(x + max(c, 0) for x, c in zip(e, k))
+        lo = tuple(x + max(-c, 0) for x, c in zip(e, k))
+        tie = RatFunc.make(Poly.make(field, n, {hi: 1, lo: 2}), one)
+        elems += [tie, tie / h, tie / RatFunc.monomial(field, n, lo)]
+    return elems
 
 
 class TestPerturbWeights:

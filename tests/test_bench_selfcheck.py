@@ -19,6 +19,12 @@ import pathlib
 import pytest
 
 import placeforge as pf
+# `placeforge` imports `approx` on first use; import it here, before any
+# tracer is installed.  A module first imported while a tracer is installed
+# binds the wrapped functions it imports by name (approx binds
+# `order_embedding_check`), `Tracer.uninstall` does not restore that binding,
+# and a later case would count into the old tracer and find the name unreached.
+import placeforge.approx  # noqa: F401
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 JOBS = sorted((pathlib.Path(__file__).resolve().parent / "jobs").glob("*.json"))

@@ -89,6 +89,21 @@ class TestParser:
         f = parse_expr("x1^-2", 2, QQ)
         assert f == parse_expr("1/x1^2", 2, QQ)
 
+    def test_parsed_monomials_store_what_monomial_stores(self, monkeypatch):
+        """A parsed monomial and RatFunc.monomial store the same terms, and
+        parsing builds no Fraction: coefficients stay (n, d) int pairs."""
+        cases = [("5/2*x1^3*x2^-2", (3, -2), Fraction(5, 2)), ("-x2^-1/6", (0, -1), Fraction(-1, 6)),
+                 ("4/6", (0, 0), Fraction(2, 3)), ("0*x1^-4", (-4, 0), 0), ("x1*x2", (1, 1), 1)]
+        for field in (QQ, BaseField(5)):
+            want = [RatFunc.monomial(field, 2, e, c) for _, e, c in cases]
+            built, new = [], Fraction.__new__
+            monkeypatch.setattr(Fraction, "__new__",
+                                lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+            got = [parse_expr(text, 2, field) for text, _, _ in cases]
+            monkeypatch.undo()
+            assert built == []
+            assert [(f.num.terms, f.den.terms) for f in got] == [(f.num.terms, f.den.terms) for f in want]
+
     def test_unary_minus(self):
         assert parse_expr("-x1 + x1", 1, QQ).is_zero()
 

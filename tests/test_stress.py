@@ -216,21 +216,21 @@ class TestSignatureConflicts:
         # A stand-in that answers differently on repeated queries of the
         # same difference vector cannot come from a place; the signature
         # builder must notice instead of silently keeping one answer.
+        # It answers +1 the first time a vector is asked and -1 after that.
         class Flaky:
             arity = 2
             field = QQ
 
             def __init__(self):
-                self.calls = 0
+                self.asked = set()
 
             def monomial_sign(self, e):
-                self.calls += 1
-                return 1 if self.calls % 2 else -1
-
-            def value_sign(self, f):
+                if e in self.asked:
+                    return -1
+                self.asked.add(e)
                 return 1
 
-        # x1+x2 and x1^2+x1*x2 both query the difference vector (1, -1)
+        # x1+x2 and x1^2+x1*x2 both query the difference vector (-1, 1)
         elems = [parse_expr("x1 + x2", 2, QQ), parse_expr("x1^2 + x1*x2", 2, QQ)]
         with pytest.raises(SignatureError):
             signature(Flaky(), elems)
