@@ -247,13 +247,26 @@ class GroupElem:
         return coords[0] if len(coords) == 1 else "(" + ", ".join(coords) + ")"
 
 
-def combine(elems, coeffs, ambient: AmbientGroup) -> GroupElem:
-    """Integer (or rational) linear combination of group elements."""
-    acc = ambient.zero()
-    for e, c in zip(elems, coeffs):
+def _add_combination(start, coeffs, rows):
+    """start + sum of c_k * row_k over the coefficients and rows, as a tuple."""
+    m = list(start)
+    for c, row in zip(coeffs, rows):
         if c:
-            acc = acc + e.scale(c)
-    return acc
+            for j, x in enumerate(row):
+                m[j] += c * x
+    return tuple(m)
+
+
+def combine(elems, coeffs, ambient: AmbientGroup) -> GroupElem:
+    """The integer linear combination sum_k coeffs[k] * elems[k] of elements
+    of `ambient`: every caller passes an exponent vector or a lattice
+    relation.  The rows are aligned once and one element is built."""
+    terms = [(e, c) for e, c in zip(elems, coeffs) if c]
+    if any(e.ambient != ambient for e, _ in terms):
+        raise ValueError("elements live in different ambient groups")
+    rows, den = align_rows((e.row, e.den) for e, _ in terms)
+    row = _add_combination((0,) * (2 * ambient.num_levels), (c for _, c in terms), rows)
+    return GroupElem.from_row(ambient, row, den)
 
 
 def row_sign(row, ds) -> int:
@@ -261,16 +274,6 @@ def row_sign(row, ds) -> int:
     positive denominator: the first level's nonzero a + b*sqrt(d) decides."""
     for lv, d in enumerate(ds):
         s = quad_sign_int(row[2 * lv], row[2 * lv + 1], d)
-        if s:
-            return s
-    return 0
-
-
-def difference_sign(hi, lo, ds) -> int:
-    """Lexicographic sign of hi - lo for values given per level as (a, b)
-    integer pairs over one positive denominator, without building hi - lo."""
-    for (ha, hb), (la, lb), d in zip(hi, lo, ds):
-        s = quad_sign_int(ha - la, hb - lb, d)
         if s:
             return s
     return 0

@@ -22,11 +22,11 @@ from .ordgroup import (
     AmbientGroup,
     GroupElem,
     Subgroup,
+    _add_combination,
     align_rows,
     combination_sign,
     combine,
     convex_rank,
-    difference_sign,
     rational_rank,
     row_sign,
     rows_from_json,
@@ -56,11 +56,12 @@ def sign_char(s) -> str:
     return "inf" if s is INFINITY else "-0+"[s + 1]
 
 
-# Deepest nesting of composite places accepted from JSON input; checked by
-# place_from_json before it builds anything.  Decoding and classifying
-# build no flat place, kernel basis or HNF, since every level's dim and
-# ranks come from rank profiles: a tower nested on its inner side takes
-# about 7 ms at depth 32 and 24 ms at depth 64.  A value or residue still
+# Deepest nesting of composite places: checked by place_from_json before it
+# builds anything, and by CompositePlace on every place it composes, so no
+# command prints a place that it would refuse as input.  Decoding and
+# classifying build no flat place, kernel basis or HNF, since every level's
+# dim and ranks come from rank profiles: a tower nested on its inner side
+# takes about 7 ms at depth 32 and 24 ms at depth 64.  A value or residue still
 # recurses through every level below (the flat weights, and each level's
 # inner value for its sign), so decoding the same tower and taking one
 # variable's value and residue costs time superlinear in the depth: about
@@ -137,16 +138,6 @@ def _difference_row(hi, lo):
     return [x for (ha, hb), (la, lb) in zip(hi, lo) for x in (ha - la, hb - lb)]
 
 
-def _add_combination(start, coeffs, rows):
-    """start + sum of c_k * row_k over the coefficients and rows, as a tuple."""
-    m = list(start)
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, x in enumerate(row):
-                m[j] += c * x
-    return tuple(m)
-
-
 class Place:
     """Common surface of monomial and composite places.
 
@@ -160,6 +151,8 @@ class Place:
     field: BaseField
     arity: int
     ambient: AmbientGroup
+    # composite places nested on the longest path down from this one
+    depth = 0
 
     def monomial_value(self, evec) -> GroupElem:
         """Value of the Laurent monomial x^evec (a group homomorphism)."""
@@ -189,7 +182,8 @@ class Place:
         balanced representative modulo the kernel lattice, so equal inputs
         always produce the same vector.
         """
-        return lattice.reduce_mod_lattice(self._raw_section(v), list(self.kernel_lattice()))
+        return lattice.reduce_mod_lattice(self._raw_section(v.row, v.den),
+                                          list(self.kernel_lattice()))
 
     def initial_form(self, f: RatFunc):
         """Minimal-value terms of numerator and denominator.
@@ -326,7 +320,7 @@ class MonomialPlace(Place):
         _validate_match(self, f)
         if f.is_zero():
             return INFINITY
-        return difference_sign(*self._minima(f), self.ambient.ds)
+        return row_sign(_difference_row(*self._minima(f)), self.ambient.ds)
 
     def value_row(self, f: RatFunc):
         """v(f) for nonzero f as an integer row over `_den`: the difference
@@ -343,15 +337,16 @@ class MonomialPlace(Place):
             return INFINITY
         return GroupElem.from_row(self.ambient, _difference_row(*self._minima(f)), self._den)
 
-    def _raw_section(self, v: GroupElem):
-        """The HNF-coordinate section: additive in v, so composite values
-        built on it obey the valuation law exactly."""
+    def _raw_section(self, row, den: int):
+        """The HNF-coordinate section of the value row / den, for an integer
+        row over a positive den in any terms: additive in the value, so
+        composite values built on it obey the valuation law exactly."""
         _, basis, urows = self._lattice_data
-        if self._den % v.den:
-            raise NotInValueGroupError(f"{v} is not in the value group")
-        scale = self._den // v.den
-        coeffs = lattice.express_int(basis, [scale * x for x in v.row])
+        scaled = [self._den * x for x in row]
+        coeffs = (None if any(x % den for x in scaled)
+                  else lattice.express_int(basis, [x // den for x in scaled]))
         if coeffs is None:
+            v = GroupElem.from_row(self.ambient, row, den)
             raise NotInValueGroupError(f"{v} is not in the value group")
         return _add_combination((0,) * self.arity, coeffs, urows)
 
@@ -380,7 +375,7 @@ class MonomialPlace(Place):
             return RatFunc.zero(self.field, k)
         _, num_mins, num_best = self._min_data(f.num)
         den_canon, den_mins, den_best = self._min_data(f.den)
-        s = difference_sign(num_best, den_best, self.ambient.ds)
+        s = row_sign(_difference_row(num_best, den_best), self.ambient.ds)
         if s > 0:
             return RatFunc.zero(self.field, k)
         if s < 0:
@@ -436,7 +431,12 @@ class CompositePlace(Place):
     def __init__(self, inner: Place, outer: Place):
         """`outer` must be a place on the inner residue field: its arity is
         checked against `inner.residue_dim()`, a rank, so building a tower
-        computes no kernel basis at any level."""
+        computes no kernel basis at any level.  A tower nested deeper than
+        MAX_TOWER_DEPTH is refused, as place_from_json refuses it."""
+        depth = 1 + max(inner.depth, outer.depth)
+        if depth > MAX_TOWER_DEPTH:
+            raise ValueError("composed place nests composite places deeper than "
+                             f"MAX_TOWER_DEPTH = {MAX_TOWER_DEPTH}")
         if inner.field != outer.field:
             raise ValueError("inner and outer places over different base fields")
         k = inner.residue_dim()
@@ -447,42 +447,36 @@ class CompositePlace(Place):
             )
         self.inner = inner
         self.outer = outer
+        self.depth = depth
         self.field = inner.field
         self.arity = inner.arity
         self.ambient = AmbientGroup(inner.ambient.ds + outer.ambient.ds)
 
-    def _split(self, v: GroupElem):
-        width = 2 * self.inner.ambient.num_levels
-        return (
-            GroupElem.from_row(self.inner.ambient, v.row[:width], v.den),
-            GroupElem.from_row(self.outer.ambient, v.row[width:], v.den),
-        )
-
-    def _pair(self, v1: GroupElem, v2: GroupElem) -> GroupElem:
-        (r1, r2), den = align_rows(((v1.row, v1.den), (v2.row, v2.den)))
-        return GroupElem.from_row(self.ambient, r1 + r2, den)
-
     @cached_property
     def effective_weights(self):
-        """Values of the variables; they generate the term-value homomorphism.
+        """Values of the variables as integer rows over one positive
+        denominator, (rows, den); they generate the term-value homomorphism.
 
         x_i has the inner value w_i; dividing it by the inner section of w_i
         leaves an inner unit, whose residue is a Laurent monomial u^c that
         the outer place values as v(u^c).
         """
-        out = []
-        for i, w in enumerate(self.inner.flat_place.weights):
-            section = self.inner._raw_section(w)
+        flat = self.inner.flat_place
+        outer = []
+        for i, w in enumerate(flat._rows):
+            section = self.inner._raw_section(w, flat._den)
             unit = tuple(int(j == i) - c for j, c in enumerate(section))
             r = self.inner.residue(RatFunc.monomial(self.field, self.arity, unit))
             (top,), (bottom,) = r.num.terms, r.den.terms
-            c = tuple(x - y for x, y in zip(top, bottom))
-            out.append(self._pair(w, self.outer.monomial_value(c)))
-        return tuple(out)
+            v = self.outer.monomial_value(tuple(x - y for x, y in zip(top, bottom)))
+            outer.append((v.row, v.den))
+        rows, den = align_rows([(w, flat._den) for w in flat._rows] + outer)
+        return [w + u for w, u in zip(rows, rows[self.arity:])], den
 
     @cached_property
     def flat_place(self) -> MonomialPlace:
-        return MonomialPlace(self.field, self.arity, self.ambient, self.effective_weights)
+        rows, den = self.effective_weights
+        return MonomialPlace.from_rows(self.field, self.arity, self.ambient, rows, den)
 
     def value(self, f: RatFunc):
         return self.flat_place.value(f)
@@ -501,12 +495,13 @@ class CompositePlace(Place):
         r = self.inner.residue(f)
         return self.outer.residue(r)
 
-    def _raw_section(self, v: GroupElem):
-        """The inner section hits the inner part; a kernel-lattice correction
-        whose residue image is the outer section makes up the outer part."""
-        v1, v2 = self._split(v)
-        m0 = self.inner._raw_section(v1)
-        coords = self.outer._raw_section(v2)
+    def _raw_section(self, row, den: int):
+        """The inner section hits the inner part of the row; a kernel-lattice
+        correction whose residue image is the outer section makes up the
+        outer part."""
+        width = 2 * self.inner.ambient.num_levels
+        m0 = self.inner._raw_section(row[:width], den)
+        coords = self.outer._raw_section(row[width:], den)
         return _add_combination(m0, coords, self.inner.residue_desc().gens)
 
     def residue_desc(self) -> ResidueFieldDesc:

@@ -487,8 +487,12 @@ class RatFunc:
         return RatFunc.make(self.num**k, self.den**k)
 
     def __eq__(self, other) -> bool:
+        """Equality as functions.  Functions over different fields or
+        arities are unequal, as polynomials are; + and - refuse the pair."""
         if not isinstance(other, RatFunc):
             return NotImplemented
+        if self.field != other.field or self.arity != other.arity:
+            return False
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __hash__(self):

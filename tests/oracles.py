@@ -80,7 +80,7 @@ def tower_value(place, f: RatFunc):
         return INFINITY
     v1 = tower_value(place.inner, f)
     if v1.sign() != 0:
-        correction = place.inner._raw_section(v1)
+        correction = place.inner._raw_section(v1.row, v1.den)
         f = f * RatFunc.monomial(place.field, place.arity, tuple(-x for x in correction))
     v2 = tower_value(place.outer, place.inner.residue(f))
     return GroupElem(place.ambient, v1.coords + v2.coords)

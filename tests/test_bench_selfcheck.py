@@ -10,11 +10,14 @@ cache that the first round fills.  This test builds the `evaluate` and
 two rounds, and applies the same two checks.  The `cli` case runs every job
 of `tests/jobs` and the `cli` workload's seeded jobs (seed 1) in process
 through `placeforge.cli.main` and checks that every name the self-check
-expects on `cli` is reached.  Nothing under `perfbench/` is changed.
+expects on `cli` is reached.  A last case runs `replace` rounds and checks
+that group values stay integer rows through them: no Fraction is built.
+Nothing under `perfbench/` is changed.
 """
 
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -87,3 +90,21 @@ def test_cli_jobs_reach_every_expected_name(monkeypatch, tmp_path):
         tracer.uninstall()
     calls = tracer.snapshot()
     assert [name for name in run.EXPECTED_NONZERO["cli"] if not calls[name]] == []
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_replace_round_builds_no_fraction(seed, monkeypatch):
+    """Decoding the places' weight literals builds Fractions; a round of
+    density_witness and goodify on the decoded places builds none."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import ops
+    import workloads
+
+    bench = ops.WORKLOADS["replace"](pf, workloads.replace_inputs(pf, seed))
+    built, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    for _, fn, arg in bench.ops:
+        fn(arg)
+    monkeypatch.undo()
+    assert built == []

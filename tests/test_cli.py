@@ -250,6 +250,33 @@ def test_deep_tower_is_refused(capsys):
     assert_one_line_error(proc, "outer place nests composite places deeper than MAX_TOWER_DEPTH")
 
 
+@pytest.mark.parametrize("command", ["compose", "goodify", "witness"])
+def test_no_command_prints_a_tower_past_the_depth_bound(command, capsys):
+    """compose, and goodify and witness through their composite_drop tower,
+    put one composite on top of the place they are given.  On a place
+    MAX_TOWER_DEPTH deep that is refused with one line naming the bound; on
+    one a level shallower, the place they print is accepted by classify."""
+    drop = json.dumps({"mode": "preserve_values", "class": "composite_drop", "r1": 2, "d1": 0})
+    extra = {"compose": ["--outer", json.dumps(one_weight_place("0"))],
+             "goodify": ["--elem", "x1", "--elem", "x1^2", "--shape", drop],
+             "witness": ["--finite", "x1", "--positive", "x1^2", "--shape", drop]}[command]
+
+    def job(depth):
+        return [command, "--place", json.dumps(tower(depth)), *extra]
+
+    assert main(job(MAX_TOWER_DEPTH)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: composed place nests composite places deeper than "
+                            f"MAX_TOWER_DEPTH = {MAX_TOWER_DEPTH}\n")
+    code, out = run_cli(capsys, *job(MAX_TOWER_DEPTH - 1))
+    assert code == 0
+    place = json.dumps(json.loads(out)["place"])
+    code, out = run_cli(capsys, "classify", "--place", place)
+    assert code == 0
+    assert json.loads(out)["place"] == json.loads(place)
+
+
 def test_axiom_sample_budget(tmp_path):
     """A full check-axioms sample ends within the 5 s of run_fresh; one more
     element is refused with one line naming the budget."""

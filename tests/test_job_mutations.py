@@ -1,0 +1,186 @@
+"""Seeded mutations of the golden jobs, run in process through `cli.main`.
+
+Each case takes one job of `tests/jobs` and changes one thing in it: a
+number, an arity, the levels of an ambient group, a radicand, the text of
+an element, or the number of elements.  Whatever comes out, the job must
+end in exit code 0, 1 or 2; a failure prints exactly one stderr line and no
+traceback; and every place that a successful job prints is accepted by
+`classify`.  A failure found here gets a fix in the program, never a looser
+assertion.
+
+Every job pays for one schema validation (about 14 ms), so the case count
+is kept small: the seeds are fixed, so every run checks the same cases.
+"""
+
+import copy
+import json
+import pathlib
+import random
+
+import pytest
+
+from placeforge.cli import main
+
+JOBS = sorted((pathlib.Path(__file__).resolve().parent / "jobs").glob("*.json"))
+CASES_PER_JOB = 6
+
+NUMBERS = (0, 1, -1, 2, 3, -7, 48, 49, 10**12, 10**30, 1.5, True, None)
+LITERALS = ("0", "1", "-1", "1/2", "-3/4", "2/0", "0/5", "007", "1/-2", "x", "", "1e3",
+            "9" * 40, "1/" + "3" * 40, "9" * 1001)
+RADICANDS = (-5, 0, 1, 2, 3, 4, 5, 6, 7, 9, 12, 10**12, 10**12 + 1)
+TOKENS = ("x1", "x2", "x3", "x9", "s", "u1", "^", "^-3", "^0", "^99999999999", "-", "+", "*",
+          "/", "(", ")", "0", "7", "1/0", " ", "^^", "**", "3/4", ".")
+
+
+def _places(node):
+    """The monomial place objects inside a place object."""
+    if not isinstance(node, dict):
+        return []
+    if node.get("kind") == "composite":
+        return _places(node.get("inner")) + _places(node.get("outer"))
+    return [node]
+
+
+def _job_places(job):
+    return _places(job.get("place")) + _places(job.get("outer"))
+
+
+def _number_slots(node, slots):
+    """(container, key) of every number and every number literal in `node`."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            _number_slots(value, slots)
+        elif isinstance(value, int) and not isinstance(value, bool) or key in ("a", "b"):
+            slots.append((node, key))
+    return slots
+
+
+def mutate_number(rng, job):
+    slots = _number_slots(job, [])
+    node, key = rng.choice(slots)
+    old = node[key]
+    if isinstance(old, str):
+        node[key] = rng.choice(LITERALS + (f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}", 3))
+    else:
+        node[key] = rng.choice(NUMBERS + (old + rng.choice((-1, 1)), str(old)))
+
+
+def mutate_arity(rng, job):
+    places = _job_places(job)
+    node = rng.choice(places + [job])
+    old = node.get("arity", 2)
+    node["arity"] = rng.choice((old - 1, old + 1, 0, 1, 40, -1))
+
+
+def mutate_levels(rng, job):
+    """Add or drop a level of one place's ambient group, in its weights too
+    or (an inconsistent place) only in the ambient."""
+    node = rng.choice(_job_places(job))
+    levels, weights = node["ambient"]["levels"], node["weights"]
+    both = rng.random() < 0.7
+    if len(levels) > 1 and rng.random() < 0.5:
+        levels.pop(rng.randrange(len(levels)))
+        if both:
+            for w in weights:
+                w.pop()
+    else:
+        levels.append({"d": rng.choice((2, 3, 5))})
+        if both:
+            for w in weights:
+                w.append({"a": rng.choice(("0", "1", "-1/2")), "b": rng.choice(("0", "1"))})
+
+
+def mutate_radicand(rng, job):
+    node = rng.choice(_job_places(job))
+    rng.choice(node["ambient"]["levels"])["d"] = rng.choice(RADICANDS)
+
+
+def _text_slots(job):
+    return [(job[key], i) for key in ("elems", "A", "B") for i in range(len(job.get(key, ())))]
+
+
+def mutate_text(rng, job):
+    slots = _text_slots(job)
+    if not slots:
+        job["elems"] = [rng.choice(TOKENS)]
+        return
+    texts, i = rng.choice(slots)
+    s = texts[i]
+    cut = rng.randint(0, len(s))
+    op = rng.randrange(5)
+    if op == 0:
+        texts[i] = s[:cut] + rng.choice(TOKENS) + s[cut:]
+    elif op == 1:
+        texts[i] = s[:cut] + s[cut + rng.randint(1, 3):]
+    elif op == 2:
+        texts[i] = f"({s})^{rng.choice((2, 5, -3, 30))}"
+    elif op == 3:
+        texts[i] = f"({s})*({s})+({s})/({s} + 1)"
+    else:
+        texts[i] = rng.choice(("", " ", "()", s * 2, "x1" * 3, "(" * 40 + "x1" + ")" * 40))
+
+
+def mutate_count(rng, job):
+    key = rng.choice(("elems", "A", "B"))
+    texts = job.setdefault(key, [])
+    op = rng.randrange(4)
+    if op == 0 and texts:
+        texts.pop(rng.randrange(len(texts)))
+    elif op == 1:
+        texts.clear()
+    elif op == 2 and texts:
+        texts.append(rng.choice(texts))
+    else:
+        texts.extend(f"x1^{i} + {i}" for i in range(rng.choice((3, 49))))
+
+
+MUTATIONS = (mutate_number, mutate_arity, mutate_levels, mutate_radicand, mutate_text,
+             mutate_count)
+
+
+def mutated_jobs(seed, count):
+    """`count` seeded mutants of every job: (name, job)."""
+    rng = random.Random(seed)
+    originals = [(path.stem, json.loads(path.read_text())) for path in JOBS]
+    for _ in range(count):
+        for name, original in originals:
+            job = copy.deepcopy(original)
+            mutation = rng.choice(MUTATIONS)
+            mutation(rng, job)
+            yield f"{name}/{mutation.__name__}", job
+
+
+def run_job(job, tmp_path, capsys):
+    """(exit code, stdout, stderr) of the job through cli.main, in process."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    try:
+        code = main(["--spec", str(path)])
+    except Exception as exc:  # the command line would print a traceback
+        pytest.fail(f"raised {exc!r} on {json.dumps(job)}")
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def check_job(name, job, tmp_path, capsys):
+    """The assertions on one mutated job; returns its exit code."""
+    code, out, err = run_job(job, tmp_path, capsys)
+    blob = f"{name}: {json.dumps(job)}"
+    assert code in (0, 1, 2), blob
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (blob, err)
+        assert "Traceback" not in err, blob
+        return code
+    assert err == "", blob
+    place = json.loads(out)["place"]
+    code, out, err = run_job({"command": "classify", "place": place}, tmp_path, capsys)
+    assert (code, err) == (0, ""), (blob, err)
+    return 0
+
+
+def test_mutated_jobs_end_in_one_line_or_a_place_classify_accepts(tmp_path, capsys):
+    codes = {0: 0, 1: 0, 2: 0}
+    for name, job in mutated_jobs(0, CASES_PER_JOB):
+        codes[check_job(name, job, tmp_path, capsys)] += 1
+    # the mutants reach past the schema: some still succeed, some infeasible
+    assert min(codes.values()) > 0, codes

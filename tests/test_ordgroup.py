@@ -505,6 +505,30 @@ def test_row_elements_match_a_fraction_reference():
         assert (x - y).sign() == reference_sign(fraction_pairs(x - y), amb.ds)
 
 
+def test_combine_equals_the_scaled_fold():
+    """combine, one alignment of rows, equals the fold of `scale` and `+`
+    over 1-3 levels with mixed denominators, zero coefficients and the
+    empty list; an element of another ambient is refused even when the
+    rest of the list would combine."""
+    rng = random.Random(29)
+    for _ in range(200):
+        amb = AmbientGroup(tuple(rng.choice([2, 3, 5]) for _ in range(rng.randint(1, 3))))
+        elems = [GroupElem(amb, tuple(random_quad(rng, d, span=rng.choice([1, 4, 9]),
+                                                  irrational=rng.random() < 0.7)
+                                      for d in amb.ds))
+                 for _ in range(rng.randint(0, 4))]
+        coeffs = [rng.choice([0, 0, 1, -1, rng.randint(-7, 7)]) for _ in elems]
+        got = combine(elems, coeffs, amb)
+        want = sum((e.scale(c) for e, c in zip(elems, coeffs)), amb.zero())
+        assert got == want and got.den > 0 and gcd(got.den, *got.row) == 1
+    assert combine([], [], AMB2) == AMB2.zero()
+    assert combine([AMB2.elem(1, 2)], [0], AMB2) == AMB2.zero()
+    with pytest.raises(ValueError, match="^elements live in different ambient groups$"):
+        combine([AMB2.elem(1, 2), AMB.elem(Fraction(1, 3))], [1, 2], AMB2)
+    with pytest.raises(ValueError, match="^elements live in different ambient groups$"):
+        combine([AMB.elem(1)], [3], AMB2)
+
+
 def golden_reports():
     tests = pathlib.Path(__file__).resolve().parent
     return [tests / "golden" / job.name for job in sorted((tests / "jobs").glob("*.json"))]

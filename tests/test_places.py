@@ -165,6 +165,47 @@ class TestSection:
             s = place.section(v)
             assert place.monomial_value(s) == v
 
+    def test_raw_section_of_an_unreduced_tower_slice(self):
+        """A tower hands each level its slice of the value row over the
+        tower's denominator, in whatever terms that leaves it; the section
+        of the slice is that of the reduced element, on both place kinds."""
+        rng = random.Random(14)
+        unreduced = 0
+        for _ in range(40):
+            tower = random_tower(rng, rng.choice([QQ, F5]), 3, rng.random() < 0.5,
+                                 depth=rng.choice([1, 2]), nest=rng.choice(["inner", "outer"]))
+            v = tower.monomial_value(tuple(rng.randint(-3, 3) for _ in range(3)))
+            assert tower.monomial_value(tower._raw_section(v.row, v.den)) == v
+            width = 2 * tower.inner.ambient.num_levels
+            for level, row in ((tower.inner, v.row[:width]), (tower.outer, v.row[width:])):
+                reduced = GroupElem.from_row(level.ambient, row, v.den)
+                unreduced += reduced.den != v.den
+                raw = level._raw_section(row, v.den)
+                assert raw == level._raw_section(reduced.row, reduced.den)
+                kernel = list(level.kernel_lattice())
+                assert lattice.reduce_mod_lattice(raw, kernel) == level.section(reduced)
+            k = rng.randint(2, 5)
+            assert tower._raw_section([k * x for x in v.row], k * v.den) == \
+                tower._raw_section(v.row, v.den)
+        assert unreduced >= 10
+
+    def test_not_in_group_message(self):
+        """The refusal names the element in lowest terms, however its row
+        was handed over, and at whichever tower level it fails."""
+        for row, den in (((1, 0), 2), ((2, 0), 4), ((-3, 0), 6)):
+            with pytest.raises(NotInValueGroupError, match="^-?1/2 is not in the value group$"):
+                P_23._raw_section(row, den)
+        place = gauss_place(2, 4)
+        with pytest.raises(NotInValueGroupError, match="^1 is not in the value group$"):
+            place.section(AMB.elem(1))
+        with pytest.raises(NotInValueGroupError, match="^3 is not in the value group$"):
+            place._raw_section((9, 0), 3)
+        tower = compose(P_23, gauss_place(2))
+        with pytest.raises(NotInValueGroupError, match="^3/2 is not in the value group$"):
+            tower.section(tower.ambient.elem(1, Fraction(3, 2)))
+        with pytest.raises(NotInValueGroupError, match="^1/3 is not in the value group$"):
+            tower._raw_section((2, 0, 4, 0), 6)
+
 
 class TestInvariants:
     def test_prime_divisor(self):
@@ -545,6 +586,20 @@ class TestPlaceJson:
             obj = {"kind": "composite", "inner": obj, "outer": trivial}
         with pytest.raises(ValueError, match="MAX_TOWER_DEPTH = 32"):
             place_from_json(obj)
+
+    def test_composing_past_the_bound_is_refused(self):
+        """A tower MAX_TOWER_DEPTH deep composes; one more composite on
+        either side of it is refused, as place_from_json refuses it."""
+        trivial = MonomialPlace.trivial(QQ, 1)
+        tower = trivial
+        for _ in range(MAX_TOWER_DEPTH):
+            tower = compose(tower, trivial)
+        assert (trivial.depth, tower.depth) == (0, MAX_TOWER_DEPTH)
+        assert place_from_json(tower.to_json()).depth == MAX_TOWER_DEPTH
+        for inner, outer in ((tower, trivial), (trivial, tower)):
+            with pytest.raises(ValueError, match="^composed place nests composite places "
+                                                 "deeper than MAX_TOWER_DEPTH = 32$"):
+                compose(inner, outer)
 
     def test_composite_round_trip(self):
         tower = compose(P_10, gauss_place(1))

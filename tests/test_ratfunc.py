@@ -331,6 +331,17 @@ class TestArith:
         with pytest.raises(ValueError, match="^polynomials over different rings$"):
             RatFunc.sum([RatFunc.const(QQ, 2, 3), RatFunc.const(QQ, 2, 4), RatFunc.const(QQ, 1, 1)])
 
+    def test_equality_over_different_rings_is_false(self):
+        """== answers False on a field or an arity mismatch, as Poly's does."""
+        pairs = [(RatFunc.zero(QQ, 1), RatFunc.zero(F5, 1)),
+                 (RatFunc.const(F5, 2, 1), RatFunc.const(QQ, 2, 1)),
+                 (RatFunc.zero(QQ, 1), RatFunc.zero(QQ, 2)),
+                 (RatFunc.variable(F5, 2, 0), RatFunc.variable(F5, 3, 0))]
+        for a, b in pairs:
+            assert a.num != b.num
+            assert not a == b and a != b
+            assert not b == a and b != a
+
     def test_sum_stores_the_terms_of_the_folded_formula(self):
         """RatFunc.sum over a mix of polynomials over constants and other
         functions stores exactly the terms of the left fold of
