@@ -3,7 +3,7 @@
 Exponents are machine-word integers with overflow detection at EXP_LIMIT.
 """
 
-from operator import mul
+from operator import add, mul
 
 from .ordgroup import quad_sign_int
 
@@ -38,11 +38,11 @@ def mul_terms(ea, ca, eb, cb, p):
         for e, ce in zip(ea, ca):
             v = ce * c % p if p else ce * c
             if v:
-                out[tuple(x + y for x, y in zip(e, s)) if shifted else e] = v
+                out[tuple(map(add, e, s)) if shifted else e] = v
         return out
     for e1, c1 in zip(ea, ca):
         for e2, c2 in zip(eb, cb):
-            key = tuple(x + y for x, y in zip(e1, e2))
+            key = tuple(map(add, e1, e2))
             v = out.get(key, 0) + c1 * c2
             if p:
                 v %= p

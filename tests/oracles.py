@@ -8,6 +8,12 @@ with the library's comparison or minimization path.
 `tower_value` evaluates a composite place the way its definition reads,
 through the inner value, the inner section and residue, and the outer
 value, so the library's single flattened evaluation is checked against it.
+`tower_residue` does the same for residues: the sign of the inner value,
+then the outer residue of the inner residue.
+
+`scale` and `qvec` are group-element arithmetic by the definitions on an
+element's row, for tests that need a rational multiple or the rational
+coordinates of a value.
 
 The lattice oracles decide small membership and rank questions by brute
 force / plain fraction elimination.
@@ -86,6 +92,31 @@ def tower_value(place, f: RatFunc):
     return GroupElem(place.ambient, v1.coords + v2.coords)
 
 
+def tower_residue(place, f: RatFunc):
+    """Residue through the tower: 0 or infinity when the inner value of f
+    is positive or negative, else the outer residue of the inner residue."""
+    if not isinstance(place, CompositePlace):
+        return place.residue(f)
+    if not f.is_zero():
+        s = elem_sign(tower_value(place.inner, f))
+        if s > 0:
+            return RatFunc.zero(place.field, place.residue_dim())
+        if s < 0:
+            return INFINITY
+    return tower_residue(place.outer, tower_residue(place.inner, f))
+
+
+def scale(g: GroupElem, c) -> GroupElem:
+    """c * g for a rational c."""
+    c = Fraction(c)
+    return GroupElem.from_row(g.ambient, [c.numerator * x for x in g.row], g.den * c.denominator)
+
+
+def qvec(g: GroupElem):
+    """Coordinates of g over the per-level rational basis {1, sqrt(d)}."""
+    return tuple(Fraction(x, g.den) for x in g.row)
+
+
 def _variable_values(place):
     return [tower_value(place, RatFunc.variable(place.field, place.arity, i))
             for i in range(place.arity)]
@@ -95,7 +126,7 @@ def _term_value(gamma, evec, ambient):
     acc = ambient.zero()
     for g, e in zip(gamma, evec):
         if e:
-            acc = acc + g.scale(e)
+            acc = acc + scale(g, e)
     return acc
 
 

@@ -42,7 +42,7 @@ from gen import (
     random_ratfunc,
     random_tower,
 )
-from oracles import elem_sign, fraction_rank, tower_value, values_agree
+from oracles import elem_sign, fraction_rank, qvec, tower_value, values_agree
 
 QQ = BaseField(0)
 F5 = BaseField(5)
@@ -493,13 +493,13 @@ def reference_drop_attempt(place, elems):
     fraction ranks and the tower value oracle; None when none does."""
     nonzero = [f for f in elems if not f.is_zero()]
     values = [tower_value(place, f) for f in nonzero]
-    rows = [v.qvec() for v in values]
+    rows = [qvec(v) for v in values]
     rank = fraction_rank(rows) if rows else 0
     k = place.residue_desc().num_gens
     for c in range(k):
         outer = MonomialPlace(place.field, k, AMB, tuple(AMB.elem(int(i == c)) for i in range(k)))
         images = [tower_value(compose(place, outer), f) for f in nonzero]
-        if rows and fraction_rank([r + w.qvec() for r, w in zip(rows, images)]) != rank:
+        if rows and fraction_rank([r + qvec(w) for r, w in zip(rows, images)]) != rank:
             continue
         pairs = list(zip(values, images))
         diffs = [(v1 - v2, w1 - w2) for i, (v1, w1) in enumerate(pairs) for v2, w2 in pairs[i + 1:]]

@@ -20,6 +20,7 @@ from placeforge import (
     place_from_json,
 )
 from placeforge import lattice
+from placeforge._kernels import term_mins
 from placeforge.ordgroup import GroupElem, combination_sign, row_sign, sqrt_convergents
 from placeforge.places import (
     MAX_AXIOM_SAMPLE,
@@ -37,7 +38,16 @@ from gen import (
     random_ratfunc,
     random_tower,
 )
-from oracles import elem_sign, fraction_rank, oracle_value, tower_value, values_agree
+from oracles import (
+    elem_sign,
+    fraction_rank,
+    oracle_value,
+    qvec,
+    scale,
+    tower_residue,
+    tower_value,
+    values_agree,
+)
 
 QQ = BaseField(0)
 F5 = BaseField(5)
@@ -241,12 +251,12 @@ def reference_invariants(place):
     """(dim, rr, rank) by fraction elimination: rr and the convex rank from
     the prefix ranks of the value group's generators, dim from the rank of
     the variables' values computed through the tower."""
-    rows = [g.qvec() for g in place.value_group().generators]
+    rows = [qvec(g) for g in place.value_group().generators]
     prefix = [fraction_rank([row[: 2 * i] for row in rows]) if rows else 0
               for i in range(place.ambient.num_levels + 1)]
     rank = sum(prefix[i] > prefix[i - 1] for i in range(1, len(prefix)))
     xs = [RatFunc.variable(place.field, place.arity, i) for i in range(place.arity)]
-    dim = place.arity - fraction_rank([tower_value(place, x).qvec() for x in xs])
+    dim = place.arity - fraction_rank([qvec(tower_value(place, x)) for x in xs])
     return dim, prefix[-1], rank
 
 
@@ -429,13 +439,13 @@ def test_invariants_of_a_48_by_48_place_match_fraction_elimination(hnf_calls):
                                     for _ in range(48)))
                for _ in range(40)]
     for _ in range(8):
-        weights.append(rng.choice(weights[:40]).scale(rng.choice([-2, 3]))
+        weights.append(scale(rng.choice(weights[:40]), rng.choice([-2, 3]))
                        + rng.choice(weights[:40]))
     rng.shuffle(weights)
     place = MonomialPlace(QQ, 48, amb, weights)
     inv = place.invariants()
     assert hnf_calls == []
-    rows = [w.qvec() for w in weights]
+    rows = [qvec(w) for w in weights]
     rr = fraction_rank(rows)
     levels = rr // 2
     assert fraction_rank([row[:2 * levels] for row in rows]) == 2 * levels == rr == 40
@@ -662,12 +672,114 @@ class TestFlatTowerValue:
                                 assert tower.value(f) == tower_value(tower, f)
                             xs = [RatFunc.variable(field, n, i) for i in range(n)]
                             rows, _ = lattice.clear_denominators(
-                                [tower_value(tower, x).qvec() for x in xs])
+                                [qvec(tower_value(tower, x)) for x in xs])
                             kernel = tuple(lattice.row_kernel(rows))
                             assert tower.kernel_lattice() == kernel
                             assert tuple(lattice.hnf(tower.residue_desc().gens)) == kernel
                             count += 1
         assert count == 96
+
+
+def assert_echelon(rows):
+    """Each row's first nonzero entry is positive and lies strictly right
+    of the row before's."""
+    pivots = []
+    for row in rows:
+        j = next(j for j, x in enumerate(row) if x)
+        assert row[j] > 0
+        pivots.append(j)
+    assert pivots == sorted(set(pivots))
+
+
+def residue_kind(r):
+    """Which of infinity, 0, a nonzero constant or a nonconstant rational
+    function the residue r is."""
+    if r is INFINITY:
+        return "infinity"
+    if r.is_zero():
+        return "zero"
+    constant = r.num.constant() is not None and r.den.constant() is not None
+    return "constant" if constant else "nonconstant"
+
+
+class TestFlatTowerResidue:
+    """A tower's residue is read off its flat place in the tower's residue
+    generators; the recursive residue (the inner value's sign, then the
+    outer residue of the inner residue) is the reference."""
+
+    @staticmethod
+    def tie(rng, field, n, gens):
+        """1 plus up to three monomials x^m, m among `gens`: every term has
+        value 0 wherever the generators lie in the kernel lattice."""
+        tie = RatFunc.const(field, n, 1)
+        for gen in rng.sample(gens, min(len(gens), 3)):
+            tie = tie + RatFunc.monomial(field, n, gen, rng.randint(1, 4))
+        return tie
+
+    def elements(self, rng, tower):
+        """Random elements, inner ties, and both divided by a monomial of
+        their inner value or of their value, so that the inner value is 0
+        (the outer place decides) or the value is 0 (a nonzero residue)."""
+        field, n = tower.field, tower.arity
+        inner_gens, gens = tower.inner.residue_desc().gens, tower.residue_desc().gens
+        elems = [random_ratfunc(rng, field, n),
+                 random_ratfunc(rng, field, n, nonzero=True),
+                 TestFlatTowerValue.inner_tie(rng, tower),
+                 self.tie(rng, field, n, gens) * self.tie(rng, field, n, inner_gens)
+                 / self.tie(rng, field, n, inner_gens)]
+        for f in elems[1:3]:
+            inner_section = tower.inner.section(tower_value(tower.inner, f))
+            elems.append(f / RatFunc.monomial(field, n, inner_section))
+            elems.append(f / RatFunc.monomial(field, n, tower.section(tower.value(f))))
+        return elems
+
+    def test_residue_matches_the_recursive_residue(self):
+        rng = random.Random(43)
+        towers, inner_ties, kinds = 0, set(), set()
+        for field in (QQ, F5):
+            for depth in (1, 2, 3):
+                for nest in ("inner", "outer"):
+                    for i in range(8):
+                        tower = random_tower(rng, field, 2 + 2 * depth + i % 2, i % 2 == 1, depth,
+                                             nest)
+                        gens = tower.residue_desc().gens
+                        assert_echelon(gens)
+                        towers += len(gens) >= 2
+                        for f in self.elements(rng, tower):
+                            got, want = tower.residue(f), tower_residue(tower, f)
+                            assert got == want and str(got) == str(want)
+                            kinds.add(residue_kind(got))
+                            if not f.is_zero() and elem_sign(tower_value(tower.inner, f)) == 0:
+                                inner_ties.add(residue_kind(got))
+        assert towers >= 20
+        assert kinds == inner_ties == {"zero", "infinity", "constant", "nonconstant"}
+
+    @pytest.mark.parametrize("nest", ["inner", "outer"])
+    def test_warm_residue_makes_four_term_passes_at_any_depth(self, monkeypatch, nest):
+        """Once a tower has been evaluated, the residue of a value-zero
+        element makes two term_mins passes for the inner value's sign and
+        two on the flat place, at depth 1, 8 and MAX_TOWER_DEPTH."""
+        f = q2("(x1 + x1*x2)/x1")
+        want = P_10.residue(f)
+        assert residue_kind(want) == "nonconstant"
+        for depth in (1, 8, MAX_TOWER_DEPTH):
+            if nest == "inner":
+                tower = P_10
+                for _ in range(depth):
+                    tower = compose(tower, MonomialPlace.trivial(QQ, 1))
+            else:
+                tower = MonomialPlace.trivial(QQ, 1)
+                for _ in range(depth - 1):
+                    tower = compose(MonomialPlace.trivial(QQ, 1), tower)
+                tower = compose(P_10, tower)
+            assert tower.depth == depth
+            assert tower.residue(f) == want
+            passes = []
+            monkeypatch.setattr("placeforge.places.term_mins",
+                                lambda *args: passes.append(1) or term_mins(*args))
+            assert tower.residue(f) == want
+            monkeypatch.undo()
+            assert len(passes) == 4
 
 
 def test_value_from_kernel_minimum_matches_combine():
@@ -779,7 +891,7 @@ def test_integer_signs_match_group_values():
                 picks, coeffs = picks[:1] * 2, [1, -1]
             total = ambient.zero()
             for row, c in zip(picks, coeffs):
-                total = total + elem(ambient, row).scale(c)
+                total = total + scale(elem(ambient, row), c)
             s = elem_sign(total)
             assert combination_sign(picks, coeffs, ds) == s
             combo_seen.add(s)
