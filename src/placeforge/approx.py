@@ -2,9 +2,9 @@
 patch neighborhood, preserving the finite data the caller asked for.
 
 The engine is the sign signature: for finitely many elements, everything a
-replacement must preserve (which terms are minimal, all ties, the sign of
-every value) is a finite set of integer sign conditions on the weight
-vector.  Rational refinement inside the equality locus then produces
+replacement must preserve (which terms are minimal, the ties among them,
+the sign of every value) is a finite set of integer sign conditions on the
+weight vector.  Rational refinement inside the equality locus then produces
 discrete, prime-divisor, or maximal-rank witnesses; a composite tower with
 an enumerated outer place handles value-preserving dimension drops.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import gcd
+from operator import sub
 
 from . import lattice
 from .ordgroup import (
@@ -87,12 +88,14 @@ class SignSignature:
     """Finite sign fingerprint of a place on a list of elements.
 
     Entries are (integer exponent vector m in the place's variables, sign
-    of the value of x^m); they record every tie and strict comparison among
-    the terms of the elements, plus the sign of each element's own value.
-    Vectors are stored with lexicographically positive orientation, so no
-    vector can carry two signs and the zero vector only ever carries sign 0.
-    `sources` keeps the printed elements the signature came from, and
-    `signs` the sign of each one's value.
+    of the value of x^m): each term of a numerator or denominator over one
+    minimal term of it (0 for a minimal tie, +1 otherwise), and each
+    element's own value.  A place keeping them has the same minimal terms,
+    so the same initial forms (the residues preserve_residues keeps) and
+    value signs; ties among non-minimal terms stay free.  Vectors are stored
+    with lexicographically positive orientation, so no vector can carry two
+    signs and the zero vector only ever carries sign 0.  `sources` keeps the
+    printed elements the signature came from, and `signs` their value signs.
     """
 
     entries: frozenset
@@ -107,24 +110,18 @@ class SignSignature:
         return [(m, s) for m, s in self.entries if s != 0]
 
 
-def _orient(m, s):
-    if m >= (0,) * len(m):  # Python orders tuples lexicographically
-        return m, s
-    return tuple(-x for x in m), -s
-
-
 def signature(place: Place, elems) -> SignSignature:
     """Sign signature of the place on the elements.
 
     Zero elements are skipped with a notice.  Every sign is decided on the
     integer level rows of the place's flat monomial place (term values are
     a group homomorphism in the exponent, also through a tower); no group
-    element is built.  Each pair of terms is queried once, and the search
-    for a minimal term reuses those pairwise signs.  An element's own sign
-    comes from the same comparisons: the value of a polynomial is the
-    minimum of its term values, so v(f) is the value of x^m for m the
-    minimal numerator term minus the minimal denominator term, and no
-    second pass over the terms is made.
+    element is built.  One scan per polynomial finds its first minimal term
+    in sorted order; a scan answer against that term is reused, and only
+    terms compared before the minimum last moved are asked again: t - 1
+    entries and at most 2(t - 1) queries for t terms.  An element's own
+    sign is that of its minimal numerator term over its minimal denominator
+    term.
     """
     entries = {}
     notices = []
@@ -132,7 +129,8 @@ def signature(place: Place, elems) -> SignSignature:
     signs = []
 
     def add(m, s):
-        m, s = _orient(tuple(m), s)
+        if m < (0,) * len(m):  # Python orders tuples lexicographically
+            m, s = tuple(-x for x in m), -s
         if not any(m) and s != 0:
             raise SignatureError("the zero vector cannot carry a strict sign")
         if entries.setdefault(m, s) != s:
@@ -147,20 +145,20 @@ def signature(place: Place, elems) -> SignSignature:
         sides = []
         for poly in (f.num, f.den):
             exps = sorted(poly.terms)
-            # pair_sign[i, j] is the sign of v(x^exps[i]) - v(x^exps[j]), i < j
-            pair_sign = {}
-            for i in range(len(exps)):
-                for j in range(i + 1, len(exps)):
-                    m = tuple(x - y for x, y in zip(exps[i], exps[j]))
-                    s = place.monomial_sign(m)
-                    pair_sign[i, j] = s
-                    add(m, s)
-            best = 0
+            # known[i] is the sign of v(x^exps[i]) - v(x^exps[best])
+            best, known = 0, {}
             for i in range(1, len(exps)):
-                if pair_sign[best, i] > 0:
-                    best = i
+                s = place.monomial_sign(tuple(map(sub, exps[i], exps[best])))
+                if s < 0:
+                    known, best = {best: -s}, i
+                else:
+                    known[i] = s
+            for i, e in enumerate(exps):
+                if i != best:
+                    m = tuple(map(sub, e, exps[best]))
+                    add(m, known[i] if i in known else place.monomial_sign(m))
             sides.append(exps[best])
-        m = tuple(x - y for x, y in zip(sides[0], sides[1]))
+        m = tuple(map(sub, *sides))
         signs.append(place.monomial_sign(m))
         add(m, signs[-1])
     return SignSignature(frozenset(entries.items()), tuple(sources), tuple(notices), tuple(signs))

@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,12 +28,14 @@ from placeforge import approx
 from placeforge.approx import (
     GoodifyResult,
     SignatureError,
+    SignSignature,
     _build_monomial,
     _iota_witnesses,
     _max_rank_levels,
     _rational_collapse,
     _refined_convergents,
 )
+from placeforge.cli import main
 from placeforge.ordgroup import sqrt_convergents
 from placeforge.places import Place
 
@@ -153,6 +157,173 @@ def signature_elements(rng, place):
         tie = RatFunc.make(Poly.make(field, n, {hi: 1, lo: 2}), one)
         elems += [tie, tie / h, tie / RatFunc.monomial(field, n, lo)]
     return elems
+
+
+def pairwise_signature(place, elems):
+    """The signature as it was before it recorded one minimal term per
+    polynomial: the sign of every pair of terms of each numerator and
+    denominator, and each element's own sign."""
+    entries = {}
+
+    def add(m, s):
+        if m < (0,) * len(m):
+            m, s = tuple(-x for x in m), -s
+        if entries.setdefault(m, s) != s:
+            raise SignatureError(f"conflicting signs for {m}")
+
+    for f in elems:
+        if f.is_zero():
+            continue
+        sides = []
+        for poly in (f.num, f.den):
+            exps = sorted(poly.terms)
+            pair_sign = {}
+            for i in range(len(exps)):
+                for j in range(i + 1, len(exps)):
+                    m = tuple(x - y for x, y in zip(exps[i], exps[j]))
+                    pair_sign[i, j] = place.monomial_sign(m)
+                    add(m, pair_sign[i, j])
+            best = 0
+            for i in range(1, len(exps)):
+                if pair_sign[best, i] > 0:
+                    best = i
+            sides.append(exps[best])
+        m = tuple(x - y for x, y in zip(*sides))
+        add(m, place.monomial_sign(m))
+    return SignSignature(frozenset(entries.items()))
+
+
+def ties_above_the_minimum(rng, place):
+    """Per kernel vector k of the place, x^hi + 2*x^lo with hi - lo = k and
+    of nonzero value, plus a monomial of lower value (1, or x^(2*hi) when
+    the value is negative): its two tied terms are not minimal."""
+    field, n = place.field, place.arity
+    one = Poly.const(field, n, 1)
+    elems = []
+    for k in place.kernel_lattice()[:2]:
+        e = [rng.randint(0, 2) for _ in range(n)]
+        hi = tuple(x + max(c, 0) for x, c in zip(e, k))
+        lo = tuple(x + max(-c, 0) for x, c in zip(e, k))
+        s = place.monomial_sign(hi)
+        if s:
+            low = (0,) * n if s > 0 else tuple(2 * x for x in hi)
+            elems.append(RatFunc.make(Poly.make(field, n, {hi: 1, lo: 2, low: 1}), one))
+    return elems
+
+
+REPLACE_SHAPES = [
+    TargetShape("preserve_residues", "discrete"),
+    TargetShape("preserve_residues", "weighted_rational", r1=1),
+    TargetShape("preserve_residues", "weighted_rational", r1=2),
+    TargetShape("preserve_residues", "lex_max_rank"),
+]
+
+
+class TestMinimalTermSignature:
+    def test_entries_are_a_subset_of_the_pairwise_signature(self):
+        """On seeded monomial places and towers, the signature keeps only
+        entries the pairwise one has; goodify from it passes its own
+        residue and sign checks, and it refuses only what the pairwise
+        signature refuses too.  Ties above the minimum make the pairwise
+        signature refuse some lex_max_rank inputs that it no longer does."""
+        rng = random.Random(27)
+        places = [random_monomial_place(rng, rng.choice([QQ, F5]), n, levels)
+                  for n in (2, 3, 4) for levels in (1, 2) for _ in range(3)]
+        places += [random_tower(rng, QQ, 3, irrational_inner, 1, nest)
+                   for irrational_inner in (False, True) for nest in ("inner", "outer")]
+        dropped = refused = freed = 0
+        for place in places:
+            for make in (signature_elements, ties_above_the_minimum):
+                elems = make(rng, place)
+                sig, ref = signature(place, elems), pairwise_signature(place, elems)
+                assert sig.entries <= ref.entries
+                dropped += len(ref.entries - sig.entries)
+                for shape in REPLACE_SHAPES:
+                    try:
+                        perturb_weights(sig, place, shape)
+                    except InfeasibleShapeError:
+                        refused += 1
+                        with pytest.raises(InfeasibleShapeError):
+                            perturb_weights(ref, place, shape)
+                        continue
+                    goodify(place, elems, shape)  # raises if its own checks fail
+                    try:
+                        perturb_weights(ref, place, shape)
+                    except InfeasibleShapeError:
+                        freed += 1
+        assert dropped and refused and freed, (dropped, refused, freed)
+
+    def test_queries_per_polynomial_are_linear(self):
+        """A stand-in place counts monomial_sign calls: at most 2(t - 1) per
+        polynomial of t terms, plus one per element, also when the scan's
+        minimum moves many times (x1 of negative weight on an element
+        sorted by its x1 exponent)."""
+
+        class Counting:
+            def __init__(self, place):
+                self.place, self.arity, self.field, self.calls = place, place.arity, place.field, 0
+
+            def monomial_sign(self, m):
+                self.calls += 1
+                return self.place.monomial_sign(m)
+
+        f = THOUSAND_TERMS
+        t = len(f.num.terms)
+        for first in (1, -1):
+            place = gauss_place(first, QuadScalar.sqrt(2), 3)
+            counting = Counting(place)
+            sig = signature(counting, [f])
+            assert counting.calls <= 2 * (t - 1) + 1
+            assert len(sig.entries) <= t
+            assert all(place.monomial_sign(m) == s for m, s in sig.entries)
+            assert sig.signs == (place.value_sign(f),)
+            # the scan asks again only when its minimum moved past a term
+            assert (counting.calls > t) == (first < 0)
+
+    def test_thousand_terms_goodify_in_linear_time(self):
+        # The pairwise signature asked t(t - 1)/2 = 499500 pairs here and
+        # took 1.5 s in process on a 2-vCPU x86 machine; this takes 10 ms.
+        start = time.perf_counter()
+        result = goodify(gauss_place(1, QuadScalar.sqrt(2), 3), [THOUSAND_TERMS],
+                         TargetShape("preserve_residues", "discrete"))
+        assert time.perf_counter() - start < 1.0
+        assert [str(w) for w in result.place.weights] == ["1", "1", "3"]
+
+
+THOUSAND_TERMS = RatFunc.make(
+    Poly.make(QQ, 3, {(i, 7 * i % 13, 3 * i % 5): 1 for i in range(1000)}),
+    Poly.const(QQ, 3, 1),
+)
+
+# Weights (1, 1, sqrt 2) on one level, d = 2: x1 and x2 tie, but only the
+# constant term of 1 + x1 + x2 is minimal, so a maximal-rank place may break
+# the tie.
+TIE_ABOVE_MINIMUM = {
+    "command": "goodify",
+    "place": {"kind": "monomial", "base": "Q", "arity": 3, "ambient": {"levels": [{"d": 2}]},
+              "weights": [[{"a": "1", "b": "0"}], [{"a": "1", "b": "0"}],
+                          [{"a": "0", "b": "1"}]]},
+    "elems": ["1 + x1 + x2"],
+    "shape": {"mode": "preserve_residues", "class": "lex_max_rank"},
+}
+
+
+class TestTieAboveTheMinimum:
+    def test_lex_max_rank_breaks_a_tie_of_non_minimal_terms(self):
+        place = gauss_place(1, 1, QuadScalar.sqrt(2))
+        f = parse_expr("1 + x1 + x2", 3, QQ)
+        result = goodify(place, [f], TargetShape("preserve_residues", "lex_max_rank"))
+        assert result.place.invariants().maximal_rank
+        assert result.checks == [{"elem": str(f), "sign_q": "0", "sign_p": "0",
+                                  "residue_equal": True}]
+
+    def test_lex_max_rank_job_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(TIE_ABOVE_MINIMUM))
+        assert main(["--spec", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["invariants"]["flags"]["maximal_rank"]
+        assert [c["residue_equal"] for c in report["checks"]] == [True]
 
 
 class TestPerturbWeights:

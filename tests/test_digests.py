@@ -17,7 +17,10 @@ moved.  The workloads are read from `perfbench/workloads.py` and
 `perfbench/ops.py`, as `tests/test_bench_selfcheck.py` reads them.
 
 A change meant to move outputs rewrites the file with
-`python tests/test_digests.py`, and says which digests moved and why.
+`python tests/test_digests.py`, and says which digests moved and why.  The
+script prints every key whose digest changes (workload, seed, and `inputs`
+or `outputs`; or `cli`, seed, and `inputs` or the job name) before it
+writes the file.
 """
 
 import contextlib
@@ -92,6 +95,15 @@ def all_digests():
     return out
 
 
+def flatten(tree, prefix=()):
+    """(key path, digest) of every leaf of a digest tree."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from flatten(value, prefix + (key,))
+        else:
+            yield prefix + (key,), value
+
+
 def stored(workload, seed):
     return json.loads(DIGESTS.read_text())[workload][str(seed)]
 
@@ -113,5 +125,11 @@ def test_seeded_cli_jobs_are_byte_identical(seed):
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    DIGESTS.write_text(json.dumps(all_digests(), indent=2, sort_keys=True) + "\n")
+    digests = all_digests()
+    old = dict(flatten(json.loads(DIGESTS.read_text()))) if DIGESTS.exists() else {}
+    new = dict(flatten(digests))
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            print("moved:", " ".join(key))
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS.relative_to(ROOT)}")

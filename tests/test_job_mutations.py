@@ -8,6 +8,11 @@ traceback; and every place that a successful job prints is accepted by
 `classify`.  A failure found here gets a fix in the program, never a looser
 assertion.
 
+Tower mutations change whole places instead: the inner and outer places of
+the golden composite jobs are swapped between those jobs, and a job's place
+is replaced by a seeded `gen.random_tower` of depth 1-3, nested either way.
+The same three assertions hold for them.
+
 Every job pays for one schema validation (about 14 ms), so the case count
 is kept small: the seeds are fixed, so every run checks the same cases.
 """
@@ -19,7 +24,10 @@ import random
 
 import pytest
 
+from placeforge import BaseField
 from placeforge.cli import main
+
+from gen import random_tower
 
 JOBS = sorted((pathlib.Path(__file__).resolve().parent / "jobs").glob("*.json"))
 CASES_PER_JOB = 6
@@ -184,3 +192,56 @@ def test_mutated_jobs_end_in_one_line_or_a_place_classify_accepts(tmp_path, caps
         codes[check_job(name, job, tmp_path, capsys)] += 1
     # the mutants reach past the schema: some still succeed, some infeasible
     assert min(codes.values()) > 0, codes
+
+
+def _part_slots(job):
+    """(container, key) of the two parts of a composite job: the inner and
+    outer of a composite place, or a compose job's place and outer."""
+    if job["command"] == "compose":
+        return [(job, "place"), (job, "outer")]
+    return [(job["place"], "inner"), (job["place"], "outer")]
+
+
+def swapped_jobs():
+    """Every golden composite job with one of its parts replaced by a
+    different part of any of them: (name, job)."""
+    originals = [(path.stem, json.loads(path.read_text())) for path in JOBS]
+    composite = [(name, job) for name, job in originals
+                 if job["command"] == "compose" or job["place"].get("kind") == "composite"]
+    parts = []
+    for _, job in composite:
+        parts += [node[key] for node, key in _part_slots(job) if node[key] not in parts]
+    for name, original in composite:
+        for slot in range(2):
+            for part in parts:
+                job = copy.deepcopy(original)
+                node, key = _part_slots(job)[slot]
+                if node[key] != part:
+                    node[key] = copy.deepcopy(part)
+                    yield f"{name}/{key}", job
+
+
+def tower_jobs(seed, count):
+    """`count` mutants of every job whose place (or a compose job's outer
+    place) is a random tower of depth 1-3 on the same variables, nested on
+    its inner or its outer side: (name, job)."""
+    rng = random.Random(seed)
+    originals = [(path.stem, json.loads(path.read_text())) for path in JOBS]
+    for i in range(count):
+        for name, original in originals:
+            job = copy.deepcopy(original)
+            key = rng.choice([k for k in ("place", "outer") if k in job])
+            inner = _places(job[key])[0]
+            field, arity = BaseField.from_json(inner["base"]), inner["arity"]
+            nest = ("inner", "outer")[i % 2]
+            job[key] = random_tower(rng, field, arity, rng.random() < 0.5, rng.randint(1, 3),
+                                    nest).to_json()
+            yield f"{name}/{key}-tower-{nest}", job
+
+
+def test_tower_mutants_end_in_one_line_or_a_place_classify_accepts(tmp_path, capsys):
+    codes = {0: 0, 1: 0, 2: 0}
+    for name, job in [*swapped_jobs(), *tower_jobs(0, 2)]:
+        codes[check_job(name, job, tmp_path, capsys)] += 1
+    # towers reach the commands: most succeed, and some swaps are refused
+    assert codes[0] > codes[1] + codes[2] > 0, codes
