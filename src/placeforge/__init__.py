@@ -27,7 +27,6 @@ from .places import (
     ResidueFieldDesc,
     check_spv_axioms,
     compose,
-    in_basic_open,
     place_from_json,
 )
 from .ratfunc import BaseField, Poly, RatFunc
@@ -73,7 +72,6 @@ __all__ = [
     "density_witness",
     "format_ratfunc",
     "goodify",
-    "in_basic_open",
     "kernel_backend",
     "order_embedding_check",
     "parse_expr",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import gcd
-from operator import sub
+from operator import mul, sub
 
 from . import lattice
 from .ordgroup import (
@@ -22,15 +22,16 @@ from .ordgroup import (
     EmbeddingVerdict,
     GroupElem,
     order_embedding_check,
+    row_sign,
     sqrt_convergents,
 )
 from .places import (
     InfeasibleShapeError,
     MonomialPlace,
     Place,
+    _difference_row,
     _validate_match,
     compose,
-    in_basic_open,
     sign_char,
 )
 
@@ -171,7 +172,7 @@ class PerturbResult:
 
 
 def _dot(m, q):
-    return sum(x * y for x, y in zip(m, q))
+    return sum(map(mul, m, q))
 
 
 def _sign(x):
@@ -401,12 +402,17 @@ def _check(text, sign_q, sign_p, residue_equal=None):
 def _residue_checks(old: Place, new: Place, nonzero, texts, old_signs):
     """One check per nonzero element.  `texts` are the elements printed and
     `old_signs` their value signs under `old`, each computed once per call
-    by the caller (the signature holds both)."""
-    return [
-        _check(text, sq, new.value_sign(f),
-               old.initial_form(f) == new.initial_form(f) if sq == 0 else None)
-        for f, text, sq in zip(nonzero, texts, old_signs)
-    ]
+    by the caller (the signature holds both).  On `new` one term scan of the
+    numerator and one of the denominator give the value sign (their minima)
+    and the initial form (their minimal terms); `old`'s only for value 0."""
+    flat, ds = new.flat_place, new.ambient.ds
+    checks = []
+    for f, text, sq in zip(nonzero, texts, old_signs):
+        _, num_mins, hi = flat._min_data(f.num)
+        _, den_mins, lo = flat._min_data(f.den)
+        same = old.initial_form(f) == (num_mins, den_mins) if sq == 0 else None
+        checks.append(_check(text, sq, row_sign(_difference_row(hi, lo), ds), same))
+    return checks
 
 
 def _identity_checks(nonzero, signs):
@@ -457,6 +463,12 @@ def goodify(place: Place, elems, shape: TargetShape) -> GoodifyResult:
     preserved through an embedding into a composite tower whose outer place
     is chosen by deterministic enumeration.
     """
+    return _goodify(place, elems, shape, None)
+
+
+def _goodify(place: Place, elems, shape: TargetShape, rows):
+    """goodify, given the value rows of the nonzero elements under `place`
+    in order (None: computed here, on the paths that read them)."""
     elems = list(elems)
     nonzero = [f for f in elems if not f.is_zero()]
 
@@ -482,11 +494,12 @@ def goodify(place: Place, elems, shape: TargetShape) -> GoodifyResult:
                 "value preservation with a dimension drop needs mode "
                 "preserve_values and class composite_drop together"
             )
-        return _goodify_composite_drop(place, elems, shape)
+        return _goodify_composite_drop(place, nonzero, shape, rows)
 
     if _class_invariant_report(place, shape) is None:
         # Already in the target class: the place is its own replacement.
-        signs = [place.value_sign(f) for f in nonzero]
+        ds = place.ambient.ds
+        signs = [row_sign(r, ds) for r in rows or map(place.value_row, nonzero)]
         return GoodifyResult(place, iota=None, iterations=0,
                              checks=_identity_checks(nonzero, signs))
 
@@ -507,7 +520,7 @@ def goodify(place: Place, elems, shape: TargetShape) -> GoodifyResult:
     )
 
 
-def _goodify_composite_drop(place: Place, elems, shape: TargetShape):
+def _goodify_composite_drop(place: Place, nonzero, shape: TargetShape, rows):
     inv = place.invariants()
     n = place.arity
     if inv.dim == 0:
@@ -523,9 +536,9 @@ def _goodify_composite_drop(place: Place, elems, shape: TargetShape):
             f"{n - shape.r1}, got {shape.d1}"
         )
 
-    nonzero = [f for f in elems if not f.is_zero()]
     den = place.flat_place._den
-    values = [GroupElem.from_row(place.ambient, place.value_row(f), den) for f in nonzero]
+    values = [GroupElem.from_row(place.ambient, r, den)
+              for r in rows or map(place.value_row, nonzero)]
     witnesses = _iota_witnesses(len(values))
 
     # The outer place gives weight 1 to one consumed generator.  A larger
@@ -559,18 +572,26 @@ def density_witness(place: Place, finite_on, vanishing_on, shape: TargetShape) -
 
     Sign preservation of all the defining elements implies membership, so
     this is residue-preserving goodification over their union (value
-    preservation through the tower, for the composite class).  Membership
-    of the result is read off goodify's checks, whose `sign_p` is each
-    nonzero element's value sign on the result place, in order; a zero
-    element lies in every basic open set.
+    preservation through the tower, for the composite class).  Each nonzero
+    element is evaluated on `place` once, in order: its value row's sign
+    decides membership (v >= 0 on `finite_on`, v > 0 on `vanishing_on`),
+    and goodify reuses the rows.  Membership of the result is read off
+    goodify's checks, whose `sign_p` is each nonzero element's value sign
+    on the result place, in order; a zero element lies in every basic open set.
     """
     finite_on = list(finite_on)
     vanishing_on = list(vanishing_on)
-    if not in_basic_open(place, finite_on, vanishing_on):
-        raise ValueError("the starting place is not in the requested neighborhood")
+    ds = place.ambient.ds
+    rows = []
+    for elems, refused in ((finite_on, (-1,)), (vanishing_on, (-1, 0))):
+        for f in elems:
+            if not f.is_zero():
+                rows.append(place.value_row(f))
+                if row_sign(rows[-1], ds) in refused:
+                    raise ValueError("the starting place is not in the requested neighborhood")
     mode = "preserve_values" if shape.klass == "composite_drop" else "preserve_residues"
     shape = TargetShape(mode=mode, klass=shape.klass, r1=shape.r1, d1=shape.d1)
-    result = goodify(place, finite_on + vanishing_on, shape)
+    result = _goodify(place, finite_on + vanishing_on, shape, rows)
     checks = iter(result.checks)
     for elems, refused in ((finite_on, ("-",)), (vanishing_on, ("-", "0"))):
         for f in elems:

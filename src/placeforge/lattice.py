@@ -145,17 +145,22 @@ def pivot_cols(rows):
 def express_int(basis, target):
     """Integer coefficients of `target` over echelon `basis` rows, or None.
 
-    `basis` must consist of HNF rows (echelon, positive pivots).
+    `basis` must consist of HNF rows (echelon, positive pivots).  Each
+    row's pivot is found as its first nonzero entry, and the row is
+    subtracted in place from that column on, where its entries live.
     """
     y = list(target)
-    cols = pivot_cols(basis)
     coeffs = []
-    for row, pc in zip(basis, cols):
+    for row in basis:
+        pc = 0
+        while not row[pc]:
+            pc += 1
         c, rem = divmod(y[pc], row[pc])
-        if rem != 0:
+        if rem:
             return None
         if c:
-            _row_sub(y, list(row), c)
+            for j in range(pc, len(y)):
+                y[j] -= c * row[j]
         coeffs.append(c)
     if any(y):
         return None

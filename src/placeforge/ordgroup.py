@@ -271,13 +271,16 @@ def row_sign(row, ds) -> int:
 
 
 def combination_sign(rows, coeffs, ds) -> int:
-    """Lexicographic sign of sum_k coeffs[k] * rows[k], level by level."""
+    """Lexicographic sign of sum_k coeffs[k] * rows[k], level by level.
+    The nonzero coefficients are collected once, so each level costs one
+    pass over them: a unit vector or a pairwise difference has one or two."""
+    terms = [(c, row) for row, c in zip(rows, coeffs) if c]
     for lv, d in enumerate(ds):
+        i = 2 * lv
         a = b = 0
-        for row, c in zip(rows, coeffs):
-            if c:
-                a += c * row[2 * lv]
-                b += c * row[2 * lv + 1]
+        for c, row in terms:
+            a += c * row[i]
+            b += c * row[i + 1]
         s = quad_sign_int(a, b, d)
         if s:
             return s
@@ -350,12 +353,12 @@ class EmbeddingVerdict:
 
 
 def _common_rows(elems):
-    """The elements' rows over one positive denominator, and the radicands
-    of their common ambient group."""
+    """The elements' rows over one positive denominator, the radicands of
+    their common ambient group, and the rows' rank (their Subgroup's profile)."""
     if not elems:
-        return [], ()
+        return [], (), 0
     group = Subgroup(elems[0].ambient, elems)
-    return group.rows, group.ambient.ds
+    return group.rows, group.ambient.ds, len(group.rank_profile)
 
 
 def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
@@ -367,14 +370,21 @@ def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
     is checked only on the witness set.  Each side's rows are aligned over
     one denominator, and every sign is decided on those integers with each
     side's own radicands; no group element is built.
+
+    Well-definedness is decided by ranks: the rows [src | img] side by side
+    have the rank of the source rows exactly when every rational relation
+    among the sources maps to zero, and the integer kernel spans the
+    rational one.  Only when the ranks differ is the kernel built, to name
+    its first relation with a nonzero image as the witness.
     """
     if len(sources) != len(images):
         raise ValueError("sources and images must have equal length")
-    src_rows, src_ds = _common_rows(sources)
-    img_rows, img_ds = _common_rows(images)
-    for rel in lattice.row_kernel(src_rows):
-        if combination_sign(img_rows, rel, img_ds):
-            return EmbeddingVerdict("ill_defined", tuple(rel))
+    src_rows, src_ds, src_rank = _common_rows(sources)
+    img_rows, img_ds, _ = _common_rows(images)
+    if lattice.int_rank([s + t for s, t in zip(src_rows, img_rows)]) != src_rank:
+        for rel in lattice.row_kernel(src_rows):
+            if combination_sign(img_rows, rel, img_ds):
+                return EmbeddingVerdict("ill_defined", tuple(rel))
     for w in witnesses:
         if len(w) != len(sources):
             raise ValueError("witness length must match the number of sources")

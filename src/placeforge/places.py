@@ -26,9 +26,9 @@ from .ordgroup import (
     Subgroup,
     _add_combination,
     align_rows,
-    combination_sign,
     combine,
     convex_rank,
+    quad_sign_int,
     rational_rank,
     row_sign,
     rows_from_json,
@@ -314,8 +314,13 @@ class MonomialPlace(Place):
         return combine(self.weights, evec, self.ambient)
 
     def monomial_sign(self, evec) -> int:
-        """The sign of the integer combination of the weight rows."""
-        return combination_sign(self._rows, evec, self.ambient.ds)
+        """The sign of sum_i evec[i] * weight_i, one level column pair at a
+        time (the columns term_mins reads): the first nonzero level decides."""
+        for arow, brow, d in self._levels:
+            s = quad_sign_int(sum(map(mul, evec, arow)), sum(map(mul, evec, brow)), d)
+            if s:
+                return s
+        return 0
 
     def _minima(self, f: RatFunc):
         """The minimal term values (hi, lo) of the nonzero f's numerator and
@@ -597,19 +602,6 @@ def _place_from_json(obj) -> Place:
     if kind == "composite":
         return CompositePlace(_place_from_json(obj["inner"]), _place_from_json(obj["outer"]))
     raise ValueError(f"unknown place kind {kind!r}")
-
-
-def in_basic_open(place: Place, finite_on, vanishing_on) -> bool:
-    """Membership in the basic open set: v >= 0 on the first list, v > 0 on the second."""
-    for a in finite_on:
-        s = place.value_sign(a)
-        if s is not INFINITY and s < 0:
-            return False
-    for b in vanishing_on:
-        s = place.value_sign(b)
-        if s is not INFINITY and s <= 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

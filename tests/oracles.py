@@ -13,7 +13,8 @@ then the outer residue of the inner residue.
 
 `scale` and `qvec` are group-element arithmetic by the definitions on an
 element's row, for tests that need a rational multiple or the rational
-coordinates of a value.
+coordinates of a value.  `in_basic_open` decides membership in a basic open
+set from the tower values and their interval-checked signs.
 
 The lattice oracles decide small membership and rank questions by brute
 force / plain fraction elimination.
@@ -104,6 +105,16 @@ def tower_residue(place, f: RatFunc):
         if s < 0:
             return INFINITY
     return tower_residue(place.outer, tower_residue(place.inner, f))
+
+
+def in_basic_open(place, finite_on, vanishing_on) -> bool:
+    """Membership in the basic open set: v >= 0 on the first list, v > 0
+    on the second; a zero element lies in every basic open set."""
+    for elems, least in ((finite_on, 0), (vanishing_on, 1)):
+        for f in elems:
+            if not f.is_zero() and elem_sign(tower_value(place, f)) < least:
+                return False
+    return True
 
 
 def scale(g: GroupElem, c) -> GroupElem:

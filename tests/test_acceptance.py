@@ -22,7 +22,6 @@ from placeforge import (
     check_spv_axioms,
     compose,
     density_witness,
-    in_basic_open,
     parse_expr,
     signature,
 )
@@ -38,7 +37,7 @@ from gen import (
     random_place,
     random_ratfunc,
 )
-from oracles import oracle_value, values_agree
+from oracles import in_basic_open, oracle_value, values_agree
 
 QQ = BaseField(0)
 F5 = BaseField(5)

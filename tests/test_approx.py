@@ -18,7 +18,6 @@ from placeforge import (
     compose,
     density_witness,
     goodify,
-    in_basic_open,
     lattice,
     parse_expr,
     perturb_weights,
@@ -30,6 +29,7 @@ from placeforge.approx import (
     SignatureError,
     SignSignature,
     _build_monomial,
+    _check,
     _iota_witnesses,
     _max_rank_levels,
     _rational_collapse,
@@ -46,7 +46,7 @@ from gen import (
     random_ratfunc,
     random_tower,
 )
-from oracles import elem_sign, fraction_rank, qvec, tower_value, values_agree
+from oracles import elem_sign, fraction_rank, in_basic_open, qvec, tower_value, values_agree
 
 QQ = BaseField(0)
 F5 = BaseField(5)
@@ -427,9 +427,9 @@ class TestGoodify:
 
     def test_identity_checks_reuse_the_callers_signs(self, monkeypatch):
         """preserve_both reads each check's sign off the value it already
-        computed, so value_sign is never called; the already-in-class path
-        calls it once per nonzero element.  Either way the checks match
-        the tower-value reference."""
+        computed, and the already-in-class path off one value row per
+        nonzero element, so value_sign is never called.  Either way the
+        checks match the tower-value reference."""
         rng = random.Random(41)
         cases = []
         for i in range(60):
@@ -455,30 +455,30 @@ class TestGoodify:
 
         calls = []
 
-        def counted(value_sign):
+        def counted(value_row):
             def wrapper(self, f):
                 calls.append((self, f))
-                return value_sign(self, f)
+                return value_row(self, f)
             return wrapper
 
         def refuse(self, f):
-            raise AssertionError("value_sign called on the preserve_both path")
+            raise AssertionError("value_sign called on an identity path")
 
         classes = (MonomialPlace, Place)
-        originals = {cls: cls.__dict__["value_sign"] for cls in classes}
+        originals = {cls: cls.__dict__["value_row"] for cls in classes}
+        for cls in classes:
+            monkeypatch.setattr(cls, "value_sign", refuse)
+            monkeypatch.setattr(cls, "value_row", counted(originals[cls]))
         for place, elems, klass in cases:
             nonzero = [f for f in elems if not f.is_zero()]
             signs = [elem_sign(tower_value(place, f)) for f in nonzero]
             want = [{"elem": str(f), "sign_q": SIGN_CHAR[s], "sign_p": SIGN_CHAR[s],
                      "residue_equal": True if s == 0 else None}
                     for f, s in zip(nonzero, signs)]
-            for cls in classes:
-                monkeypatch.setattr(cls, "value_sign", refuse)
+            calls.clear()
             both = goodify(place, elems, TargetShape("preserve_both", **klass))
             assert both.place is place and both.checks == want
-            for cls in classes:
-                monkeypatch.setattr(cls, "value_sign", counted(originals[cls]))
-            calls.clear()
+            assert calls == []
             kept = goodify(place, elems, TargetShape("preserve_residues", **klass))
             assert kept.place is place and kept.checks == want
             assert [f for p, f in calls if p is place] == nonzero
@@ -627,6 +627,76 @@ class TestGoodify:
             goodify(P_10, [q2("x1")], TargetShape("preserve_values", "discrete"))
 
 
+def two_pass_residue_checks(old, new, nonzero, texts, old_signs):
+    """_residue_checks as it was before its one pass: the new place's value
+    sign and its initial form each take their own pair of term scans."""
+    return [
+        _check(text, sq, new.value_sign(f),
+               old.initial_form(f) == new.initial_form(f) if sq == 0 else None)
+        for f, text, sq in zip(nonzero, texts, old_signs)
+    ]
+
+
+def residue_check_inputs(rng):
+    """Seeded goodify inputs: (old place, new place, nonzero elements,
+    signature), the new place either perturb_weights' result or an
+    unrelated monomial place on the same variables, so that signs and
+    residues also disagree.  Every sixth element is built to have value 0
+    under the old place, so residues are compared."""
+    shapes = [TargetShape("preserve_residues", "discrete"),
+              TargetShape("preserve_residues", "lex_max_rank"),
+              TargetShape("preserve_residues", "weighted_rational", r1=1)]
+    for i in range(60):
+        field, n = (QQ, F5)[i % 2], 2 + i % 3
+        old = (random_monomial_place(rng, field, n, levels=1 + i % 3) if i % 3
+               else random_tower(rng, field, n, irrational_inner=i % 2 == 0))
+        elems = [random_ratfunc(rng, field, n, nonzero=True) for _ in range(5)]
+        # f over one of its numerator's minimal terms has value 0
+        canon, _, _ = old.flat_place._min_data(elems[0].num)
+        elems.append(elems[0] / RatFunc.monomial(field, n, canon))
+        sig = signature(old, elems)
+        try:
+            new = perturb_weights(sig, old, shapes[i % 3]).place
+        except InfeasibleShapeError:
+            new = random_monomial_place(rng, field, n, levels=1 + i % 2)
+        yield old, new, elems, sig
+        yield old, random_monomial_place(rng, field, n, levels=2), elems, sig
+
+
+class TestResidueChecks:
+    def test_match_the_two_pass_form(self):
+        rng = random.Random(59)
+        seen = {"residue_equal": set(), "agree": set()}
+        for old, new, elems, sig in residue_check_inputs(rng):
+            got = approx._residue_checks(old, new, elems, sig.sources, sig.signs)
+            assert got == two_pass_residue_checks(old, new, elems, sig.sources, sig.signs)
+            for entry in got:
+                seen["residue_equal"].add(entry["residue_equal"])
+                seen["agree"].add(entry["sign_q"] == entry["sign_p"])
+        assert seen == {"residue_equal": {None, True, False}, "agree": {True, False}}, seen
+
+    def test_one_term_scan_pair_per_element_on_the_new_place(self, monkeypatch):
+        """Each element takes one _min_data call on its numerator and one
+        on its denominator on the new place, and value_sign and
+        initial_form are not called on it."""
+        calls = []
+        min_data = MonomialPlace._min_data
+
+        def counted(self, poly):
+            calls.append((self, poly))
+            return min_data(self, poly)
+
+        monkeypatch.setattr(MonomialPlace, "_min_data", counted)
+        rng = random.Random(61)
+        for old, new, elems, sig in residue_check_inputs(rng):
+            for name in ("value_sign", "initial_form"):
+                monkeypatch.setattr(new, name, None, raising=False)
+            calls.clear()
+            approx._residue_checks(old, new, elems, sig.sources, sig.signs)
+            assert [poly for place, poly in calls if place is new] == [
+                poly for f in elems for poly in (f.num, f.den)]
+
+
 @pytest.fixture
 def embedding_verdicts(monkeypatch):
     """Statuses of every order_embedding_check that composite_drop runs."""
@@ -719,13 +789,69 @@ class TestDensityWitness:
         report = GoodifyResult(P_23, checks=[
             {"elem": str(f), "sign_q": "+", "sign_p": s, "residue_equal": None}
             for f, s in zip([A[1], A[3], B[1]], signs)])
-        monkeypatch.setattr(approx, "goodify", lambda place, elems, shape: report)
+        monkeypatch.setattr(approx, "_goodify", lambda place, elems, shape, rows: report)
         shape = TargetShape("preserve_residues", "discrete")
         if ok:
             assert density_witness(P_23, A, B, shape) is report
         else:
             with pytest.raises(AssertionError, match="should have implied membership"):
                 density_witness(P_23, A, B, shape)
+
+    def test_old_place_is_evaluated_once_per_element(self, monkeypatch):
+        """The opening membership test takes one value row per nonzero
+        element, A then B, and hands the rows to goodify's private form;
+        value_sign is never called on the starting place.  An element
+        outside the neighborhood refuses at once, before later elements are
+        evaluated; zero elements never refuse."""
+        zero = q2("0")
+        calls = []
+        value_row = MonomialPlace.value_row
+
+        def counted(self, f):
+            calls.append(f)
+            return value_row(self, f)
+
+        def refuse(self, f):
+            raise AssertionError("value_sign called on the starting place")
+
+        handed = []
+        inner = approx._goodify
+
+        def spy(place, elems, shape, rows):
+            handed.append(rows)
+            return inner(place, elems, shape, rows)
+
+        monkeypatch.setattr(MonomialPlace, "value_row", counted)
+        monkeypatch.setattr(MonomialPlace, "value_sign", refuse)
+        monkeypatch.setattr(approx, "_goodify", spy)
+        cases = [
+            (P_SQRT, [zero, q2("x1+x2"), q2("x1^2/x2")], [q2("x1"), zero],
+             TargetShape("preserve_residues", "discrete")),
+            (P_23, [q2("x1*x2+1")], [zero, q2("x2")], TargetShape("preserve_residues", "discrete")),
+            (P_10, [q2("x1"), q2("x2+1")], [q2("x1^2"), q2("x1*(x2+1)")],
+             TargetShape("preserve_values", "composite_drop", r1=2, d1=0)),
+        ]
+        for place, A, B, shape in cases:
+            calls.clear()
+            handed.clear()
+            density_witness(place, A, B, shape)
+            nonzero = [f for f in A + B if not f.is_zero()]
+            assert calls[:len(nonzero)] == nonzero
+            assert handed == [[value_row(place, f) for f in nonzero]]
+        # refused at the first element outside: -, or 0 in B
+        handed.clear()
+        for A, B in (([q2("x1"), q2("1/x1"), q2("x2")], []),
+                     ([q2("x1")], [q2("x2"), q2("1"), q2("x1")]),
+                     ([], [q2("x1"), q2("x2/x1^2")])):
+            calls.clear()
+            with pytest.raises(ValueError, match="not in the requested neighborhood"):
+                density_witness(P_23, A, B, TargetShape("preserve_residues", "discrete"))
+            assert handed == []
+            assert len(calls) == next(i + 1 for i, f in enumerate(A + B)
+                                      if elem_sign(tower_value(P_23, f)) < (i >= len(A)))
+        # zero elements lie in every basic open set
+        result = density_witness(P_23, [zero], [zero], TargetShape("preserve_residues", "discrete"))
+        assert result.place is P_23 and result.checks == []
 
     def test_zero_dimensional_tower_witness(self):
         A, B = [q2("x1")], [q2("x1^2")]

@@ -13,6 +13,10 @@ the golden composite jobs are swapped between those jobs, and a job's place
 is replaced by a seeded `gen.random_tower` of depth 1-3, nested either way.
 The same three assertions hold for them.
 
+Summand mutations put a sum of at most eight fractions in place of one
+element, each fraction's denominator a polynomial of two or more terms:
+the shape of a sum that parsing must bring over one common denominator.
+
 Every job pays for one schema validation (about 14 ms), so the case count
 is kept small: the seeds are fixed, so every run checks the same cases.
 """
@@ -237,6 +241,80 @@ def tower_jobs(seed, count):
             job[key] = random_tower(rng, field, arity, rng.random() < 0.5, rng.randint(1, 3),
                                     nest).to_json()
             yield f"{name}/{key}-tower-{nest}", job
+
+
+MAX_SUMMANDS = 8
+
+
+def _names(job):
+    """The variable names of a job's elements."""
+    if "vars" in job:
+        return job["vars"]
+    arity = _job_places(job)[0]["arity"]
+    return [f"x{i}" for i in range(1, arity + 1)]
+
+
+def _monomial(rng, names, max_degree, taken):
+    """A nonconstant monomial, as text, whose exponent vector is not in
+    `taken`; the vector is added to `taken`."""
+    while True:
+        e = tuple(rng.randint(0, max_degree) if rng.random() < 0.6 else 0 for _ in names)
+        if any(e) and e not in taken:
+            taken.add(e)
+            return "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(names, e) if k)
+
+
+def _denominator(rng, names):
+    """A polynomial of two or more distinct terms: a binomial (two
+    monomials, or a monomial and a constant that is not 0 mod 5), a
+    product of two binomials, or a trinomial."""
+    def binomial():
+        taken = set()
+        other = rng.choice((str(rng.randint(1, 4)), _monomial(rng, names, 2, taken)))
+        return f"{_monomial(rng, names, 2, taken)} {rng.choice('+-')} {other}"
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return binomial()
+    if kind == 1:
+        return f"({binomial()})*({binomial()})"
+    taken = set()
+    return f"{_monomial(rng, names, 2, taken)} + {_monomial(rng, names, 1, taken)} + {rng.randint(1, 4)}"
+
+
+def summand_text(rng, names):
+    """A sum of 2 to MAX_SUMMANDS fractions c*m/(q), q non-monomial."""
+    text = ""
+    for k in range(rng.randint(2, MAX_SUMMANDS)):
+        c = rng.choice((1, -1, 2, -3, 7))
+        num = _monomial(rng, names, 3, set()) if rng.random() < 0.8 else "1"
+        text += (" - " if c < 0 else " + ") if k else ("-" if c < 0 else "")
+        text += f"{abs(c)}*{num}/({_denominator(rng, names)})"
+    return text
+
+
+def summand_jobs(seed, count):
+    """`count` mutants of every job with elements, one element replaced by
+    a sum of fractions with non-monomial denominators: (name, job)."""
+    rng = random.Random(seed)
+    originals = [(path.stem, json.loads(path.read_text())) for path in JOBS]
+    for _ in range(count):
+        for name, original in originals:
+            job = copy.deepcopy(original)
+            slots = _text_slots(job)
+            if not slots:
+                continue
+            texts, i = rng.choice(slots)
+            texts[i] = summand_text(rng, _names(job))
+            yield f"{name}/summands", job
+
+
+def test_summand_mutants_end_in_one_line_or_a_place_classify_accepts(tmp_path, capsys):
+    codes = {0: 0, 1: 0, 2: 0}
+    for name, job in summand_jobs(0, 4):
+        codes[check_job(name, job, tmp_path, capsys)] += 1
+    # the sums reach every command that takes elements: most succeed
+    assert codes[0] > codes[1] + codes[2], codes
 
 
 def test_tower_mutants_end_in_one_line_or_a_place_classify_accepts(tmp_path, capsys):

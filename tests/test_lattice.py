@@ -74,6 +74,47 @@ def test_express_int_matches_brute_force():
         assert got == want, (basis, target)
 
 
+def pivot_express_int(basis, target):
+    """express_int as it was before it found pivots inline: a pivot_cols
+    pass first, then a whole-row subtraction from a copy of each row."""
+    y = list(target)
+    coeffs = []
+    for row, pc in zip(basis, lattice.pivot_cols(basis)):
+        c, rem = divmod(y[pc], row[pc])
+        if rem != 0:
+            return None
+        if c:
+            other = list(row)
+            for j in range(len(y)):
+                y[j] -= c * other[j]
+        coeffs.append(c)
+    if any(y):
+        return None
+    return coeffs
+
+
+def test_express_int_matches_the_pivot_cols_form():
+    """Seeded HNF bases, with members (integer combinations of the basis)
+    and non-members (a random vector, or a member plus a fraction of a
+    basis row that the lattice misses): the same coefficients or None."""
+    rng = random.Random(5)
+    found = {"member": 0, "none": 0}
+    for _ in range(400):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        basis = lattice.hnf(random_matrix(rng, m, n, span=rng.choice([3, 9, 2**40])))
+        coeffs = [rng.randint(-4, 4) for _ in basis]
+        member = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(n)]
+        targets = [member, [rng.randint(-9, 9) for _ in range(n)]]
+        if basis and max(basis[0]) > 1:
+            targets.append([x + (y // 2 if y > 1 else 0) for x, y in zip(member, basis[0])])
+        for target in targets:
+            got = lattice.express_int(basis, target)
+            assert got == pivot_express_int(basis, target), (basis, target)
+            found["member" if got is not None else "none"] += 1
+        assert lattice.express_int(basis, member) == coeffs
+    assert min(found.values()) > 100, found
+
+
 def test_int_rank_matches_fraction_elimination():
     rng = random.Random(4)
     for _ in range(200):

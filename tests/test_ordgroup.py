@@ -24,6 +24,7 @@ from placeforge.ordgroup import (
     MAX_RADICAND,
     GroupElem,
     align_rows,
+    combination_sign,
     combine,
     rat_from_str,
     rows_from_json,
@@ -350,6 +351,91 @@ class TestOrderEmbedding:
             assert (verdict.status, verdict.witness) == self.reference(sources, images, witnesses)
             statuses[verdict.status] += 1
         assert min(statuses.values()) >= 30, statuses
+
+
+def kernel_first_check(sources, images, witnesses):
+    """order_embedding_check as it was before it compared ranks: the
+    source kernel is always built, and each relation's image signed."""
+    if len(sources) != len(images):
+        raise ValueError("sources and images must have equal length")
+
+    def common(elems):
+        if not elems:
+            return [], ()
+        group = Subgroup(elems[0].ambient, elems)
+        return group.rows, group.ambient.ds
+
+    src_rows, src_ds = common(sources)
+    img_rows, img_ds = common(images)
+    for rel in lattice.row_kernel(src_rows):
+        if combination_sign(img_rows, rel, img_ds):
+            return "ill_defined", tuple(rel)
+    for w in witnesses:
+        if combination_sign(src_rows, w, src_ds) != combination_sign(img_rows, w, img_ds):
+            return "order_violated", tuple(w)
+    return "ok", None
+
+
+def embedding_inputs(rng):
+    """Seeded (sources, images, witnesses): homomorphic images of integer
+    combinations (relations that map to zero), the same with one image
+    moved (a relation that does not), zero source values, and empty lists;
+    the witnesses are unit vectors and pairwise differences, as goodify's."""
+    yield [], [], []
+    for case in range(400):
+        src_amb = AmbientGroup(tuple(rng.choice([2, 3, 5]) for _ in range(rng.randint(1, 3))))
+        img_amb = AmbientGroup(tuple(rng.choice([2, 3, 5]) for _ in range(rng.randint(1, 3))))
+        r, m = rng.randint(1, 3), rng.randint(1, 6)
+        coeffs = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
+
+        def elems(amb):
+            return [GroupElem(amb, tuple(random_quad(rng, d) for d in amb.ds)) for _ in range(r)]
+
+        sources = [combine(elems(src_amb), row, src_amb) for row in coeffs]
+        images = [combine(elems(img_amb), row, img_amb) for row in coeffs]
+        if case % 3 == 1:
+            # move one image off the homomorphism: ill defined whenever the
+            # moved source takes part in a relation
+            i = rng.randrange(m)
+            images[i] = images[i] + GroupElem(img_amb, tuple(random_quad(rng, d) for d in img_amb.ds))
+        if case % 5 == 2:
+            sources[rng.randrange(m)] = src_amb.zero()
+        witnesses = [tuple(int(k == i) for k in range(m)) for i in range(m)]
+        witnesses += [tuple(int(k == i) - int(k == j) for k in range(m))
+                      for i in range(m) for j in range(i + 1, m)]
+        yield sources, images, witnesses
+
+
+class TestRankFirstEmbedding:
+    def test_matches_the_kernel_first_form(self):
+        rng = random.Random(29)
+        statuses = {"ok": 0, "ill_defined": 0, "order_violated": 0}
+        zero_sources = 0
+        for sources, images, witnesses in embedding_inputs(rng):
+            verdict = order_embedding_check(sources, images, witnesses)
+            assert (verdict.status, verdict.witness) == kernel_first_check(sources, images, witnesses)
+            statuses[verdict.status] += 1
+            zero_sources += any(s.is_zero() for s in sources)
+        assert min(statuses.values()) >= 30 and zero_sources >= 30, (statuses, zero_sources)
+
+    def test_a_well_defined_check_builds_no_kernel(self, monkeypatch):
+        """The ranks decide well-definedness: row_kernel runs exactly when
+        the verdict is ill_defined, once, to name the witness."""
+        import placeforge.ordgroup as ordgroup
+
+        calls = []
+        row_kernel = lattice.row_kernel
+
+        def counted(rows):
+            calls.append(rows)
+            return row_kernel(rows)
+
+        monkeypatch.setattr(ordgroup.lattice, "row_kernel", counted)
+        rng = random.Random(31)
+        for sources, images, witnesses in embedding_inputs(rng):
+            calls.clear()
+            verdict = order_embedding_check(sources, images, witnesses)
+            assert len(calls) == (verdict.status == "ill_defined")
 
 
 def test_json_round_trip_bit_exact():

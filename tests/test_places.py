@@ -15,7 +15,6 @@ from placeforge import (
     Subgroup,
     check_spv_axioms,
     compose,
-    in_basic_open,
     parse_expr,
     place_from_json,
 )
@@ -41,6 +40,7 @@ from gen import (
 from oracles import (
     elem_sign,
     fraction_rank,
+    in_basic_open,
     oracle_value,
     qvec,
     scale,
@@ -896,6 +896,46 @@ def test_integer_signs_match_group_values():
             assert combination_sign(picks, coeffs, ds) == s
             combo_seen.add(s)
     assert row_seen == combo_seen == {-1, 0, 1}
+
+
+def test_monomial_sign_matches_the_combination_sign_form():
+    """monomial_sign reads the level columns of the flat place; its
+    previous form summed the weight rows by `combination_sign`.  On seeded
+    places and towers of 1-3 levels per place, the two agree on random
+    vectors, on kernel vectors (which tie on every level), on vectors that
+    tie on the first level only, and on exponent differences of terms."""
+    rng = random.Random(47)
+    seen = set()
+    ties_past_first = 0
+    for field in (QQ, F5):
+        for n in (1, 2, 3, 4):
+            places = [random_monomial_place(rng, field, n, levels=levels, zero_frac=0.3)
+                      for levels in (1, 2, 3)]
+            places += [random_tower(rng, field, n, irrational_inner, depth, nest)
+                       for irrational_inner in (False, True) for depth in (1, 2)
+                       for nest in ("inner", "outer")]
+            for place in places:
+                flat = place.flat_place
+                ds = flat.ambient.ds
+                vectors = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(8)]
+                vectors.append((0,) * n)
+                kernel = list(place.kernel_lattice())
+                vectors += kernel
+                vectors += [tuple(a + b for a, b in zip(k, v)) for k in kernel for v in vectors[:3]]
+                # vectors in the kernel of the first level alone
+                first = lattice.row_kernel([row[:2] for row in flat._rows])
+                vectors += [tuple(r) for r in first]
+                for _ in range(3):
+                    e1, e2 = (tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(2))
+                    vectors.append(tuple(a - b for a, b in zip(e1, e2)))
+                for m in vectors:
+                    s = place.monomial_sign(m)
+                    assert s == flat.monomial_sign(m) == combination_sign(flat._rows, m, ds)
+                    seen.add(s)
+                ties_past_first += sum(
+                    1 for m in first if any(m) and combination_sign(flat._rows, m, ds))
+    assert seen == {-1, 0, 1}
+    assert ties_past_first > 0
 
 
 def test_from_rows_matches_the_weight_built_place():
