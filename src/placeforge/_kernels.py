@@ -5,6 +5,8 @@ Exponents are machine-word integers with overflow detection at EXP_LIMIT.
 
 from operator import add, mul
 
+from .ordgroup import quad_sign_int
+
 # Exponents must stay below this bound in every polynomial.
 EXP_LIMIT = 2**62
 
@@ -62,14 +64,8 @@ def term_mins(exps, levels):
     Returns (argmins, best) with argmins the sorted index list of all
     minimizers and best the per-level (a, b) numerator pairs of the
     minimum.  Levels are decided one at a time: level k is computed only
-    for the terms still tied after the levels before it, and a single
-    term is its own minimum with no comparison.  The sign of a difference
-    x + y*sqrt(d) is decided inline, as `ordgroup.quad_sign_int` decides it.
+    for the terms still tied after the levels before it.
     """
-    if len(exps) == 1:
-        (e,) = exps
-        return [0], tuple((sum(map(mul, e, arow)), sum(map(mul, e, brow)))
-                          for arow, brow, _ in levels)
     argmins = list(range(len(exps)))
     best = []
     for arow, brow, d in levels:
@@ -80,15 +76,7 @@ def term_mins(exps, levels):
         for i in tied[1:]:
             e = exps[i]
             sa, sb = sum(map(mul, e, arow)), sum(map(mul, e, brow))
-            # cmp has the sign of x + y*sqrt(d): with y != 0 it is never 0,
-            # and when x and y differ in sign the larger square decides
-            x, y = sa - ba, sb - bb
-            if not y:
-                cmp = x
-            elif not x or (x < 0) == (y < 0):
-                cmp = y
-            else:
-                cmp = x if x * x > y * y * d else y
+            cmp = quad_sign_int(sa - ba, sb - bb, d)
             if cmp < 0:
                 ba, bb = sa, sb
                 argmins = [i]

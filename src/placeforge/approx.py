@@ -29,7 +29,6 @@ from .places import (
     InfeasibleShapeError,
     MonomialPlace,
     Place,
-    _difference_row,
     _validate_match,
     compose,
     sign_char,
@@ -402,16 +401,13 @@ def _check(text, sign_q, sign_p, residue_equal=None):
 def _residue_checks(old: Place, new: Place, nonzero, texts, old_signs):
     """One check per nonzero element.  `texts` are the elements printed and
     `old_signs` their value signs under `old`, each computed once per call
-    by the caller (the signature holds both).  On `new` one term scan of the
-    numerator and one of the denominator give the value sign (their minima)
-    and the initial form (their minimal terms); `old`'s only for value 0."""
-    flat, ds = new.flat_place, new.ambient.ds
+    by the caller (the signature holds both).  On `new` one term scan of
+    each element gives both its value sign and its initial form; `old`'s
+    initial form is taken only for value 0."""
     checks = []
     for f, text, sq in zip(nonzero, texts, old_signs):
-        _, num_mins, hi = flat._min_data(f.num)
-        _, den_mins, lo = flat._min_data(f.den)
-        same = old.initial_form(f) == (num_mins, den_mins) if sq == 0 else None
-        checks.append(_check(text, sq, row_sign(_difference_row(hi, lo), ds), same))
+        sp, form = new.sign_and_initial_form(f)
+        checks.append(_check(text, sq, sp, old.initial_form(f) == form if sq == 0 else None))
     return checks
 
 

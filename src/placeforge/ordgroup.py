@@ -353,12 +353,12 @@ class EmbeddingVerdict:
 
 
 def _common_rows(elems):
-    """The elements' rows over one positive denominator, the radicands of
-    their common ambient group, and the rows' rank (their Subgroup's profile)."""
+    """The elements' rows over one positive denominator, and the radicands
+    of their common ambient group."""
     if not elems:
-        return [], (), 0
+        return [], ()
     group = Subgroup(elems[0].ambient, elems)
-    return group.rows, group.ambient.ds, len(group.rank_profile)
+    return group.rows, group.ambient.ds
 
 
 def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
@@ -379,8 +379,9 @@ def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
     """
     if len(sources) != len(images):
         raise ValueError("sources and images must have equal length")
-    src_rows, src_ds, src_rank = _common_rows(sources)
-    img_rows, img_ds, _ = _common_rows(images)
+    src_rows, src_ds = _common_rows(sources)
+    img_rows, img_ds = _common_rows(images)
+    src_rank = len(lattice.rank_profile(src_rows))
     if lattice.int_rank([s + t for s, t in zip(src_rows, img_rows)]) != src_rank:
         for rel in lattice.row_kernel(src_rows):
             if combination_sign(img_rows, rel, img_ds):

@@ -200,12 +200,19 @@ class Place:
         matching induced by their kernel lattices) exactly when its initial
         forms under both agree.
         """
+        return self.sign_and_initial_form(f)[1]
+
+    def sign_and_initial_form(self, f: RatFunc):
+        """(sign of v(f), initial form) of the nonzero f from one term scan
+        of its numerator and one of its denominator: the difference of their
+        minima is v(f), and their minimal terms are the initial form."""
         _validate_match(self, f)
         if f.is_zero():
             raise ValueError("the zero function has no initial form")
-        _, num_mins, _ = self.flat_place._min_data(f.num)
-        _, den_mins, _ = self.flat_place._min_data(f.den)
-        return num_mins, den_mins
+        flat = self.flat_place
+        _, num_mins, hi = flat._min_data(f.num)
+        _, den_mins, lo = flat._min_data(f.den)
+        return row_sign(_difference_row(hi, lo), flat.ambient.ds), (num_mins, den_mins)
 
     def invariants(self) -> PlaceInvariants:
         """dim, rr and rank from one rank profile of the value group's

@@ -2,10 +2,7 @@
 
 `mul_terms` is checked against a product that sums every term pair first
 and reduces mod p only at the end; `term_mins` against a sort of the term
-values, each compared exactly by integer squaring.  `term_mins` is also
-checked against a copy of its previous form, which decided each comparison
-by `ordgroup.quad_sign_int`, so the sign it now decides inline stays tied
-to the library's one sign function.
+values, each compared exactly by integer squaring.
 """
 
 import functools
@@ -15,7 +12,6 @@ import pytest
 
 from placeforge import Poly, ratfunc
 from placeforge._kernels import EXP_LIMIT, backend, mul_terms, term_mins
-from placeforge.ordgroup import quad_sign_int
 
 
 def rand_terms(rng, n, count, emax, cmax, p):
@@ -159,35 +155,10 @@ def test_term_mins_agreement_across_envelope():
     assert all(split.values()) and everywhere > 0, (split, everywhere)
 
 
-def quad_sign_term_mins(exps, levels):
-    """term_mins as it was before its sign was inlined: every comparison of
-    two term values goes through quad_sign_int, and one term is compared
-    like any other."""
-    argmins = list(range(len(exps)))
-    best = []
-    for arow, brow, d in levels:
-        tied = argmins
-        i = tied[0]
-        e = exps[i]
-        ba, bb = sum(x * w for x, w in zip(e, arow)), sum(x * w for x, w in zip(e, brow))
-        argmins = [i]
-        for i in tied[1:]:
-            e = exps[i]
-            sa, sb = sum(x * w for x, w in zip(e, arow)), sum(x * w for x, w in zip(e, brow))
-            cmp = quad_sign_int(sa - ba, sb - bb, d)
-            if cmp < 0:
-                ba, bb = sa, sb
-                argmins = [i]
-            elif cmp == 0:
-                argmins.append(i)
-        best.append((ba, bb))
-    return argmins, tuple(best)
-
-
-def test_term_mins_matches_the_quad_sign_int_form():
+def test_term_mins_on_one_term_ties_zero_sqrt_columns_and_near_ties():
     """One term, ties on every level, levels whose sqrt column is zero, and
     1-6 levels; the near-ties |x| ~ |y|*sqrt(d) come from convergents, so
-    the exact squaring decides them.  Every case agrees with the copy."""
+    the exact squaring decides them.  Every case agrees with the sort."""
     rng = random.Random(104)
     convergents = {2: [(3, 2), (7, 5), (17, 12), (41, 29)], 3: [(2, 1), (5, 3), (7, 4), (19, 11)],
                    5: [(2, 1), (9, 4), (38, 17), (161, 72)]}
@@ -217,8 +188,7 @@ def test_term_mins_matches_the_quad_sign_int_form():
                 brow = tuple(rng.randint(-4, 4) for _ in range(n))
             levels.append((arow, brow, d))
         got = term_mins(exps, levels)
-        assert got == quad_sign_term_mins(exps, levels), (exps, levels)
-        assert got == naive_term_mins(exps, levels)
+        assert got == naive_term_mins(exps, levels), (exps, levels)
         seen["one"] += count == 1
         seen["tie"] += len(got[0]) > 1
     assert min(seen.values()) > 20, seen

@@ -938,6 +938,37 @@ def test_monomial_sign_matches_the_combination_sign_form():
     assert ties_past_first > 0
 
 
+def test_sign_and_initial_form_match_value_sign_and_least_terms():
+    """sign_and_initial_form reads one term scan per side: its sign is
+    value_sign's, and its initial form holds, on each side, the terms whose
+    monomial value no other term's undercuts.  A zero element, and one from
+    another function field, are refused as initial_form refuses them."""
+    rng = random.Random(53)
+    seen = set()
+    for field in (QQ, F5):
+        for n in (1, 2, 3):
+            places = [random_monomial_place(rng, field, n, levels=levels) for levels in (1, 2)]
+            places += [random_tower(rng, field, n, irrational_inner)
+                       for irrational_inner in (False, True)]
+            for place in places:
+                for _ in range(4):
+                    f = random_ratfunc(rng, field, n, nonzero=True)
+                    sign, form = place.sign_and_initial_form(f)
+                    assert sign == place.value_sign(f)
+                    seen.add(sign)
+                    least = []
+                    for poly in (f.num, f.den):
+                        values = {e: place.monomial_value(e) for e in poly.terms}
+                        least.append({e: c for e, c in poly.terms.items()
+                                      if all((values[o] - values[e]).sign() >= 0 for o in values)})
+                    assert form == tuple(least) == place.initial_form(f)
+                other = random_ratfunc(rng, field, n + 1, nonzero=True)
+                for bad in (RatFunc.zero(field, n), other):
+                    with pytest.raises(ValueError):
+                        place.sign_and_initial_form(bad)
+    assert seen == {-1, 0, 1}
+
+
 def test_from_rows_matches_the_weight_built_place():
     """A place built from integer rows is the place built from its weights:
     the same rows and denominator (rows handed over with a common factor are
