@@ -232,7 +232,7 @@ def _build_monomial(field, n, level_rows, den=1):
     """Monomial place with one rational lex level per integer row of
     `level_rows`, all over the denominator `den`."""
     rows = [[x for level in level_rows for x in (level[i], 0)] for i in range(n)]
-    return MonomialPlace.from_rows(field, n, AmbientGroup((2,) * len(level_rows)), rows, den)
+    return MonomialPlace(field, n, AmbientGroup((2,) * len(level_rows)), rows, den)
 
 
 def perturb_weights(sig: SignSignature, place: Place, shape: TargetShape) -> PerturbResult:
@@ -341,7 +341,7 @@ def _rank_two_candidate(field, n, qrow, qden, place: Place, iteration: int):
     for col in (1, 0):
         rows = [(x * flat._den << iteration, r[col] * qden) for x, r in zip(qrow, flat._rows)]
         if lattice.int_rank(rows) == 2:
-            return MonomialPlace.from_rows(field, n, AmbientGroup(place.ambient.ds[:1]), rows, den), None
+            return MonomialPlace(field, n, AmbientGroup(place.ambient.ds[:1]), rows, den), None
     return None, "no independent direction available for rational rank 2"
 
 

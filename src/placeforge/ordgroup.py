@@ -2,9 +2,10 @@
 
 Scalars are real quadratic irrationals a + b*sqrt(d) with rational a, b and a
 fixed squarefree radicand d per level.  Group elements live in lexicographic
-products of such levels, level 1 dominant, stored as integer rows over one
-denominator.  All comparisons are decided exactly by integer case analysis;
-no floating point anywhere.
+products of such levels, level 1 dominant.  Elements and subgroups are built
+only from integer rows over one positive denominator, and every comparison
+is decided on those integers by exact case analysis; no floating point
+anywhere, and no arithmetic on elements: sums are taken on rows.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ _LITERAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 def rat_from_str(s: str) -> Fraction:
     """The rational a literal of the place schema's form "n" or "n/d" spells."""
+    if not isinstance(s, str):
+        raise ValueError(f"literal {s!r:.24} is not a string of the form n or n/d")
     m = _LITERAL.fullmatch(s)
     shown = s if len(s) <= 24 else s[:20] + "..."
     if m is None:
@@ -68,7 +71,10 @@ def is_squarefree(d: int) -> bool:
 
 
 def check_radicand(d: int):
-    """Refuse a radicand above MAX_RADICAND or one that is not squarefree."""
+    """Refuse a radicand that is not an int (a bool is not one here), one
+    above MAX_RADICAND, or one that is not squarefree."""
+    if type(d) is not int:
+        raise ValueError(f"radicand must be a squarefree int >= 2, got {d!r:.40}")
     if d > MAX_RADICAND:
         raise ValueError(f"radicand {d} exceeds MAX_RADICAND = {MAX_RADICAND}")
     if not is_squarefree(d):
@@ -90,19 +96,12 @@ def quad_sign_int(a: int, b: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class QuadScalar:
-    """a + b*sqrt(d), exact: one level of a group element, for input and printing."""
+    """a + b*sqrt(d), exact: one level of a group element, as
+    `GroupElem.coords` reads it out for printing."""
 
     a: Fraction
     b: Fraction
     d: int
-
-    @staticmethod
-    def rational(a, d: int = 2) -> "QuadScalar":
-        return QuadScalar(Fraction(a), Fraction(0), d)
-
-    @staticmethod
-    def sqrt(d: int, scale=1) -> "QuadScalar":
-        return QuadScalar(Fraction(0), Fraction(scale), d)
 
     def __post_init__(self):
         check_radicand(self.d)
@@ -133,18 +132,6 @@ class AmbientGroup:
     def num_levels(self) -> int:
         return len(self.ds)
 
-    def zero(self) -> "GroupElem":
-        return GroupElem.from_row(self, (0,) * (2 * len(self.ds)))
-
-    def elem(self, *coords) -> "GroupElem":
-        """Build an element from per-level scalars; bare numbers become rationals."""
-        if len(coords) != self.num_levels:
-            raise ValueError("coordinate count must match level count")
-        return GroupElem(self, tuple(
-            c if isinstance(c, QuadScalar) else QuadScalar.rational(c, d)
-            for c, d in zip(coords, self.ds)
-        ))
-
     def to_json(self):
         return {"levels": [{"d": d} for d in self.ds]}
 
@@ -174,21 +161,12 @@ def rows_from_json(objs, ambient: AmbientGroup):
 @dataclass(frozen=True, init=False)
 class GroupElem:
     """Level i is (a_i + b_i*sqrt(d_i)) / den for the integer row
-    (a_1, b_1, a_2, b_2, ...) over the positive den, in lowest terms."""
+    (a_1, b_1, a_2, b_2, ...) over the positive den, in lowest terms.
+    Built only by `from_row`; read as row/den, sign, coords, JSON or text."""
 
     ambient: AmbientGroup
     row: tuple
     den: int
-
-    def __init__(self, ambient: AmbientGroup, coords):
-        """The element with the per-level scalars `coords`."""
-        if len(coords) != ambient.num_levels:
-            raise ValueError("coordinate count must match level count")
-        if any(c.d != d for c, d in zip(coords, ambient.ds)):
-            raise ValueError("scalar radicand does not match level")
-        (row,), den = lattice.clear_denominators([[x for c in coords for x in (c.a, c.b)]])
-        # the class is frozen, so its constructors fill the fields through __dict__
-        self.__dict__.update(ambient=ambient, row=row, den=den)
 
     @classmethod
     def from_row(cls, ambient: AmbientGroup, row, den: int = 1) -> "GroupElem":
@@ -197,6 +175,7 @@ class GroupElem:
             raise ValueError("coordinate count must match level count")
         g = gcd(den, *row)
         elem = cls.__new__(cls)
+        # the class is frozen, so its constructor fills the fields through __dict__
         elem.__dict__.update(ambient=ambient, row=tuple(x // g for x in row), den=den // g)
         return elem
 
@@ -206,24 +185,6 @@ class GroupElem:
         r, den = self.row, self.den
         return tuple(QuadScalar(Fraction(a, den), Fraction(b, den), d)
                      for a, b, d in zip(r[::2], r[1::2], self.ambient.ds))
-
-    def _check(self, other: "GroupElem"):
-        if self.ambient != other.ambient:
-            raise ValueError("elements live in different ambient groups")
-
-    def __add__(self, other: "GroupElem") -> "GroupElem":
-        self._check(other)
-        (x, y), den = align_rows(((self.row, self.den), (other.row, other.den)))
-        return GroupElem.from_row(self.ambient, [a + b for a, b in zip(x, y)], den)
-
-    def __sub__(self, other: "GroupElem") -> "GroupElem":
-        return self + -other
-
-    def __neg__(self) -> "GroupElem":
-        return GroupElem.from_row(self.ambient, [-x for x in self.row], self.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.row)
 
     def sign(self) -> int:
         return row_sign(self.row, self.ambient.ds)
@@ -290,18 +251,11 @@ def combination_sign(rows, coeffs, ds) -> int:
 @dataclass(frozen=True, init=False)
 class Subgroup:
     """The subgroup generated by the integer rows over the positive den,
-    in lowest terms as a whole."""
+    in lowest terms as a whole.  Built only by `from_rows`."""
 
     ambient: AmbientGroup
     rows: tuple
     den: int
-
-    def __init__(self, ambient: AmbientGroup, generators):
-        """The subgroup generated by the group elements `generators`."""
-        if any(g.ambient != ambient for g in generators):
-            raise ValueError("generator outside the ambient group")
-        rows, den = align_rows((g.row, g.den) for g in generators)
-        self.__dict__.update(ambient=ambient, rows=tuple(rows), den=den)
 
     @classmethod
     def from_rows(cls, ambient: AmbientGroup, rows, den: int = 1) -> "Subgroup":
@@ -310,10 +264,6 @@ class Subgroup:
         rows = tuple(tuple(x // g for x in r) for r in rows)
         s.__dict__.update(ambient=ambient, rows=rows, den=den // g)
         return s
-
-    @property
-    def generators(self) -> tuple:
-        return tuple(GroupElem.from_row(self.ambient, r, self.den) for r in self.rows)
 
     @cached_property
     def rank_profile(self) -> list:
@@ -357,8 +307,10 @@ def _common_rows(elems):
     of their common ambient group."""
     if not elems:
         return [], ()
-    group = Subgroup(elems[0].ambient, elems)
-    return group.rows, group.ambient.ds
+    ambient = elems[0].ambient
+    if any(e.ambient != ambient for e in elems):
+        raise ValueError("generator outside the ambient group")
+    return align_rows((e.row, e.den) for e in elems)[0], ambient.ds
 
 
 def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:

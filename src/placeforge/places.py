@@ -153,6 +153,8 @@ class Place:
     it.  Each subclass defines `flat_place`, `value`, `residue`,
     `_raw_section`, `residue_desc`, `residue_dim` (the transcendence degree
     of the residue field, from ranks alone), `value_group` and `to_json`.
+    A value's sign is `row_sign` of its `value_row`, or comes with the
+    initial form from `sign_and_initial_form`.
     """
 
     field: BaseField
@@ -168,10 +170,6 @@ class Place:
     def monomial_sign(self, evec) -> int:
         """Sign of v(x^evec), decided on integers."""
         return self.flat_place.monomial_sign(evec)
-
-    def value_sign(self, f: RatFunc):
-        """Sign of v(f), or INFINITY for f = 0, decided on integers."""
-        return self.flat_place.value_sign(f)
 
     def value_row(self, f: RatFunc):
         """v(f) for nonzero f as an integer row (a_1, b_1, ...) over the
@@ -245,49 +243,34 @@ class Place:
 
 
 class MonomialPlace(Place):
-    """Weight-vector place: v(x^e) = sum_i e_i * weight_i, v(poly) = min over terms."""
+    """Weight-vector place: v(x^e) = sum_i e_i * weight_i, v(poly) = min over
+    terms.  Built from its weight rows only; `weights` reads them out."""
 
-    def __init__(self, field: BaseField, arity: int, ambient: AmbientGroup, weights):
-        """A place from its weights as group elements."""
-        weights = tuple(weights)
-        self._set_group(field, arity, Subgroup(ambient, weights))
-        self.weights = weights
-
-    @classmethod
-    def from_rows(cls, field: BaseField, arity: int, ambient: AmbientGroup, rows, den: int = 1):
-        """A place from its weights as integer rows over the positive
-        denominator `den`; no group element is built."""
-        place = cls.__new__(cls)
-        place._set_group(field, arity, Subgroup.from_rows(ambient, rows, den))
-        return place
-
-    def _set_group(self, field, arity, group: Subgroup):
-        """The one set-up: the weights' value group, its rows an integer
-        matrix over one positive denominator.  Sections and the kernel read
-        the rows; per level, the (a, b) column pair is the form term_mins
+    def __init__(self, field: BaseField, arity: int, ambient: AmbientGroup, rows, den: int = 1):
+        """A place from its weights as integer rows (a_1, b_1, ...) over the
+        positive denominator `den`: the weights' value group, one integer
+        matrix over one denominator.  Sections and the kernel read the
+        rows; per level, the (a, b) column pair is the form term_mins
         takes, and `_den` turns its minima into group values."""
+        group = Subgroup.from_rows(ambient, rows, den)
         if len(group.rows) != arity:
             raise ValueError("need one weight per variable")
         self.field = field
         self.arity = arity
-        self.ambient = group.ambient
+        self.ambient = ambient
         self._group = group
         self._den = group.den
         self._rows = rows = group.rows
         self._levels = tuple(
             (tuple(r[2 * lv] for r in rows), tuple(r[2 * lv + 1] for r in rows), d)
-            for lv, d in enumerate(self.ambient.ds)
+            for lv, d in enumerate(ambient.ds)
         )
 
     @cached_property
     def weights(self):
-        """The weights as group elements; a place built from rows builds
-        them on first use (to print, combine or hand over its weights)."""
+        """The weights as group elements, built from the rows on first use
+        (to print, combine or hand over the weights)."""
         return tuple(GroupElem.from_row(self.ambient, r, self._den) for r in self._rows)
-
-    @staticmethod
-    def trivial(field: BaseField, arity: int) -> "MonomialPlace":
-        return MonomialPlace.from_rows(field, arity, AmbientGroup((2,)), [(0, 0)] * arity)
 
     @property
     def flat_place(self) -> "MonomialPlace":
@@ -333,13 +316,6 @@ class MonomialPlace(Place):
         """The minimal term values (hi, lo) of the nonzero f's numerator and
         denominator: per level the integer (a, b) numerators over `_den`."""
         return tuple(term_mins(list(p.terms), self._levels)[1] for p in (f.num, f.den))
-
-    def value_sign(self, f: RatFunc):
-        """The sign of v(f) = hi - lo, decided on the minima level by level."""
-        _validate_match(self, f)
-        if f.is_zero():
-            return INFINITY
-        return row_sign(_difference_row(*self._minima(f)), self.ambient.ds)
 
     def value_row(self, f: RatFunc):
         """v(f) for nonzero f as an integer row over `_den`: the difference
@@ -438,9 +414,12 @@ class MonomialPlace(Place):
     @staticmethod
     def from_json(obj) -> "MonomialPlace":
         field = BaseField.from_json(obj["base"])
+        arity = obj["arity"]
+        if type(arity) is not int or arity < 0:  # not a bool, nor jsonschema's 1.0
+            raise ValueError(f"arity must be an int >= 0, got {arity!r:.40}")
         ambient = AmbientGroup.from_json(obj["ambient"])
         rows, den = rows_from_json(obj["weights"], ambient)
-        return MonomialPlace.from_rows(field, obj["arity"], ambient, rows, den)
+        return MonomialPlace(field, arity, ambient, rows, den)
 
     def __repr__(self):
         ws = ", ".join(str(w) for w in self.weights)
@@ -505,7 +484,7 @@ class CompositePlace(Place):
     @cached_property
     def flat_place(self) -> MonomialPlace:
         rows, den = self.effective_weights
-        return MonomialPlace.from_rows(self.field, self.arity, self.ambient, rows, den)
+        return MonomialPlace(self.field, self.arity, self.ambient, rows, den)
 
     def value(self, f: RatFunc):
         return self.flat_place.value(f)

@@ -95,11 +95,14 @@ class BaseField:
 
     @staticmethod
     def from_json(obj) -> "BaseField":
+        """The field the schemas spell "Q", p or {"p": p}, for an int p >= 2
+        (a bool or a float is not one here)."""
         if obj == "Q":
             return BaseField(0)
-        if isinstance(obj, dict):
-            return BaseField(int(obj["p"]))
-        return BaseField(int(obj))
+        p = obj.get("p") if isinstance(obj, dict) and obj.keys() == {"p"} else obj
+        if type(p) is not int or p < 2:
+            raise ValueError(f'base field must be "Q", a prime p or {{"p": p}}, got {obj!r:.40}')
+        return BaseField(p)
 
     def __str__(self):
         return f"GF({self.p})" if self.p else "Q"
@@ -328,7 +331,7 @@ class RatFunc:
     monomial content of numerator and denominator is removed.  Over Q both
     have int coefficients whose joint gcd is 1, and the denominator's
     lexicographically largest coefficient is positive; over GF(p) that
-    coefficient is 1.  `monic_terms` gives the form with it 1 over Q too.
+    coefficient is 1.  `to_json` gives the form with it 1 over Q too.
     """
 
     __slots__ = ("num", "den")
@@ -498,20 +501,11 @@ class RatFunc:
     def __hash__(self):
         raise TypeError("rational functions are not hashable")
 
-    def monic_terms(self):
-        """Numerator and denominator as term dicts in the monic form that
-        reports print: the denominator's lexicographically largest
-        coefficient is 1.  Coefficients are Fractions over Q and residues
-        over GF(p); terms keep their stored order."""
-        if self.field.p:
-            return dict(self.num.terms), dict(self.den.terms)
-        _, lead = self.den.lex_leading()
-        return tuple({e: Fraction(c, lead) for e, c in p.terms.items()} for p in (self.num, self.den))
-
     def to_json(self):
-        """The monic form (see monic_terms) as lists of {"e": exponents,
-        "c": coefficient} terms, lexicographically largest first: each
-        coefficient an int over GF(p), an "n" or "n/d" string over Q."""
+        """The monic form that reports print, with the denominator's
+        lexicographically largest coefficient 1, as lists of {"e":
+        exponents, "c": coefficient} terms, lexicographically largest first:
+        each coefficient an int over GF(p), an "n" or "n/d" string over Q."""
         _, lead = self.den.lex_leading()
         p = self.field.p
 

@@ -2,45 +2,48 @@
 
 from fractions import Fraction
 
-from placeforge import AmbientGroup, BaseField, MonomialPlace, Poly, QuadScalar, RatFunc, compose
-from placeforge.ordgroup import GroupElem
+from placeforge import AmbientGroup, BaseField, MonomialPlace, Poly, RatFunc, compose
+from placeforge.lattice import clear_denominators
 
 FIELDS = (BaseField(0), BaseField(5))
+
+
+def monomial_place(field, ambient, weights):
+    """The monomial place whose weights are given per variable as per-level
+    (a, b) pairs, meaning a + b*sqrt(d); a bare rational a is the pair (a, 0)."""
+    rows, den = clear_denominators([
+        [Fraction(x) for lv in w for x in (lv if isinstance(lv, tuple) else (lv, 0))]
+        for w in weights
+    ])
+    return MonomialPlace(field, len(rows), ambient, rows, den)
 
 
 def random_fraction(rng, span=3):
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
 
-def random_quad(rng, d=2, span=3, irrational=True):
+def random_pair(rng, span=3, irrational=True):
+    """A random level value (a, b); b is drawn first, and only if irrational."""
     b = random_fraction(rng, span) if irrational else Fraction(0)
-    return QuadScalar(random_fraction(rng, span), b, d)
+    return random_fraction(rng, span), b
 
 
 def random_monomial_place(rng, field, arity, levels=1, irrational=True, zero_frac=0.25):
     ambient = AmbientGroup(tuple(rng.choice([2, 3, 5]) for _ in range(levels)))
-    weights = []
-    for _ in range(arity):
-        coords = []
-        for d in ambient.ds:
-            if rng.random() < zero_frac:
-                coords.append(QuadScalar.rational(0, d))
-            else:
-                coords.append(random_quad(rng, d, irrational=irrational))
-        weights.append(GroupElem(ambient, tuple(coords)))
-    return MonomialPlace(field, arity, ambient, weights)
+    weights = [[(0, 0) if rng.random() < zero_frac else random_pair(rng, irrational=irrational)
+                for _ in ambient.ds] for _ in range(arity)]
+    return monomial_place(field, ambient, weights)
 
 
 def random_irrational_place(rng, field, arity, d=2):
     """Monomial place whose weights all have a nonzero sqrt(d) part."""
-    ambient = AmbientGroup((d,))
     weights = []
     for _ in range(arity):
         b = Fraction(0)
         while b == 0:
             b = random_fraction(rng)
-        weights.append(GroupElem(ambient, (QuadScalar(random_fraction(rng), b, d),)))
-    return MonomialPlace(field, arity, ambient, weights)
+        weights.append([(random_fraction(rng), b)])
+    return monomial_place(field, AmbientGroup((d,)), weights)
 
 
 def random_composite_place(rng, field, arity):
@@ -48,9 +51,7 @@ def random_composite_place(rng, field, arity):
     inner = random_monomial_place(rng, field, arity, irrational=False)
     k = inner.residue_desc().num_gens
     if k == 0:
-        ambient = inner.ambient
-        zero = ambient.zero()
-        inner = MonomialPlace(field, arity, ambient, (zero,) * arity)
+        inner = monomial_place(field, inner.ambient, [[0] * inner.ambient.num_levels] * arity)
         k = arity
     outer = random_monomial_place(rng, field, k, irrational=rng.random() < 0.5)
     return compose(inner, outer)

@@ -3,7 +3,10 @@
 The value oracle recomputes place values by direct min-over-terms, choosing
 minima with 128-bit interval arithmetic and falling back to an exact
 integer comparison whenever an interval straddles zero.  It shares no code
-with the library's comparison or minimization path.
+with the library's comparison or minimization path: values are tuples of
+per-level (a, b) Fraction pairs, meaning a + b*sqrt(d_level), added,
+subtracted and scaled here, and a GroupElem is built (with `from_row`) only
+for the result.
 
 `tower_value` evaluates a composite place the way its definition reads,
 through the inner value, the inner section and residue, and the outer
@@ -11,10 +14,10 @@ value, so the library's single flattened evaluation is checked against it.
 `tower_residue` does the same for residues: the sign of the inner value,
 then the outer residue of the inner residue.
 
-`scale` and `qvec` are group-element arithmetic by the definitions on an
-element's row, for tests that need a rational multiple or the rational
-coordinates of a value.  `in_basic_open` decides membership in a basic open
-set from the tower values and their interval-checked signs.
+`elem`, `elem_add`, `elem_sub`, `scale` and `qvec` are group-element
+arithmetic by the definitions, on those pairs, for tests that build values
+or compare them.  `in_basic_open` decides membership in a basic open set
+from the tower values and their interval-checked signs.
 
 The lattice oracles decide small membership and rank questions by brute
 force / plain fraction elimination.
@@ -25,6 +28,7 @@ pairs of coefficient dicts and decides equality by cross multiplication.
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import mpmath
 
@@ -55,27 +59,73 @@ def _interval(fr: Fraction):
     return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
 
 
-def _scalar_sign(scalar) -> int:
-    x = _interval(scalar.a) + _interval(scalar.b) * iv.sqrt(scalar.d)
+def _scalar_sign(a: Fraction, b: Fraction, d: int) -> int:
+    x = _interval(a) + _interval(b) * iv.sqrt(d)
     if x > 0:
         return 1
     if x < 0:
         return -1
     if x == 0:
         return 0
-    return _exact_quad_sign(scalar.a, scalar.b, scalar.d)
+    return _exact_quad_sign(a, b, d)
 
 
-def elem_sign(elem: GroupElem) -> int:
-    for scalar in elem.coords:
-        s = _scalar_sign(scalar)
+def pairs_sign(pairs, ds) -> int:
+    """Lexicographic sign of per-level (a, b) pairs: the first nonzero level."""
+    for (a, b), d in zip(pairs, ds):
+        s = _scalar_sign(a, b, d)
         if s:
             return s
     return 0
 
 
-def elem_cmp(x: GroupElem, y: GroupElem) -> int:
-    return elem_sign(x - y)
+def pairs(g: GroupElem) -> tuple:
+    """g as per-level (a, b) Fractions, read off its row and denominator."""
+    r = g.row
+    return tuple((Fraction(r[i], g.den), Fraction(r[i + 1], g.den)) for i in range(0, len(r), 2))
+
+
+def from_pairs(ambient, ps) -> GroupElem:
+    """The element with the per-level (a, b) pairs, over their lcm denominator."""
+    flat = [Fraction(x) for p in ps for x in p]
+    den = lcm(*(x.denominator for x in flat))
+    return GroupElem.from_row(ambient, [int(x * den) for x in flat], den)
+
+
+def elem(ambient, *levels) -> GroupElem:
+    """The element with one value per level: a rational a, or an (a, b)
+    pair for a + b*sqrt(d)."""
+    return from_pairs(ambient, [lv if isinstance(lv, tuple) else (lv, 0) for lv in levels])
+
+
+def _add(x, y):
+    return tuple((a1 + a2, b1 + b2) for (a1, b1), (a2, b2) in zip(x, y))
+
+
+def _scale(x, c):
+    return tuple((c * a, c * b) for a, b in x)
+
+
+def elem_add(x: GroupElem, y: GroupElem) -> GroupElem:
+    return from_pairs(x.ambient, _add(pairs(x), pairs(y)))
+
+
+def elem_sub(x: GroupElem, y: GroupElem) -> GroupElem:
+    return from_pairs(x.ambient, _add(pairs(x), _scale(pairs(y), -1)))
+
+
+def scale(g: GroupElem, c) -> GroupElem:
+    """c * g for a rational c."""
+    return from_pairs(g.ambient, _scale(pairs(g), Fraction(c)))
+
+
+def qvec(g: GroupElem):
+    """Coordinates of g over the per-level rational basis {1, sqrt(d)}."""
+    return tuple(x for p in pairs(g) for x in p)
+
+
+def elem_sign(g: GroupElem) -> int:
+    return pairs_sign(pairs(g), g.ambient.ds)
 
 
 def tower_value(place, f: RatFunc):
@@ -86,11 +136,11 @@ def tower_value(place, f: RatFunc):
     if f.is_zero():
         return INFINITY
     v1 = tower_value(place.inner, f)
-    if v1.sign() != 0:
+    if elem_sign(v1) != 0:
         correction = place.inner._raw_section(v1.row, v1.den)
         f = f * RatFunc.monomial(place.field, place.arity, tuple(-x for x in correction))
     v2 = tower_value(place.outer, place.inner.residue(f))
-    return GroupElem(place.ambient, v1.coords + v2.coords)
+    return from_pairs(place.ambient, pairs(v1) + pairs(v2))
 
 
 def tower_residue(place, f: RatFunc):
@@ -117,35 +167,15 @@ def in_basic_open(place, finite_on, vanishing_on) -> bool:
     return True
 
 
-def scale(g: GroupElem, c) -> GroupElem:
-    """c * g for a rational c."""
-    c = Fraction(c)
-    return GroupElem.from_row(g.ambient, [c.numerator * x for x in g.row], g.den * c.denominator)
-
-
-def qvec(g: GroupElem):
-    """Coordinates of g over the per-level rational basis {1, sqrt(d)}."""
-    return tuple(Fraction(x, g.den) for x in g.row)
-
-
-def _variable_values(place):
-    return [tower_value(place, RatFunc.variable(place.field, place.arity, i))
-            for i in range(place.arity)]
-
-
-def _term_value(gamma, evec, ambient):
-    acc = ambient.zero()
-    for g, e in zip(gamma, evec):
-        if e:
-            acc = acc + scale(g, e)
-    return acc
-
-
-def _poly_min(gamma, poly, ambient):
+def _poly_min(gamma, poly, ds):
+    """The least term value of a nonzero polynomial, as (a, b) pairs."""
     best = None
     for e in poly.terms:
-        v = _term_value(gamma, e, ambient)
-        if best is None or elem_cmp(v, best) < 0:
+        v = tuple((Fraction(0), Fraction(0)) for _ in ds)
+        for g, x in zip(gamma, e):
+            if x:
+                v = _add(v, _scale(g, x))
+        if best is None or pairs_sign(_add(v, _scale(best, -1)), ds) < 0:
             best = v
     return best
 
@@ -154,15 +184,17 @@ def oracle_value(place, f: RatFunc):
     """Direct min-over-terms evaluation with interval-selected minima."""
     if f.is_zero():
         return INFINITY
-    gamma = _variable_values(place)
-    ambient = place.ambient
-    return _poly_min(gamma, f.num, ambient) - _poly_min(gamma, f.den, ambient)
+    gamma = [pairs(tower_value(place, RatFunc.variable(place.field, place.arity, i)))
+             for i in range(place.arity)]
+    ds = place.ambient.ds
+    low = _poly_min(gamma, f.num, ds)
+    return from_pairs(place.ambient, _add(low, _scale(_poly_min(gamma, f.den, ds), -1)))
 
 
 def values_agree(main, oracle) -> bool:
     if main is INFINITY or oracle is INFINITY:
         return main is oracle
-    return (main - oracle).is_zero()
+    return main.ambient.ds == oracle.ambient.ds and pairs(main) == pairs(oracle)
 
 
 # --- small lattice oracles -------------------------------------------------

@@ -8,15 +8,12 @@ import functools
 import json
 import pathlib
 import random
-import sys
 import time
 
 from placeforge import (
-    INFINITY,
     AmbientGroup,
     BaseField,
     MonomialPlace,
-    QuadScalar,
     Subgroup,
     TargetShape,
     check_spv_axioms,
@@ -28,7 +25,7 @@ from placeforge import (
 from placeforge import lattice
 from placeforge.cli import main as cli_main
 from placeforge.parsing import format_ratfunc
-from placeforge.ordgroup import GroupElem
+from placeforge.ordgroup import row_sign
 
 from gen import (
     random_composite_place,
@@ -37,7 +34,7 @@ from gen import (
     random_place,
     random_ratfunc,
 )
-from oracles import in_basic_open, oracle_value, values_agree
+from oracles import elem, in_basic_open, oracle_value, values_agree
 
 QQ = BaseField(0)
 F5 = BaseField(5)
@@ -86,19 +83,23 @@ def test_criterion_1_valuation_axioms():
         n = place.arity
         f = random_ratfunc(rng, field, n, max_degree=6, max_terms=4, nonzero=True)
         g = random_ratfunc(rng, field, n, max_degree=6, max_terms=4, nonzero=True)
-        vf, vg = place.value(f), place.value(g)
+        # value rows share the flat place's denominator, so the laws are
+        # integer arithmetic on them
+        ds = place.ambient.ds
+        rf, rg = place.value_row(f), place.value_row(g)
         # multiplicativity, exactly
-        assert (place.value(f * g) - (vf + vg)).is_zero()
+        assert place.value_row(f * g) == [a + b for a, b in zip(rf, rg)]
         # ultrametric inequality, equality when the values differ
         s = f + g
-        vs = place.value(s)
-        lower = vf if (vf - vg).sign() <= 0 else vg
-        if vs is not INFINITY:
-            assert (vs - lower).sign() >= 0
-        if (vf - vg).sign() != 0:
-            assert vs is not INFINITY and (vs - lower).sign() == 0
+        order = row_sign([a - b for a, b in zip(rf, rg)], ds)
+        lower = rf if order <= 0 else rg
+        if s.is_zero():
+            assert order == 0
+        else:
+            above = row_sign([a - b for a, b in zip(place.value_row(s), lower)], ds)
+            assert above >= 0 and (order == 0 or above == 0)
         # residue multiplicativity on value-zero pairs
-        if vf.sign() == 0 and vg.sign() == 0:
+        if row_sign(rf, ds) == 0 and row_sign(rg, ds) == 0:
             assert (place.residue(f) * place.residue(g)) == place.residue(f * g)
     assert time.monotonic() - start < 60.0
 
@@ -106,12 +107,11 @@ def test_criterion_1_valuation_axioms():
 @criterion(2, "independent-values decomposition of the value group")
 def test_criterion_2_value_group_decomposition():
     amb = AmbientGroup((2,))
-    weights = (amb.elem(1), amb.elem(QuadScalar.sqrt(2)), amb.zero(), amb.zero())
-    place = MonomialPlace(QQ, 4, amb, weights)
+    # the weights 1, sqrt(2), 0, 0 as integer rows (a, b)
+    place = MonomialPlace(QQ, 4, amb, [(1, 0), (0, 1), (0, 0), (0, 0)])
     group = place.value_group()
-    one = Subgroup(amb, (amb.elem(1),))
-    sqrt2 = Subgroup(amb, (amb.elem(QuadScalar.sqrt(2)),))
-    direct_sum = Subgroup(amb, one.generators + sqrt2.generators)
+    one, sqrt2 = Subgroup.from_rows(amb, [(1, 0)]), Subgroup.from_rows(amb, [(0, 1)])
+    direct_sum = Subgroup.from_rows(amb, one.rows + sqrt2.rows)
     # equal subgroups: one denominator and one HNF basis of the rows
     assert group.den == direct_sum.den
     assert lattice.hnf(group.rows) == lattice.hnf(direct_sum.rows)
@@ -154,10 +154,15 @@ def test_criterion_4_composition():
                 k2 = kernel[rng.randrange(len(kernel))]
                 f = RatFunc.monomial(field, n, k1)
                 g = RatFunc.monomial(field, n, k2)
-                vf, vg = tower.value(f), tower.value(g)
                 rf, rg = inner.residue(f), inner.residue(g)
-                assert (vf - vg).sign() == (outer.value(rf) - outer.value(rg)).sign()
+                assert _difference_sign(tower, f, g) == _difference_sign(outer, rf, rg)
         done += 1
+
+
+def _difference_sign(place, f, g):
+    """The sign of v(f) - v(g), on the value rows of nonzero f and g."""
+    return row_sign([a - b for a, b in zip(place.value_row(f), place.value_row(g))],
+                    place.ambient.ds)
 
 
 def _witness_instance(seed, klass):
@@ -223,27 +228,27 @@ def test_criterion_5_density_witnesses():
 @criterion(6, "interval oracle agrees on every derived example value")
 def test_criterion_6_independent_oracle():
     amb = AmbientGroup((2,))
-    p_sqrt = MonomialPlace(QQ, 2, amb, (amb.elem(1), amb.elem(QuadScalar.sqrt(2))))
-    p_10 = MonomialPlace(QQ, 2, amb, (amb.elem(1), amb.elem(0)))
-    tower = compose(p_10, MonomialPlace(QQ, 1, amb, (amb.elem(1),)))
+    p_sqrt = MonomialPlace(QQ, 2, amb, [(1, 0), (0, 1)])
+    p_10 = MonomialPlace(QQ, 2, amb, [(1, 0), (0, 0)])
+    tower = compose(p_10, MonomialPlace(QQ, 1, amb, [(1, 0)]))
 
     def q2(text, field=QQ):
         return parse_expr(text, 2, field)
 
     cases = [
         # min over terms with an irrational tie-break: v = 1 + sqrt2 < 3
-        (p_sqrt, q2("x1^3 + x1*x2"), amb.elem(QuadScalar(1, 1, 2))),
+        (p_sqrt, q2("x1^3 + x1*x2"), elem(amb, (1, 1))),
         # the section-corrected tower values
-        (tower, q2("x2"), tower.ambient.elem(0, 1)),
-        (tower, q2("x1*x2"), tower.ambient.elem(1, 1)),
+        (tower, q2("x2"), elem(tower.ambient, 0, 1)),
+        (tower, q2("x1*x2"), elem(tower.ambient, 1, 1)),
         # the neighborhood example: values 1, 2 - sqrt2, 1
-        (p_sqrt, q2("x1+x2"), amb.elem(1)),
-        (p_sqrt, q2("x1^2/x2"), amb.elem(QuadScalar(2, -1, 2))),
-        (p_sqrt, q2("x1"), amb.elem(1)),
+        (p_sqrt, q2("x1+x2"), elem(amb, 1)),
+        (p_sqrt, q2("x1^2/x2"), elem(amb, (2, -1))),
+        (p_sqrt, q2("x1"), elem(amb, 1)),
     ]
     for place, f, expected in cases:
         got = place.value(f)
-        assert (got - expected).is_zero()
+        assert got == expected
         assert values_agree(got, oracle_value(place, f))
     # and the oracle keeps agreeing away from the worked examples
     rng = random.Random(20250806)

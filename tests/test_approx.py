@@ -12,7 +12,6 @@ from placeforge import (
     InfeasibleShapeError,
     MonomialPlace,
     Poly,
-    QuadScalar,
     RatFunc,
     TargetShape,
     compose,
@@ -36,17 +35,28 @@ from placeforge.approx import (
     _refined_convergents,
 )
 from placeforge.cli import main
-from placeforge.ordgroup import sqrt_convergents
+from placeforge.ordgroup import row_sign, sqrt_convergents
 from placeforge.places import Place
 
 from gen import (
+    monomial_place,
     random_irrational_place,
     random_monomial_place,
     random_poly,
     random_ratfunc,
     random_tower,
 )
-from oracles import elem_sign, fraction_rank, in_basic_open, qvec, tower_value, values_agree
+from oracles import (
+    elem,
+    elem_add,
+    elem_sign,
+    elem_sub,
+    fraction_rank,
+    in_basic_open,
+    qvec,
+    tower_value,
+    values_agree,
+)
 
 QQ = BaseField(0)
 F5 = BaseField(5)
@@ -60,12 +70,20 @@ def sqrt_convergent(d, min_den):
 AMB = AmbientGroup((2,))
 
 
+# the level value sqrt(2), as an (a, b) pair
+SQRT2 = (0, 1)
+
+
 def gauss_place(*scalars, field=QQ):
-    weights = tuple(AMB.elem(s) for s in scalars)
-    return MonomialPlace(field, len(weights), AMB, weights)
+    return monomial_place(field, AMB, [[s] for s in scalars])
 
 
-P_SQRT = gauss_place(1, QuadScalar.sqrt(2))
+def row_value_sign(place, f):
+    """The sign of v(f) for nonzero f: row_sign of its value row."""
+    return row_sign(place.value_row(f), place.ambient.ds)
+
+
+P_SQRT = gauss_place(1, SQRT2)
 P_10 = gauss_place(1, 0)
 P_23 = gauss_place(2, 3)
 
@@ -107,10 +125,10 @@ class TestSignature:
             for m, s in sig.entries:
                 assert place.monomial_value(m).sign() == s
 
-    def test_element_signs_match_value_sign(self):
+    def test_element_signs_match_the_value_row_sign(self):
         """Each element's sign comes from the signature's own term
-        comparisons; it must be the sign value_sign computes from the term
-        minima, on monomial places of 1-3 levels and on towers of depth 1-2
+        comparisons; it must be the sign of the value row, the difference
+        of the term minima, on monomial places of 1-3 levels and on towers of depth 1-2
         nested both ways, for elements with tied terms and of value zero."""
         rng = random.Random(24)
         places = []
@@ -128,7 +146,7 @@ class TestSignature:
             elems = signature_elements(rng, place)
             nonzero = [f for f in elems if not f.is_zero()]
             sig = signature(place, elems)
-            assert list(sig.signs) == [place.value_sign(f) for f in nonzero]
+            assert list(sig.signs) == [row_value_sign(place, f) for f in nonzero]
             tied += any(s == 0 and any(m) for m, s in sig.entries)
             zeros += sig.signs.count(0)
         # most places see a tie, and every place at least z, z*z, 3
@@ -270,13 +288,13 @@ class TestMinimalTermSignature:
         f = THOUSAND_TERMS
         t = len(f.num.terms)
         for first in (1, -1):
-            place = gauss_place(first, QuadScalar.sqrt(2), 3)
+            place = gauss_place(first, SQRT2, 3)
             counting = Counting(place)
             sig = signature(counting, [f])
             assert counting.calls <= 2 * (t - 1) + 1
             assert len(sig.entries) <= t
             assert all(place.monomial_sign(m) == s for m, s in sig.entries)
-            assert sig.signs == (place.value_sign(f),)
+            assert sig.signs == (row_value_sign(place, f),)
             # the scan asks again only when its minimum moved past a term
             assert (counting.calls > t) == (first < 0)
 
@@ -284,7 +302,7 @@ class TestMinimalTermSignature:
         # The pairwise signature asked t(t - 1)/2 = 499500 pairs here and
         # took 1.5 s in process on a 2-vCPU x86 machine; this takes 10 ms.
         start = time.perf_counter()
-        result = goodify(gauss_place(1, QuadScalar.sqrt(2), 3), [THOUSAND_TERMS],
+        result = goodify(gauss_place(1, SQRT2, 3), [THOUSAND_TERMS],
                          TargetShape("preserve_residues", "discrete"))
         assert time.perf_counter() - start < 1.0
         assert [str(w) for w in result.place.weights] == ["1", "1", "3"]
@@ -310,7 +328,7 @@ TIE_ABOVE_MINIMUM = {
 
 class TestTieAboveTheMinimum:
     def test_lex_max_rank_breaks_a_tie_of_non_minimal_terms(self):
-        place = gauss_place(1, 1, QuadScalar.sqrt(2))
+        place = gauss_place(1, 1, SQRT2)
         f = parse_expr("1 + x1 + x2", 3, QQ)
         result = goodify(place, [f], TargetShape("preserve_residues", "lex_max_rank"))
         assert result.place.invariants().maximal_rank
@@ -344,8 +362,8 @@ class TestPerturbWeights:
         result = perturb_weights(sig, P_SQRT, TargetShape("preserve_residues", "lex_max_rank"))
         place = result.place
         amb = place.ambient
-        assert place.weights[0] == amb.elem(2, 0)
-        assert place.weights[1] == amb.elem(3, 1)
+        assert place.weights[0] == elem(amb, 2, 0)
+        assert place.weights[1] == elem(amb, 3, 1)
         inv = place.invariants()
         assert inv.maximal_rank and inv.rational
 
@@ -387,7 +405,7 @@ class TestPerturbWeights:
     ])
     def test_arity_zero_has_no_weight_to_perturb(self, shape):
         # the equality locus of a place on no variables is the zero space
-        place = MonomialPlace(QQ, 0, AMB, ())
+        place = MonomialPlace(QQ, 0, AMB, [])
         sig = signature(place, [RatFunc.const(QQ, 0, 1)])
         with pytest.raises(InfeasibleShapeError, match="every weight to zero"):
             perturb_weights(sig, place, shape)
@@ -428,7 +446,7 @@ class TestGoodify:
     def test_identity_checks_reuse_the_callers_signs(self, monkeypatch):
         """preserve_both reads each check's sign off the value it already
         computed, and the already-in-class path off one value row per
-        nonzero element, so value_sign is never called.  Either way the
+        nonzero element, so no other sign route is taken.  Either way the
         checks match the tower-value reference."""
         rng = random.Random(41)
         cases = []
@@ -461,13 +479,9 @@ class TestGoodify:
                 return value_row(self, f)
             return wrapper
 
-        def refuse(self, f):
-            raise AssertionError("value_sign called on an identity path")
-
         classes = (MonomialPlace, Place)
         originals = {cls: cls.__dict__["value_row"] for cls in classes}
         for cls in classes:
-            monkeypatch.setattr(cls, "value_sign", refuse)
             monkeypatch.setattr(cls, "value_row", counted(originals[cls]))
         for place, elems, klass in cases:
             nonzero = [f for f in elems if not f.is_zero()]
@@ -505,9 +519,9 @@ class TestGoodify:
                          TargetShape("preserve_values", "composite_drop", r1=2, d1=0))
         place = result.place
         assert isinstance(place, CompositePlace)
-        assert place.outer.weights[0] == AMB.elem(1)
+        assert place.outer.weights[0] == elem(AMB, 1)
         v = place.value(q2("x1"))
-        assert v == place.ambient.elem(1, 0)
+        assert v == elem(place.ambient, 1, 0)
         assert result.iota["verdict"] == "ok"
         inv = place.invariants()
         assert inv.dim == 0 and inv.rr == 2
@@ -528,8 +542,8 @@ class TestGoodify:
         vals = [place.value(f) for f in elems]
         # the embedding is linear: v(x1^2) = 2 v(x1), and equal inner values
         # stay equal through the tower
-        assert (vals[1] - (vals[0] + vals[0])).is_zero()
-        assert (vals[2] - vals[0]).is_zero()
+        assert vals[1] == elem_add(vals[0], vals[0])
+        assert vals[2] == vals[0]
 
     def test_composite_drop_reports_out_of_scope_inputs(self):
         # x1*x2 forces the corrected unit x2, whose residue is a bare
@@ -565,7 +579,7 @@ class TestGoodify:
         drop = TargetShape("preserve_values", "composite_drop", r1=2, d1=0)
         result = goodify(P_10, [q2("1 + x2")], drop)
         assert result.iterations == 1 and result.iota["verdict"] == "ok"
-        assert result.place.value(q2("1 + x2")).is_zero()
+        assert result.place.value(q2("1 + x2")) == elem(result.place.ambient, 0, 0)
         with pytest.raises(InfeasibleShapeError):
             goodify(P_10, [q2("1 + x2"), q2("x2")], drop)
         assert embedding_verdicts == ["ok", "ill_defined"]
@@ -573,11 +587,11 @@ class TestGoodify:
     def test_composite_drop_keeps_sqrt_columns(self):
         # v(x2*x3) = sqrt(2) alone spans its group, so its corrected unit x3
         # may take the consumed generator's weight 1.
-        place = gauss_place(1, QuadScalar.sqrt(2), 0)
+        place = gauss_place(1, SQRT2, 0)
         f = parse_expr("x2*x3", 3, QQ)
         result = goodify(place, [f], TargetShape("preserve_values", "composite_drop", r1=3, d1=0))
         assert result.iterations == 1
-        assert result.place.value(f) == result.place.ambient.elem(QuadScalar.sqrt(2), 1)
+        assert result.place.value(f) == elem(result.place.ambient, SQRT2, 1)
 
     def test_composite_drop_matches_fraction_reference(self, embedding_verdicts):
         """The chosen outer generator is the first one that an independent
@@ -631,7 +645,7 @@ def two_pass_residue_checks(old, new, nonzero, texts, old_signs):
     """_residue_checks as it was before its one pass: the new place's value
     sign and its initial form each take their own pair of term scans."""
     return [
-        _check(text, sq, new.value_sign(f),
+        _check(text, sq, row_value_sign(new, f),
                old.initial_form(f) == new.initial_form(f) if sq == 0 else None)
         for f, text, sq in zip(nonzero, texts, old_signs)
     ]
@@ -677,7 +691,7 @@ class TestResidueChecks:
 
     def test_one_term_scan_pair_per_element_on_the_new_place(self, monkeypatch):
         """Each element takes one _min_data call on its numerator and one
-        on its denominator on the new place, and value_sign and
+        on its denominator on the new place, and value_row and
         initial_form are not called on it."""
         calls = []
         min_data = MonomialPlace._min_data
@@ -689,7 +703,7 @@ class TestResidueChecks:
         monkeypatch.setattr(MonomialPlace, "_min_data", counted)
         rng = random.Random(61)
         for old, new, elems, sig in residue_check_inputs(rng):
-            for name in ("value_sign", "initial_form"):
+            for name in ("value_row", "initial_form"):
                 monkeypatch.setattr(new, name, None, raising=False)
             calls.clear()
             approx._residue_checks(old, new, elems, sig.sources, sig.signs)
@@ -738,12 +752,13 @@ def reference_drop_attempt(place, elems):
     rank = fraction_rank(rows) if rows else 0
     k = place.residue_desc().num_gens
     for c in range(k):
-        outer = MonomialPlace(place.field, k, AMB, tuple(AMB.elem(int(i == c)) for i in range(k)))
+        outer = MonomialPlace(place.field, k, AMB, [(int(i == c), 0) for i in range(k)])
         images = [tower_value(compose(place, outer), f) for f in nonzero]
         if rows and fraction_rank([r + qvec(w) for r, w in zip(rows, images)]) != rank:
             continue
         pairs = list(zip(values, images))
-        diffs = [(v1 - v2, w1 - w2) for i, (v1, w1) in enumerate(pairs) for v2, w2 in pairs[i + 1:]]
+        diffs = [(elem_sub(v1, v2), elem_sub(w1, w2))
+                 for i, (v1, w1) in enumerate(pairs) for v2, w2 in pairs[i + 1:]]
         if all(elem_sign(v) == elem_sign(w) for v, w in pairs + diffs):
             return c + 1
     return None
@@ -799,8 +814,7 @@ class TestDensityWitness:
 
     def test_old_place_is_evaluated_once_per_element(self, monkeypatch):
         """The opening membership test takes one value row per nonzero
-        element, A then B, and hands the rows to goodify's private form;
-        value_sign is never called on the starting place.  An element
+        element, A then B, and hands the rows to goodify's private form.  An element
         outside the neighborhood refuses at once, before later elements are
         evaluated; zero elements never refuse."""
         zero = q2("0")
@@ -811,9 +825,6 @@ class TestDensityWitness:
             calls.append(f)
             return value_row(self, f)
 
-        def refuse(self, f):
-            raise AssertionError("value_sign called on the starting place")
-
         handed = []
         inner = approx._goodify
 
@@ -822,7 +833,6 @@ class TestDensityWitness:
             return inner(place, elems, shape, rows)
 
         monkeypatch.setattr(MonomialPlace, "value_row", counted)
-        monkeypatch.setattr(MonomialPlace, "value_sign", refuse)
         monkeypatch.setattr(approx, "_goodify", spy)
         cases = [
             (P_SQRT, [zero, q2("x1+x2"), q2("x1^2/x2")], [q2("x1"), zero],

@@ -1,11 +1,13 @@
-"""The library's surface: every module-level name and private method in
-src/placeforge has a user outside the tests, and every public name resolves.
+"""The library's surface: every module-level name, private method and
+public method in src/placeforge has a user outside the tests, and every
+public name resolves.
 
-A function, class or private method that only tests reach is code no
-command runs, though every CLI job still compiles it.  A name counts as used
-when it is named, as a whole word outside its own definition, in another
-part of src/placeforge (not `__init__.py`, which only re-exports) or in
-perfbench/*.py, read as text without importing anything there.
+A function, class or method that only tests reach is code no command runs,
+though every CLI job still compiles it.  A name counts as used when it is
+named, as a whole word outside its own definition, in another part of
+src/placeforge (not `__init__.py`, which only re-exports) or in
+perfbench/*.py, read as text without importing anything there; a public
+method counts as used when it is named as an attribute, `.name`, there.
 """
 
 import ast
@@ -57,6 +59,37 @@ def test_every_module_level_name_has_a_user_outside_the_tests():
             texts.append("\n".join(lines[:first - 1] + lines[last:]))
         if not any(word.search(text) for text in texts):
             unused.append(f"{path.stem}.{name}")
+    assert defined > 50
+    assert unused == []
+
+
+def public_methods():
+    """(path, class, name, first line, last line) of each public method of
+    a class in src/placeforge: one whose name does not start with "_",
+    properties and static and class methods included.  Decorators are
+    included in the lines."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    first = min([method.lineno] + [d.lineno for d in method.decorator_list])
+                    yield path, node.name, method.name, first, method.end_lineno
+
+
+def test_every_public_method_has_a_user_outside_the_tests():
+    texts = {path: path.read_text() for path in SRC.glob("*.py")}
+    perfbench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    defined, unused = 0, []
+    for path, cls, name, first, last in public_methods():
+        defined += 1
+        attribute = re.compile(rf"\.{re.escape(name)}\b")
+        lines = texts[path].splitlines()
+        others = [text for other, text in texts.items() if other != path]
+        others.append("\n".join(lines[:first - 1] + lines[last:]))
+        if not any(attribute.search(text) for text in perfbench + others):
+            unused.append(f"{path.stem}.{cls}.{name}")
     assert defined > 50
     assert unused == []
 
