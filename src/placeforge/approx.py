@@ -75,12 +75,15 @@ class TargetShape:
 
     @staticmethod
     def from_json(obj) -> "TargetShape":
-        return TargetShape(
-            mode=obj.get("mode", "preserve_residues"),
-            klass=obj["class"],
-            r1=obj.get("r1"),
-            d1=obj.get("d1"),
-        )
+        """The shape a `shape` object spells: a `class`, maybe a `mode` and ints
+        `r1`, `d1` >= 0 (not bools or floats); else a one-line ValueError."""
+        known = {"mode", "class", "r1", "d1"}
+        if (type(obj) is not dict or "class" not in obj or obj.keys() - known
+                or any(type(obj[k]) is not int or obj[k] < 0 for k in ("r1", "d1") if k in obj)):
+            raise ValueError("shape must have a class, maybe a mode and ints r1, d1 >= 0, "
+                             f"and no other key; got {obj!r:.60}")
+        return TargetShape(obj.get("mode", "preserve_residues"), obj["class"],
+                           obj.get("r1"), obj.get("d1"))
 
 
 @dataclass(frozen=True)

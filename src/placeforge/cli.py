@@ -19,7 +19,6 @@ from .places import (
     InfeasibleShapeError,
     Place,
     check_spv_axioms,
-    check_tower_depth,
     compose,
     place_from_json,
     sign_char,
@@ -110,76 +109,26 @@ def _merge_spec(args) -> dict:
         # Load approx before jsonschema, while the heap is small: compiled
         # after it, approx raised these jobs' peak RSS from 21 to 22.5 MB.
         from . import approx  # noqa: F401
-    _validate_jobspec(spec)
+    import jsonschema
+
+    schema = resources.files("placeforge").joinpath("schemas/jobspec.schema.json").read_text()
+    try:
+        jsonschema.validate(spec, json.loads(schema))
+    except jsonschema.ValidationError as exc:
+        where = f" at {exc.json_path}" if exc.absolute_path else ""
+        raise JobError(f"job spec does not match schema{where}: {exc.message}") from exc
     return spec
 
 
-def _schema(name: str):
-    return json.loads(
-        resources.files("placeforge").joinpath(f"schemas/{name}.schema.json").read_text()
-    )
-
-
-def _schema_error(what: str, error) -> JobError:
-    where = f" at {error.json_path}" if error.absolute_path else ""
-    return JobError(f"{what} does not match schema{where}: {error.message}")
-
-
-def _validate_jobspec(spec):
-    import jsonschema
-
-    try:
-        jsonschema.validate(spec, _schema("jobspec"))
-    except jsonschema.ValidationError as exc:
-        raise _schema_error("job spec", exc) from exc
-
-
-def _kind_branch_errors(error):
-    """The errors of the `oneOf` branch whose `kind` constant is the
-    instance's own kind, or None when no branch names that kind."""
-    if error.validator != "oneOf" or not isinstance(error.instance, dict):
-        return None
-    kind = error.instance.get("kind")
-    kinds = [b.get("properties", {}).get("kind", {}).get("const") for b in error.validator_value]
-    if kind is None or kind not in kinds:
-        return None
-    i = kinds.index(kind)
-    return [e for e in error.context if e.relative_schema_path[0] == i]
-
-
-def _validate_place(obj, what: str):
-    """Check an input place against the shipped place schema.
-
-    jsonschema.validate would first check the schema against its
-    metaschema on every call, which costs far more than checking a place;
-    the test suite checks the shipped schema instead.  An error is taken
-    from the branch of the place's own `kind`, at every nesting level.
-    """
-    import jsonschema
-
-    schema = _schema("place")
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    relevance = jsonschema.exceptions.relevance
-    error = max(validator.iter_errors(obj), key=relevance, default=None)
-    if error is None:
-        return
-    while branch := _kind_branch_errors(error):
-        error = min(branch, key=relevance)  # the deepest, as best_match descends
-    raise _schema_error(what, jsonschema.exceptions.best_match([error]))
-
-
 def _place_from_spec(spec, key="place") -> Place:
+    """The place at `key`; a refusal of the outer place reads "outer place ..."."""
     obj = spec.get(key)
     if obj is None:
         raise JobError(f"missing {key!r}")
-    what = key if key == "place" else f"{key} place"
-    # Schema validation recurses once per level: bound the depth first.
     try:
-        check_tower_depth(obj, what)
+        place = place_from_json(obj)
     except ValueError as exc:
-        raise JobError(str(exc)) from None
-    _validate_place(obj, what)
-    place = place_from_json(obj)
+        raise JobError(str(exc) if key == "place" else f"{key} {exc}") from None
     if key == "place":
         base = spec.get("base")
         if base is not None and BaseField.from_json(base) != place.field:

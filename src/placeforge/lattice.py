@@ -186,19 +186,13 @@ def reduce_mod_lattice(vec, basis):
     return tuple(y)
 
 
-def clear_denominators(frac_rows):
-    """Scale rows of Fractions (or ints) to integers by their common denominator.
-
-    Returns (int_rows, den) with int_rows = frac_rows * den; den is the
-    least common denominator, and no Fraction is built.
-    """
+def clear_denominators(pair_rows):
+    """Rows of rationals, each a pair (num, den) in lowest terms with den > 0,
+    as integer rows over their least common denominator: (int_rows, den),
+    in lowest terms as a whole."""
     den = 1
-    for row in frac_rows:
-        for x in row:
-            q = x.denominator
+    for row in pair_rows:
+        for _, q in row:
             if den % q:
                 den = den * q // gcd(den, q)
-    out = []
-    for row in frac_rows:
-        out.append(tuple(x.numerator * (den // x.denominator) for x in row))
-    return out, den
+    return [tuple(n * (den // q) for n, q in row) for row in pair_rows], den

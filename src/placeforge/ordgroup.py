@@ -39,21 +39,23 @@ def ratio_str(num: int, den: int) -> str:
 _LITERAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
-def rat_from_str(s: str) -> Fraction:
-    """The rational a literal of the place schema's form "n" or "n/d" spells."""
-    if not isinstance(s, str):
-        raise ValueError(f"literal {s!r:.24} is not a string of the form n or n/d")
-    m = _LITERAL.fullmatch(s)
-    shown = s if len(s) <= 24 else s[:20] + "..."
-    if m is None:
-        raise ValueError(f"literal {shown!r} is not of the form n or n/d with d > 0")
-    num, den = m.groups()
-    # every character but a sign and a slash is a digit
-    if len(s) - s.startswith("-") - (den is not None) > MAX_LITERAL_DIGITS:
-        raise ValueError(
-            f"literal {shown!r} has more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits"
-        )
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+def rat_from_str(s: str):
+    """The rational a literal of the place schema's form "n" or "n/d" spells,
+    as the pair (num, den) in lowest terms with den > 0."""
+    m = _LITERAL.fullmatch(s) if isinstance(s, str) else None
+    if m is None or len(s) > MAX_LITERAL_DIGITS:
+        shown = s[:20] + "..." if isinstance(s, str) and len(s) > 24 else s
+        if m is None:
+            raise ValueError(f"literal {shown!r:.40} is not of the form n or n/d with d > 0")
+        # every character but a sign and a slash is a digit
+        if len(s) - s.startswith("-") - (m[2] is not None) > MAX_LITERAL_DIGITS:
+            raise ValueError(f"literal {shown!r} has more than MAX_LITERAL_DIGITS = "
+                             f"{MAX_LITERAL_DIGITS} digits")
+    if m[2] is None:
+        return int(m[1]), 1
+    num, den = int(m[1]), int(m[2])
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 @lru_cache(maxsize=256)
@@ -135,10 +137,6 @@ class AmbientGroup:
     def to_json(self):
         return {"levels": [{"d": d} for d in self.ds]}
 
-    @staticmethod
-    def from_json(obj) -> "AmbientGroup":
-        return AmbientGroup(tuple(level["d"] for level in obj["levels"]))
-
 
 def align_rows(pairs):
     """(row, den) pairs of integer rows in lowest terms, rescaled to the lcm
@@ -146,16 +144,6 @@ def align_rows(pairs):
     pairs = list(pairs)
     den = lcm(*(d for _, d in pairs))
     return [tuple(row) if d == den else tuple(den // d * x for x in row) for row, d in pairs], den
-
-
-def rows_from_json(objs, ambient: AmbientGroup):
-    """JSON coordinate lists as integer rows over one denominator: (rows, den)."""
-    values = []
-    for obj in objs:
-        if len(obj) != ambient.num_levels:
-            raise ValueError("coordinate count must match level count")
-        values.append([rat_from_str(c[key]) for c in obj for key in ("a", "b")])
-    return lattice.clear_denominators(values)
 
 
 @dataclass(frozen=True, init=False)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from . import lattice
 from ._kernels import term_mins
@@ -30,8 +30,8 @@ from .ordgroup import (
     convex_rank,
     quad_sign_int,
     rational_rank,
+    rat_from_str,
     row_sign,
-    rows_from_json,
 )
 from .ratfunc import BaseField, Poly, RatFunc
 
@@ -58,22 +58,21 @@ def sign_char(s) -> str:
     return "inf" if s is INFINITY else "-0+"[s + 1]
 
 
-# Deepest nesting of composite places: checked by place_from_json before it
-# builds anything, and by CompositePlace on every place it composes, so no
-# command prints a place that it would refuse as input.  Decoding and
-# classifying build no flat place, kernel basis or HNF, since every level's
-# dim and ranks come from rank profiles: a chain of trivial arity-1 places
-# nested on its inner side classifies in about 3 ms at depth 32 and 16 ms at
-# depth 64.  Once a tower's flat place is built, a value or residue makes
-# the same number of term_mins passes at every depth: two for a value, four
-# for a residue (the inner value's sign, then the flat minimal terms, which
-# are rewritten once).  Building the flat place still walks every level
-# below, since each level's effective weights take the inner section and
+# Deepest nesting of composite places: place_from_json refuses a deeper one
+# as it descends, and CompositePlace refuses to compose one, so no command
+# prints a place that it would refuse as input.  Decoding and classifying
+# build no flat place, kernel basis or HNF (every level's dim and ranks come
+# from rank profiles): a chain of trivial arity-1 places nested on its inner
+# side classifies in about 3 ms at depth 32 and 16 ms at depth 64.  Once a
+# tower's flat place is built, a value takes two term_mins passes and a
+# residue four (the inner value's sign, then the flat minimal terms, which
+# are rewritten once) at every depth.  Building the flat place walks every
+# level below, as each level's effective weights take the inner section and
 # inner residue of every variable's unit, so the first value and residue
 # cost time superlinear in the depth: on that chain over a 10-variable,
 # 5-level base, decoding plus the value and residue of x1 + x2 take about
-# 0.08 s at depth 32, 0.16 s at depth 48 and 0.26 s at depth 64.  Measured
-# in process on a 2-core x86 machine.
+# 0.08 s at depth 32, 0.16 s at 48 and 0.26 s at 64, in process on a 2-core
+# x86 machine.
 MAX_TOWER_DEPTH = 32
 
 # Largest sample check_spv_axioms accepts.  The axioms are checked on every
@@ -411,16 +410,6 @@ class MonomialPlace(Place):
             "weights": [w.to_json() for w in self.weights],
         }
 
-    @staticmethod
-    def from_json(obj) -> "MonomialPlace":
-        field = BaseField.from_json(obj["base"])
-        arity = obj["arity"]
-        if type(arity) is not int or arity < 0:  # not a bool, nor jsonschema's 1.0
-            raise ValueError(f"arity must be an int >= 0, got {arity!r:.40}")
-        ambient = AmbientGroup.from_json(obj["ambient"])
-        rows, den = rows_from_json(obj["weights"], ambient)
-        return MonomialPlace(field, arity, ambient, rows, den)
-
     def __repr__(self):
         ws = ", ".join(str(w) for w in self.weights)
         return f"MonomialPlace({self.field}, weights=[{ws}])"
@@ -560,34 +549,91 @@ def compose(inner: Place, outer: Place) -> CompositePlace:
     return CompositePlace(inner, outer)
 
 
-def check_tower_depth(obj, what: str = "place"):
-    """Refuse a place object whose composites nest deeper than MAX_TOWER_DEPTH.
-
-    The depth is measured without recursion, so a hostile nesting costs
-    no stack.
-    """
-    stack = [(obj, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, dict) and node.get("kind") == "composite":
-            if depth == MAX_TOWER_DEPTH:
-                raise ValueError(f"{what} nests composite places deeper than "
-                                 f"MAX_TOWER_DEPTH = {MAX_TOWER_DEPTH}")
-            stack += [(node.get("inner"), depth + 1), (node.get("outer"), depth + 1)]
-
-
 def place_from_json(obj) -> Place:
-    check_tower_depth(obj)
-    return _place_from_json(obj)
+    """The place a place object spells, checked in one walk as place.schema.json
+    checks it and past it (no bool or float ints, squarefree radicands, matching
+    counts, MAX_TOWER_DEPTH); a refusal is one ValueError line naming the path."""
+    return _walk(obj, (), 0)
 
 
-def _place_from_json(obj) -> Place:
-    kind = obj.get("kind")
+def _refusal(path, reason, schema=True) -> ValueError:
+    """A refusal at `path`, in the words of a schema check or of a check past it."""
+    where = "$" + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
+    return ValueError(f"place does not match schema{' at ' + where if path else ''}: {reason}"
+                      if schema else f"place at {where}: {reason}")
+
+
+def _built(path, make, *args):
+    """make(*args), whose ValueError is refused at `path`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise _refusal(path, exc, False) from None
+
+
+def _typed(value, kind, path):
+    if type(value) is not kind:
+        raise _refusal(path, f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _fields(obj, keys, path):
+    """The values of `keys` in `obj`, an object with exactly these keys (one key: its value)."""
+    if type(obj) is dict and len(obj) == len(keys):
+        try:
+            return itemgetter(*keys)(obj)
+        except KeyError:
+            pass
+    missing = [k for k in keys if k not in _typed(obj, dict, path)]
+    extra = [k for k in obj if k not in keys]
+    raise _refusal(path, f"{missing[0]!r} is a required property" if missing else
+                   f"Additional properties are not allowed ({extra[0]!r:.40} was unexpected)")
+
+
+def _walk(obj, path, depth) -> Place:
+    kind = _typed(obj, dict, path).get("kind")
     if kind == "monomial":
-        return MonomialPlace.from_json(obj)
-    if kind == "composite":
-        return CompositePlace(_place_from_json(obj["inner"]), _place_from_json(obj["outer"]))
-    raise ValueError(f"unknown place kind {kind!r}")
+        return _monomial(obj, path)
+    if kind != "composite":
+        if "kind" not in obj:
+            raise _refusal(path, "'kind' is a required property")
+        raise _refusal(path + ("kind",), f"{kind!r:.40} is not 'monomial' or 'composite'")
+    if depth == MAX_TOWER_DEPTH:
+        raise ValueError("place nests composite places deeper than "
+                         f"MAX_TOWER_DEPTH = {MAX_TOWER_DEPTH}")
+    _, inner, outer = _fields(obj, ("kind", "inner", "outer"), path)
+    inner = _walk(inner, path + ("inner",), depth + 1)
+    outer = _walk(outer, path + ("outer",), depth + 1)
+    return _built(path, CompositePlace, inner, outer)
+
+
+def _monomial(obj, path) -> MonomialPlace:
+    _, base, arity, ambient, weights = _fields(
+        obj, ("kind", "base", "arity", "ambient", "weights"), path)
+    if base != "Q" and (type(base) is not dict or base.keys() != {"p"}):
+        raise _refusal(path + ("base",), f'expected "Q" or {{"p": p}}, got {base!r:.40}')
+    field = _built(path + ("base",), BaseField.from_json, base)
+    if type(arity) is not int or arity < 0:  # not a bool, nor jsonschema's 1.0
+        raise _refusal(path + ("arity",), f"arity must be an int >= 0, got {arity!r:.40}", False)
+    at = path + ("ambient", "levels")
+    levels = _typed(_fields(ambient, ("levels",), path + ("ambient",)), list, at)
+    ds = tuple(_fields(lv, ("d",), at + (i,)) for i, lv in enumerate(levels))
+    ambient = _built(at, AmbientGroup, ds)
+    values = []
+    for i, w in enumerate(_typed(weights, list, path + ("weights",))):
+        at = path + ("weights", i)
+        if len(_typed(w, list, at)) != len(ds):
+            raise _refusal(at, "coordinate count must match level count", False)
+        texts = [x for j, c in enumerate(w) for x in _fields(c, ("a", "b"), at + (j,))]
+        row = []
+        try:
+            for x in texts:
+                row.append(rat_from_str(x))
+        except ValueError as exc:  # at the literal after the last one read
+            raise _refusal(at + (len(row) // 2, "ab"[len(row) % 2]), exc) from None
+        values.append(row)
+    rows, den = lattice.clear_denominators(values)
+    return _built(path + ("weights",), MonomialPlace, field, arity, ambient, rows, den)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ def monomial_place(field, ambient, weights):
     """The monomial place whose weights are given per variable as per-level
     (a, b) pairs, meaning a + b*sqrt(d); a bare rational a is the pair (a, 0)."""
     rows, den = clear_denominators([
-        [Fraction(x) for lv in w for x in (lv if isinstance(lv, tuple) else (lv, 0))]
+        [(x.numerator, x.denominator)
+         for lv in w for x in map(Fraction, lv if isinstance(lv, tuple) else (lv, 0))]
         for w in weights
     ])
     return MonomialPlace(field, len(rows), ambient, rows, den)

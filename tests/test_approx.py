@@ -344,6 +344,31 @@ class TestTieAboveTheMinimum:
         assert [c["residue_equal"] for c in report["checks"]] == [True]
 
 
+@pytest.mark.parametrize("obj", [
+    {}, [], "discrete", None, {"mode": "preserve_residues"},
+    {"class": "weighted_rational", "r1": "2"}, {"class": "weighted_rational", "r1": 1.5},
+    {"class": "weighted_rational", "r1": 1.0}, {"class": "weighted_rational", "r1": True},
+    {"class": "composite_drop", "r1": 2, "d1": None}, {"class": "discrete", "r1": -1},
+    {"class": "discrete", "x": 1}, {"class": "discrete", "mode": ["preserve_values"]},
+    {"class": "bogus"},
+])
+def test_shape_decoding_refuses_what_the_schema_refuses(obj):
+    """TargetShape.from_json, which library callers reach without the CLI's
+    schema check, refuses each of these with a one-line ValueError; a float
+    r1 never reaches the rank-two path."""
+    with pytest.raises(ValueError) as info:
+        TargetShape.from_json(obj)
+    assert "\n" not in str(info.value)
+
+
+def test_shape_decoding_reads_the_schema_fields():
+    shape = TargetShape.from_json({"class": "composite_drop", "mode": "preserve_values",
+                                   "r1": 2, "d1": 0})
+    assert shape == TargetShape("preserve_values", "composite_drop", r1=2, d1=0)
+    assert TargetShape.from_json({"class": "discrete"}) == TargetShape("preserve_residues",
+                                                                       "discrete")
+
+
 class TestPerturbWeights:
     def test_discrete_example(self):
         sig = signature(P_SQRT, ELEMS)

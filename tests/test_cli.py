@@ -175,7 +175,8 @@ def test_long_literals_are_refused():
 
 def test_exponent_weight_is_refused():
     # Weights are n or n/d in the place schema and in place_from_json
-    # alike, so both refuse exponent notation before any conversion.
+    # alike; place_from_json, the only place check, names the literal's
+    # path and refuses exponent notation before any conversion.
     place = one_weight_place("1e100000000")
     proc = run_fresh("classify", "--place", json.dumps(place))
     assert_one_line_error(proc, "place does not match schema at $.weights[0][0].a")
@@ -444,6 +445,15 @@ def test_shape_flag_is_checked_against_the_schema(shape, message):
     assert_one_line_error(proc, "job spec does not match schema " + message)
 
 
+def test_float_shape_rank_is_refused(capsys):
+    # jsonschema's "integer" admits 1.0; TargetShape.from_json does not
+    shape = '{"class":"weighted_rational","r1":1.0}'
+    err = cli_error(capsys, "goodify", "--spec", str(HERE / "jobs" / "goodify.json"),
+                    "--shape", shape)
+    assert err.startswith("error: shape must have a class, maybe a mode and ints r1, d1 >= 0")
+    assert err.endswith("'r1': 1.0}\n") and err.count("\n") == 1
+
+
 def test_spec_file_must_be_an_object(capsys, tmp_path):
     spec = tmp_path / "list.json"
     spec.write_text("[1, 2]")
@@ -528,6 +538,54 @@ SHAPE_JOBS = [str(HERE / "jobs" / f"{name}.json")
 @given(job=st.sampled_from(SHAPE_JOBS), shape=shape_objects | json_values)
 def test_shape_flag_settles_every_value(job, shape):
     assert_settled(*run_quietly(["--spec", job, "--shape=" + json.dumps(shape)]))
+
+
+# Mostly place-like objects: known keys carrying known or hostile values.
+# No value can spell an ambient group ("levels" is longer than any key that
+# json_values draws), so every place here is refused.
+place_objects = st.dictionaries(
+    st.sampled_from(["kind", "base", "arity", "ambient", "weights", "inner", "outer"])
+    | st.text(max_size=3),
+    st.sampled_from(["monomial", "composite", "Q", {"p": 5}, 7, 1.0, True, [], [[]], {}])
+    | json_values,
+    max_size=6,
+)
+
+
+# The golden value job's place with one node, at any depth, replaced by a
+# value no node of a place can take: null, a bool, a float, or an object
+# whose keys are not keys of the place schema.
+VALUE_PLACE = json.loads((HERE / "jobs" / "value.json").read_text())["place"]
+NODES = [("kind",), ("base",), ("arity",), ("ambient",), ("ambient", "levels"),
+         ("ambient", "levels", 0), ("ambient", "levels", 0, "d"), ("weights",),
+         ("weights", 0), ("weights", 0, 0), ("weights", 0, 0, "a")]
+hostile = (st.none() | st.booleans() | st.floats()
+           | st.dictionaries(st.text(min_size=4, max_size=5), json_values, max_size=2))
+
+
+def assert_place_refused(place):
+    code, err_lines = run_quietly(["--spec", str(HERE / "jobs" / "value.json"),
+                                   "--place=" + json.dumps(place)])
+    assert code == 1 and len(err_lines) == 1, err_lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(place=place_objects | json_values)
+def test_place_flag_refuses_every_malformed_place(place):
+    assert_place_refused(place)
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: ".".join(map(str, node)))
+@settings(max_examples=8, deadline=None)
+@given(value=hostile)
+def test_place_flag_refuses_a_hostile_node(node, value):
+    place = json.loads(json.dumps(VALUE_PLACE))
+    *parents, last = node
+    parent = place
+    for key in parents:
+        parent = parent[key]
+    parent[last] = value
+    assert_place_refused(place)
 
 
 name_lists = st.lists(st.sampled_from(["x1", "x2", "a", "b", " ", ""]) | st.text(max_size=4),

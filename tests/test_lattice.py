@@ -193,7 +193,6 @@ def test_membership_invariant_under_unimodular_moves():
 
 
 def test_clear_denominators():
-    from fractions import Fraction
-
-    rows, den = lattice.clear_denominators([[Fraction(1, 2), Fraction(1, 3)]])
+    # rows of (num, den) pairs in lowest terms, over their least common denominator
+    rows, den = lattice.clear_denominators([[(1, 2), (1, 3)]])
     assert den == 6 and rows == [(3, 2)]

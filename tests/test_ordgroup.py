@@ -27,7 +27,6 @@ from placeforge.ordgroup import (
     combination_sign,
     combine,
     rat_from_str,
-    rows_from_json,
     sqrt_convergents,
 )
 
@@ -316,7 +315,8 @@ class TestOrderEmbedding:
     def reference(sources, images, witnesses):
         """The check on group elements, combined by the oracle's arithmetic
         and signed by the interval oracle."""
-        rows, _ = lattice.clear_denominators([qvec(s) for s in sources])
+        rows, _ = lattice.clear_denominators(
+            [[(q.numerator, q.denominator) for q in qvec(s)] for s in sources])
         for rel in lattice.row_kernel(rows):
             if elem_sign(linear_combination(images, rel, images[0].ambient)):
                 return "ill_defined", tuple(rel)
@@ -445,13 +445,21 @@ class TestRankFirstEmbedding:
             assert len(calls) == (verdict.status == "ill_defined")
 
 
+def decoded_rows(amb, objs):
+    """The integer rows over one denominator that place_from_json reads
+    from the JSON elements `objs`, as the weights of a monomial place."""
+    place = place_from_json({"kind": "monomial", "base": "Q", "arity": len(objs),
+                             "ambient": amb.to_json(), "weights": objs})
+    return list(place.value_group().rows), place.value_group().den
+
+
 def test_json_round_trip_bit_exact():
     # a subgroup travels as its generators' coordinate lists
     amb = AmbientGroup((2, 3))
     # the generators (1, -7/3 + 2/5*sqrt(3)) and (sqrt(2), sqrt(3))
     s = Subgroup.from_rows(amb, [(15, 0, -35, 6), (0, 15, 0, 15)], 15)
     blob = json.dumps([GroupElem.from_row(amb, r, s.den).to_json() for r in s.rows], sort_keys=True)
-    rows, den = rows_from_json(json.loads(blob), amb)
+    rows, den = decoded_rows(amb, json.loads(blob))
     back = Subgroup.from_rows(amb, rows, den)
     assert back == s
     assert json.dumps([GroupElem.from_row(amb, r, back.den).to_json() for r in back.rows],
@@ -497,19 +505,21 @@ def test_radicand_is_checked(d):
     ("weights", [[{"a": 1, "b": "0"}]]), ("weights", [[{"a": "1", "b": 0.5}]]),
 ])
 def test_place_decoding_refuses_malformed_fields(key, value):
-    """place_from_json, which library callers reach without the CLI's
-    schema check, refuses each of these with a one-line ValueError."""
+    """place_from_json, the only check a place gets from the CLI and from
+    library callers alike, refuses each of these with a one-line ValueError."""
     with pytest.raises(ValueError) as info:
         place_from_json({**_MONOMIAL, key: value})
     assert "\n" not in str(info.value)
 
 
 def test_literal_budget():
-    assert rat_from_str("-3/4") == Fraction(-3, 4)
-    assert rat_from_str("7" * MAX_LITERAL_DIGITS) == int("7" * MAX_LITERAL_DIGITS)
+    assert rat_from_str("-3/4") == (-3, 4)
+    assert rat_from_str("-6/8") == (-3, 4)  # in lowest terms
+    assert rat_from_str("0/5") == (0, 1)
+    assert rat_from_str("7" * MAX_LITERAL_DIGITS) == (int("7" * MAX_LITERAL_DIGITS), 1)
     # a sign and a slash are not digits
     threes = "3" * (MAX_LITERAL_DIGITS - 1)
-    assert rat_from_str("-1/" + threes) == Fraction(-1, int(threes))
+    assert rat_from_str("-1/" + threes) == (-1, int(threes))
     for text in ("7" * (MAX_LITERAL_DIGITS + 1), "-1/" + "3" * MAX_LITERAL_DIGITS,
                  "1/" + "3" * 5000):
         with pytest.raises(ValueError, match="MAX_LITERAL_DIGITS"):
@@ -544,9 +554,11 @@ _RAT_SCHEMA = json.loads(
 ))
 def test_rat_from_str_accepts_the_schema_literals(text):
     """rat_from_str accepts exactly the literals the shipped place schema
-    accepts, with Fraction's value; every other literal is refused by name."""
+    accepts, with Fraction's value in lowest terms; every other literal is
+    refused by name."""
     if jsonschema.Draft202012Validator(_RAT_SCHEMA).is_valid(text):
-        assert rat_from_str(text) == Fraction(text)
+        value = Fraction(text)
+        assert rat_from_str(text) == (value.numerator, value.denominator)
     else:
         with pytest.raises(ValueError, match="is not of the form n or n/d"):
             rat_from_str(text)
@@ -646,7 +658,7 @@ def golden_group_values():
             if place["kind"] == "composite":
                 stack += [place["inner"], place["outer"]]
                 continue
-            amb = AmbientGroup.from_json(place["ambient"])
+            amb = AmbientGroup(tuple(lv["d"] for lv in place["ambient"]["levels"]))
             for w in place["weights"]:
                 yield path.name, amb, w
         if report["command"] == "value":
@@ -657,7 +669,7 @@ def golden_group_values():
         iota = report.get("iota")
         if iota:
             for side, levels in (("sources", "source_levels"), ("images", "image_levels")):
-                amb = AmbientGroup.from_json({"levels": iota[levels]}) if iota[side] else None
+                amb = AmbientGroup(tuple(lv["d"] for lv in iota[levels])) if iota[side] else None
                 for v in iota[side]:
                     yield path.name, amb, v
 
@@ -666,9 +678,9 @@ def test_golden_values_round_trip_bit_exact():
     seen = set()
     for name, amb, obj in golden_group_values():
         blob = json.dumps(obj, sort_keys=True)
-        (row,), den = rows_from_json([obj], amb)
+        (row,), den = decoded_rows(amb, [obj])
         elem = GroupElem.from_row(amb, row, den)
         assert json.dumps(elem.to_json(), sort_keys=True) == blob, name
-        assert rows_from_json([elem.to_json()], amb) == ([elem.row], elem.den)
+        assert decoded_rows(amb, [elem.to_json()]) == ([elem.row], elem.den)
         seen.add(name)
     assert len(seen) == len(golden_reports())

@@ -684,7 +684,8 @@ class TestFlatTowerValue:
                                 assert tower.value(f) == tower_value(tower, f)
                             xs = [RatFunc.variable(field, n, i) for i in range(n)]
                             rows, _ = lattice.clear_denominators(
-                                [qvec(tower_value(tower, x)) for x in xs])
+                                [[(q.numerator, q.denominator)
+                                  for q in qvec(tower_value(tower, x))] for x in xs])
                             kernel = tuple(lattice.row_kernel(rows))
                             assert tower.kernel_lattice() == kernel
                             assert tuple(lattice.hnf(tower.residue_desc().gens)) == kernel
