@@ -11,7 +11,6 @@ an enumerated outer place handles value-preserving dimension drops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd
 from operator import mul, sub
@@ -21,6 +20,7 @@ from .ordgroup import (
     AmbientGroup,
     EmbeddingVerdict,
     GroupElem,
+    Record,
     order_embedding_check,
     row_sign,
     sqrt_convergents,
@@ -51,27 +51,27 @@ MODES = ("preserve_residues", "preserve_values", "preserve_both")
 CLASSES = ("discrete", "weighted_rational", "lex_max_rank", "composite_drop")
 
 
-@dataclass(frozen=True)
-class TargetShape:
+class TargetShape(Record):
     """What kind of place to produce and which data to keep."""
 
-    mode: str
-    klass: str
-    r1: int = None
-    d1: int = None
+    _fields = ("mode", "klass", "r1", "d1")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.klass not in CLASSES:
-            raise ValueError(f"unknown class {self.klass!r}")
-        if self.klass == "weighted_rational" and (self.r1 is None or self.r1 < 1):
+    def __init__(self, mode: str, klass: str, r1: int = None, d1: int = None):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if klass not in CLASSES:
+            raise ValueError(f"unknown class {klass!r}")
+        if any(k is not None and type(k) is not int for k in (r1, d1)):  # nor bools
+            raise ValueError(f"r1 and d1 must be ints or None, got {r1!r:.20} and {d1!r:.20}")
+        if klass == "weighted_rational" and (r1 is None or r1 < 1):
             raise ValueError("weighted_rational needs a rational rank r1 >= 1")
-        if self.klass == "composite_drop":
-            if self.r1 is None or self.d1 is None:
+        if klass == "composite_drop":
+            if r1 is None or d1 is None:
                 raise ValueError("composite_drop needs both d1 and r1")
-            if self.d1 < 0 or self.r1 < 1:
+            if d1 < 0 or r1 < 1:
                 raise ValueError("composite_drop needs d1 >= 0 and r1 >= 1")
+        f = self.__dict__
+        f["mode"], f["klass"], f["r1"], f["d1"] = mode, klass, r1, d1
 
     @staticmethod
     def from_json(obj) -> "TargetShape":
@@ -86,8 +86,7 @@ class TargetShape:
                            obj.get("r1"), obj.get("d1"))
 
 
-@dataclass(frozen=True)
-class SignSignature:
+class SignSignature(Record):
     """Finite sign fingerprint of a place on a list of elements.
 
     Entries are (integer exponent vector m in the place's variables, sign
@@ -101,10 +100,12 @@ class SignSignature:
     printed elements the signature came from, and `signs` their value signs.
     """
 
-    entries: frozenset
-    sources: tuple = ()
-    notices: tuple = ()
-    signs: tuple = ()
+    _fields = ("entries", "sources", "notices", "signs")
+
+    def __init__(self, entries: frozenset, sources: tuple = (), notices: tuple = (),
+                 signs: tuple = ()):
+        f = self.__dict__
+        f["entries"], f["sources"], f["notices"], f["signs"] = entries, sources, notices, signs
 
     def equalities(self):
         return [m for m, s in self.entries if s == 0 and any(m)]
@@ -167,10 +168,13 @@ def signature(place: Place, elems) -> SignSignature:
     return SignSignature(frozenset(entries.items()), tuple(sources), tuple(notices), tuple(signs))
 
 
-@dataclass
-class PerturbResult:
-    place: MonomialPlace
-    iterations: int
+class PerturbResult(Record):
+    _fields = ("place", "iterations")
+    # mutable, so assignable and unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, place: MonomialPlace, iterations: int):
+        self.place, self.iterations = place, iterations
 
 
 def _dot(m, q):
@@ -373,13 +377,15 @@ def _class_invariant_report(place: Place, shape: TargetShape):
     raise ValueError(shape.klass)
 
 
-@dataclass
-class GoodifyResult:
-    place: Place
-    iota: dict = None
-    iterations: int = 0
-    checks: list = None
-    notices: tuple = ()
+class GoodifyResult(Record):
+    _fields = ("place", "iota", "iterations", "checks", "notices")
+    # mutable, so assignable and unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, place: Place, iota: dict = None, iterations: int = 0, checks: list = None,
+                 notices: tuple = ()):
+        self.place, self.iota, self.iterations = place, iota, iterations
+        self.checks, self.notices = checks, notices
 
     def report(self):
         out = {

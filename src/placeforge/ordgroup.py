@@ -11,7 +11,6 @@ anywhere, and no arithmetic on elements: sums are taken on rows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
@@ -96,16 +95,50 @@ def quad_sign_int(a: int, b: int, d: int) -> int:
     return sa if a * a > b * b * d else sb
 
 
-@dataclass(frozen=True)
-class QuadScalar:
+class Record:
+    """Base of the package's value records.  A subclass lists its fields in
+    `_fields` and its constructor stores them in `__dict__`.  Two records of
+    one class are equal when their fields are (another class gives
+    NotImplemented), a record hashes as the tuple of its fields and prints
+    as `Name(field=value, ...)`, and assigning or deleting an attribute
+    raises AttributeError.  A mutable record restores `object.__setattr__`
+    and `object.__delattr__` and sets `__hash__ = None`."""
+
+    def _key(self):
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class QuadScalar(Record):
     """a + b*sqrt(d), exact: one level of a group element, as
     `GroupElem.coords` reads it out for printing."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    _fields = ("a", "b", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        f = self.__dict__
+        f["a"], f["b"], f["d"] = a, b, d
+        self.__post_init__()
 
     def __post_init__(self):
+        # a method of its own, so that perfbench's tracer can count
+        # constructions by wrapping it
         check_radicand(self.d)
 
     def __str__(self):
@@ -118,17 +151,17 @@ class QuadScalar:
         return f"{self.a} {op} {abs(self.b)}*sqrt({self.d})"
 
 
-@dataclass(frozen=True)
-class AmbientGroup:
+class AmbientGroup(Record):
     """Lexicographic product of archimedean levels, each with its radicand."""
 
-    ds: tuple
+    _fields = ("ds",)
 
-    def __post_init__(self):
-        if not self.ds:
+    def __init__(self, ds: tuple):
+        if not ds:
             raise ValueError("ambient group needs at least one level")
-        for d in self.ds:
+        for d in ds:
             check_radicand(d)
+        self.__dict__["ds"] = ds
 
     @property
     def num_levels(self) -> int:
@@ -146,25 +179,26 @@ def align_rows(pairs):
     return [tuple(row) if d == den else tuple(den // d * x for x in row) for row, d in pairs], den
 
 
-@dataclass(frozen=True, init=False)
-class GroupElem:
+class GroupElem(Record):
     """Level i is (a_i + b_i*sqrt(d_i)) / den for the integer row
     (a_1, b_1, a_2, b_2, ...) over the positive den, in lowest terms.
     Built only by `from_row`; read as row/den, sign, coords, JSON or text."""
 
-    ambient: AmbientGroup
-    row: tuple
-    den: int
+    _fields = ("ambient", "row", "den")
 
     @classmethod
     def from_row(cls, ambient: AmbientGroup, row, den: int = 1) -> "GroupElem":
         """The element row / den for an integer row and a positive den."""
-        if len(row) != 2 * ambient.num_levels:
+        if len(row) != 2 * len(ambient.ds):
             raise ValueError("coordinate count must match level count")
+        if type(den) is not int or den < 1:  # a bool is not one
+            raise ValueError(f"denominator must be a positive int, got {den!r:.40}")
         g = gcd(den, *row)
+        row = tuple([x // g for x in row]) if g > 1 else tuple(row)
         elem = cls.__new__(cls)
-        # the class is frozen, so its constructor fills the fields through __dict__
-        elem.__dict__.update(ambient=ambient, row=tuple(x // g for x in row), den=den // g)
+        # a record refuses assignment, so its fields go straight into __dict__
+        f = elem.__dict__
+        f["ambient"], f["row"], f["den"] = ambient, row, den // g
         return elem
 
     @property
@@ -236,21 +270,21 @@ def combination_sign(rows, coeffs, ds) -> int:
     return 0
 
 
-@dataclass(frozen=True, init=False)
-class Subgroup:
+class Subgroup(Record):
     """The subgroup generated by the integer rows over the positive den,
     in lowest terms as a whole.  Built only by `from_rows`."""
 
-    ambient: AmbientGroup
-    rows: tuple
-    den: int
+    _fields = ("ambient", "rows", "den")
 
     @classmethod
     def from_rows(cls, ambient: AmbientGroup, rows, den: int = 1) -> "Subgroup":
+        if type(den) is not int or den < 1:
+            raise ValueError(f"denominator must be a positive int, got {den!r:.40}")
         g = gcd(den, *(x for r in rows for x in r))
         s = cls.__new__(cls)
         rows = tuple(tuple(x // g for x in r) for r in rows)
-        s.__dict__.update(ambient=ambient, rows=rows, den=den // g)
+        f = s.__dict__
+        f["ambient"], f["rows"], f["den"] = ambient, rows, den // g
         return s
 
     @cached_property
@@ -280,10 +314,13 @@ def convex_rank(s: Subgroup) -> int:
     return len({c // 2 for c in s.rank_profile})
 
 
-@dataclass(frozen=True)
-class EmbeddingVerdict:
-    status: str  # "ok" | "ill_defined" | "order_violated"
-    witness: tuple = None
+class EmbeddingVerdict(Record):
+    _fields = ("status", "witness")
+
+    def __init__(self, status: str, witness: tuple = None):
+        f = self.__dict__
+        f["status"] = status  # "ok" | "ill_defined" | "order_violated"
+        f["witness"] = witness
 
     @property
     def ok(self) -> bool:

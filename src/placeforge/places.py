@@ -14,7 +14,6 @@ residue generators, give a tower's residue at any depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, itemgetter, mul
 
@@ -23,6 +22,7 @@ from ._kernels import term_mins
 from .ordgroup import (
     AmbientGroup,
     GroupElem,
+    Record,
     Subgroup,
     _add_combination,
     align_rows,
@@ -95,28 +95,30 @@ class InfeasibleShapeError(ValueError):
     loading `approx` on commands that never reach it."""
 
 
-@dataclass(frozen=True)
-class ResidueFieldDesc:
+class ResidueFieldDesc(Record):
     """Purely transcendental residue field: one Laurent monomial in the
     place's variables per kernel-lattice basis vector (flattened through towers)."""
 
-    gens: tuple
+    _fields = ("gens",)
+
+    def __init__(self, gens: tuple):
+        self.__dict__["gens"] = gens
 
     @property
     def num_gens(self) -> int:
         return len(self.gens)
 
 
-@dataclass(frozen=True)
-class PlaceInvariants:
-    dim: int
-    rr: int
-    rank: int
-    abhyankar: bool
-    discrete: bool
-    rational: bool
-    prime_divisor: bool
-    maximal_rank: bool
+class PlaceInvariants(Record):
+    _fields = ("dim", "rr", "rank", "abhyankar", "discrete", "rational", "prime_divisor",
+               "maximal_rank")
+
+    def __init__(self, dim: int, rr: int, rank: int, abhyankar: bool, discrete: bool,
+                 rational: bool, prime_divisor: bool, maximal_rank: bool):
+        f = self.__dict__
+        f["dim"], f["rr"], f["rank"], f["abhyankar"] = dim, rr, rank, abhyankar
+        f["discrete"], f["rational"], f["prime_divisor"] = discrete, rational, prime_divisor
+        f["maximal_rank"] = maximal_rank
 
     def to_json(self):
         return {
@@ -636,11 +638,12 @@ def _monomial(obj, path) -> MonomialPlace:
     return _built(path + ("weights",), MonomialPlace, field, arity, ambient, rows, den)
 
 
-@dataclass(frozen=True)
-class SpvReport:
-    passed: bool
-    axiom: int = None
-    witness: tuple = None
+class SpvReport(Record):
+    _fields = ("passed", "axiom", "witness")
+
+    def __init__(self, passed: bool, axiom: int = None, witness: tuple = None):
+        f = self.__dict__
+        f["passed"], f["axiom"], f["witness"] = passed, axiom, witness
 
     def to_json(self):
         if self.passed:

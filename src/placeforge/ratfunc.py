@@ -12,12 +12,12 @@ integers only when printing (see `monic`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, index, sub
 
 from ._kernels import EXP_LIMIT, mul_terms
+from .ordgroup import Record
 
 # Largest number of term pairs one polynomial product may multiply out.
 MAX_TERM_PAIRS = 10**6
@@ -47,18 +47,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BaseField:
+class BaseField(Record):
     """The rationals (p == 0) or a prime field GF(p) with p < 2**61."""
 
-    p: int = 0
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p:
-            if self.p >= 2**61:
+    def __init__(self, p: int = 0):
+        if type(p) is not int:  # a bool or a float is not one here
+            raise ValueError(f"field characteristic must be an int, got {p!r:.40}")
+        if p:
+            if p >= 2**61:
                 raise ValueError("prime field characteristic must be < 2**61")
-            if not _is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        self.__dict__["p"] = p
 
     def coerce(self, value):
         """The int or Fraction `value` as a field element: a residue mod p,

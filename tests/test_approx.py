@@ -361,6 +361,21 @@ def test_shape_decoding_refuses_what_the_schema_refuses(obj):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("fields", [
+    {"klass": "weighted_rational", "r1": 1.5},
+    {"klass": "weighted_rational", "r1": True},
+    {"klass": "weighted_rational", "r1": "2"},
+    {"klass": "composite_drop", "r1": 2, "d1": 0.0},
+], ids=lambda fields: repr(fields["r1"]) if "d1" not in fields else "d1=0.0")
+def test_shape_constructor_refuses_a_field_that_is_not_an_int(fields):
+    """A library caller building the shape directly meets the same rule as
+    from_json: r1 and d1 are ints, not floats, bools or strings, refused
+    with one ValueError line (a float r1 never takes the rank-two path)."""
+    with pytest.raises(ValueError, match=r"^r1 and d1 must be ints or None, got .*$") as info:
+        TargetShape("preserve_residues", **fields)
+    assert "\n" not in str(info.value)
+
+
 def test_shape_decoding_reads_the_schema_fields():
     shape = TargetShape.from_json({"class": "composite_drop", "mode": "preserve_values",
                                    "r1": 2, "d1": 0})

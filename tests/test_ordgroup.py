@@ -615,6 +615,16 @@ def test_row_elements_match_a_fraction_reference():
             assert rescaled == e and hash(rescaled) == hash(e)
 
 
+@pytest.mark.parametrize("den", [0, -1, 2.0, True], ids=repr)
+def test_a_denominator_that_is_not_a_positive_int_is_refused(den):
+    """from_row and from_rows take a positive int denominator only: -1
+    would flip every printed sign but no computed one, and 0 would fail
+    only when printed."""
+    for build, rows in ((GroupElem.from_row, (1, 0)), (Subgroup.from_rows, [(1, 0)])):
+        with pytest.raises(ValueError, match=r"^denominator must be a positive int, got .*$"):
+            build(AMB, rows, den)
+
+
 def test_combine_equals_the_scaled_fold():
     """combine, one alignment of rows, equals the fold of the oracle's
     scaling and addition over 1-3 levels with mixed denominators, zero

@@ -445,6 +445,16 @@ def test_elements_over_an_equal_field_object_are_accepted():
         place.value_row(parse_expr("x1 + x2", 2, BaseField(7)))
 
 
+@pytest.mark.parametrize("den", [-1, 0])
+def test_monomial_place_refuses_a_denominator_below_one(den):
+    """Weights over den -1 would print as -1 and -sqrt(2) while every value
+    is computed with 1 and sqrt(2) (v(x1) printed -1 with sign +1, and
+    to_json wrote "1/-1"); over den 0 printing divided by zero.  Both are
+    refused with one ValueError line."""
+    with pytest.raises(ValueError, match=r"^denominator must be a positive int, got .*$"):
+        MonomialPlace(QQ, 2, AMB, [(1, 0), (0, 1)], den)
+
+
 def test_invariants_of_a_48_by_48_place_match_fraction_elimination(hnf_calls):
     """Arity 48 and 48 levels (weights in +-9, radicand 2), eight variables
     valued in the span of the others: rr, dim and rank against the

@@ -40,6 +40,13 @@ class TestBaseField:
             BaseField(2**61 + 1)
         assert BaseField(2**61 - 1).p == 2**61 - 1  # Mersenne prime
 
+    @pytest.mark.parametrize("p", [5.0, "7", True], ids=repr)
+    def test_characteristic_must_be_an_int(self, p):
+        """A float, a string or a bool is refused with one ValueError line,
+        not accepted (5.0) or failed on inside the primality test ("7")."""
+        with pytest.raises(ValueError, match=r"^field characteristic must be an int, got .*$"):
+            BaseField(p)
+
     def test_coerce(self):
         assert F5.coerce(7) == 2
         assert F5.coerce(Fraction(1, 2)) == 3

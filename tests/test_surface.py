@@ -11,8 +11,11 @@ method counts as used when it is named as an attribute, `.name`, there.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import placeforge
 from placeforge import approx
@@ -131,3 +134,25 @@ def test_every_import_is_used():
                     unused.append(f"{path.stem}: {name}")
     assert imported > 50
     assert unused == []
+
+
+def test_readme_library_section_lists_every_exported_name():
+    """README's "Library" section has one "- `name`" line per name in
+    `placeforge.__all__`, and no other."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)", section, re.M)
+    assert listed == placeforge.__all__
+
+
+def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter importing the package, `approx` and the CLI
+    module loads neither `dataclasses` nor `inspect`, which with `ast`,
+    `dis` and `tokenize` cost a cold job about 30 ms; a module joining the
+    import path needs a measurement first."""
+    code = ("import sys, placeforge, placeforge.approx, placeforge.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
