@@ -141,10 +141,10 @@ def signature(place: Place, elems) -> SignSignature:
             raise SignatureError(f"conflicting signs for {m}")
 
     for f in elems:
+        _validate_match(place, f)
         if f.is_zero():
             notices.append(f"skipped zero element {f}")
             continue
-        _validate_match(place, f)
         sources.append(str(f))
         sides = []
         for poly in (f.num, f.den):

@@ -11,7 +11,6 @@ anywhere, and no arithmetic on elements: sums are taken on rows.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
@@ -126,12 +125,12 @@ class Record:
 
 
 class QuadScalar(Record):
-    """a + b*sqrt(d), exact: one level of a group element, as
-    `GroupElem.coords` reads it out for printing."""
+    """a + b*sqrt(d) for rationals a and b: one level of a group element, as
+    `GroupElem.coords` reads it out."""
 
     _fields = ("a", "b", "d")
 
-    def __init__(self, a: Fraction, b: Fraction, d: int):
+    def __init__(self, a, b, d: int):
         f = self.__dict__
         f["a"], f["b"], f["d"] = a, b, d
         self.__post_init__()
@@ -141,22 +140,14 @@ class QuadScalar(Record):
         # constructions by wrapping it
         check_radicand(self.d)
 
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        tail = f"{self.b}*sqrt({self.d})"
-        if self.a == 0:
-            return tail
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a} {op} {abs(self.b)}*sqrt({self.d})"
-
 
 class AmbientGroup(Record):
-    """Lexicographic product of archimedean levels, each with its radicand."""
+    """Lexicographic product of archimedean levels, each with its radicand (`ds`, a tuple)."""
 
     _fields = ("ds",)
 
-    def __init__(self, ds: tuple):
+    def __init__(self, ds):
+        ds = tuple(ds)
         if not ds:
             raise ValueError("ambient group needs at least one level")
         for d in ds:
@@ -203,7 +194,8 @@ class GroupElem(Record):
 
     @property
     def coords(self) -> tuple:
-        """The per-level scalars, built on each call."""
+        """The per-level scalars of Fractions, built on each call."""
+        from fractions import Fraction  # kept off the import path
         r, den = self.row, self.den
         return tuple(QuadScalar(Fraction(a, den), Fraction(b, den), d)
                      for a, b, d in zip(r[::2], r[1::2], self.ambient.ds))
@@ -216,8 +208,17 @@ class GroupElem(Record):
         return [{"a": ratio_str(a, den), "b": ratio_str(b, den)} for a, b in zip(r[::2], r[1::2])]
 
     def __str__(self):
-        coords = [str(x) for x in self.coords]
-        return coords[0] if len(coords) == 1 else "(" + ", ".join(coords) + ")"
+        r, den = self.row, self.den
+        levels = []
+        for a, b, d in zip(r[::2], r[1::2], self.ambient.ds):
+            if not b:
+                levels.append(ratio_str(a, den))
+            elif not a:
+                levels.append(f"{ratio_str(b, den)}*sqrt({d})")
+            else:
+                op = "+" if b > 0 else "-"
+                levels.append(f"{ratio_str(a, den)} {op} {ratio_str(abs(b), den)}*sqrt({d})")
+        return levels[0] if len(levels) == 1 else "(" + ", ".join(levels) + ")"
 
 
 def _add_combination(start, coeffs, rows):
@@ -253,23 +254,6 @@ def row_sign(row, ds) -> int:
     return 0
 
 
-def combination_sign(rows, coeffs, ds) -> int:
-    """Lexicographic sign of sum_k coeffs[k] * rows[k], level by level.
-    The nonzero coefficients are collected once, so each level costs one
-    pass over them: a unit vector or a pairwise difference has one or two."""
-    terms = [(c, row) for row, c in zip(rows, coeffs) if c]
-    for lv, d in enumerate(ds):
-        i = 2 * lv
-        a = b = 0
-        for c, row in terms:
-            a += c * row[i]
-            b += c * row[i + 1]
-        s = quad_sign_int(a, b, d)
-        if s:
-            return s
-    return 0
-
-
 class Subgroup(Record):
     """The subgroup generated by the integer rows over the positive den,
     in lowest terms as a whole.  Built only by `from_rows`."""
@@ -280,6 +264,10 @@ class Subgroup(Record):
     def from_rows(cls, ambient: AmbientGroup, rows, den: int = 1) -> "Subgroup":
         if type(den) is not int or den < 1:
             raise ValueError(f"denominator must be a positive int, got {den!r:.40}")
+        width = 2 * len(ambient.ds)
+        for i, r in enumerate(rows):
+            if len(r) != width:
+                raise ValueError(f"row {i} has {len(r)} coordinates, not {width} (two per level)")
         g = gcd(den, *(x for r in rows for x in r))
         s = cls.__new__(cls)
         rows = tuple(tuple(x // g for x in r) for r in rows)
@@ -358,15 +346,20 @@ def order_embedding_check(sources, images, witnesses) -> EmbeddingVerdict:
         raise ValueError("sources and images must have equal length")
     src_rows, src_ds = _common_rows(sources)
     img_rows, img_ds = _common_rows(images)
+    # one combination of the rows side by side sums both sides at once
+    rows = [s + t for s, t in zip(src_rows, img_rows)]
+    k = 2 * len(src_ds)
+    zero = (0,) * (k + 2 * len(img_ds))
     src_rank = len(lattice.rank_profile(src_rows))
-    if lattice.int_rank([s + t for s, t in zip(src_rows, img_rows)]) != src_rank:
+    if lattice.int_rank(rows) != src_rank:
         for rel in lattice.row_kernel(src_rows):
-            if combination_sign(img_rows, rel, img_ds):
+            if row_sign(_add_combination(zero, rel, rows)[k:], img_ds):
                 return EmbeddingVerdict("ill_defined", tuple(rel))
     for w in witnesses:
         if len(w) != len(sources):
             raise ValueError("witness length must match the number of sources")
-        if combination_sign(src_rows, w, src_ds) != combination_sign(img_rows, w, img_ds):
+        m = _add_combination(zero, w, rows)
+        if row_sign(m, src_ds) != row_sign(m[k:], img_ds):
             return EmbeddingVerdict("order_violated", tuple(w))
     return EmbeddingVerdict("ok")
 

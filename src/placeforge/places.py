@@ -136,6 +136,8 @@ class PlaceInvariants(Record):
 
 
 def _validate_match(place: "Place", f: RatFunc):
+    if not isinstance(f, RatFunc):
+        raise TypeError(f"expected a RatFunc, got {type(f).__name__}")
     field = f.field
     if (field is not place.field and field != place.field) or f.arity != place.arity:
         raise ValueError("element does not live in the place's function field")
@@ -432,6 +434,9 @@ class CompositePlace(Place):
         checked against `inner.residue_dim()`, a rank, so building a tower
         computes no kernel basis at any level.  A tower nested deeper than
         MAX_TOWER_DEPTH is refused, as place_from_json refuses it."""
+        if not isinstance(inner, Place) or not isinstance(outer, Place):
+            raise TypeError(f"inner and outer must be places, got {type(inner).__name__} "
+                            f"and {type(outer).__name__}")
         depth = 1 + max(inner.depth, outer.depth)
         if depth > MAX_TOWER_DEPTH:
             raise ValueError("composed place nests composite places deeper than "
@@ -624,9 +629,8 @@ def _monomial(obj, path) -> MonomialPlace:
     values = []
     for i, w in enumerate(_typed(weights, list, path + ("weights",))):
         at = path + ("weights", i)
-        if len(_typed(w, list, at)) != len(ds):
-            raise _refusal(at, "coordinate count must match level count", False)
-        texts = [x for j, c in enumerate(w) for x in _fields(c, ("a", "b"), at + (j,))]
+        texts = [x for j, c in enumerate(_typed(w, list, at))
+                 for x in _fields(c, ("a", "b"), at + (j,))]
         row = []
         try:
             for x in texts:

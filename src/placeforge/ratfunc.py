@@ -12,7 +12,6 @@ integers only when printing (see `monic`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import add, index, sub
 
@@ -68,7 +67,8 @@ class BaseField(Record):
         otherwise."""
         if isinstance(value, int):
             return value % self.p if self.p else int(value)
-        if not isinstance(value, Fraction):
+        from numbers import Rational  # kept off the import path
+        if not isinstance(value, Rational):
             raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
         if self.p:
             if value.denominator % self.p == 0:

@@ -24,8 +24,8 @@ from placeforge.ordgroup import (
     MAX_RADICAND,
     GroupElem,
     align_rows,
-    combination_sign,
     combine,
+    quad_sign_int,
     rat_from_str,
     sqrt_convergents,
 )
@@ -361,6 +361,20 @@ class TestOrderEmbedding:
         assert min(statuses.values()) >= 30, statuses
 
 
+def combination_sign(rows, coeffs, ds):
+    """Lexicographic sign of sum_k coeffs[k] * rows[k], level by level: the
+    form order_embedding_check signed combinations with before it took
+    `row_sign` of the summed row."""
+    terms = [(c, row) for row, c in zip(rows, coeffs) if c]
+    for lv, d in enumerate(ds):
+        a = sum(c * row[2 * lv] for c, row in terms)
+        b = sum(c * row[2 * lv + 1] for c, row in terms)
+        s = quad_sign_int(a, b, d)
+        if s:
+            return s
+    return 0
+
+
 def kernel_first_check(sources, images, witnesses):
     """order_embedding_check as it was before it compared ranks: the
     source kernel is always built, and each relation's image signed."""
@@ -613,6 +627,41 @@ def test_row_elements_match_a_fraction_reference():
             k = rng.randint(2, 6)
             rescaled = GroupElem.from_row(amb, [k * v for v in e.row], k * e.den)
             assert rescaled == e and hash(rescaled) == hash(e)
+
+
+def quad_scalar_str(a, b, d):
+    """One level as QuadScalar printed it, for Fractions a and b."""
+    if b == 0:
+        return str(a)
+    tail = f"{b}*sqrt({d})"
+    if a == 0:
+        return tail
+    op = "+" if b > 0 else "-"
+    return f"{a} {op} {abs(b)}*sqrt({d})"
+
+
+def test_printing_matches_the_quad_scalar_rendering():
+    """str of an element, printed from its row and denominator, is the text
+    it had when each level was printed as a QuadScalar of Fractions: seeded
+    rows of 1-3 levels with zero a, zero b and negative b, small and large
+    entries, and denominators above 1."""
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(600):
+        ds = tuple(rng.choice([2, 3, 5, 7]) for _ in range(rng.randint(1, 3)))
+        row = [rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-10**20, 10**20)])
+               for _ in range(2 * len(ds))]
+        e = GroupElem.from_row(AmbientGroup(ds), row, rng.choice([1, 1, 2, 6, 35, 10**12]))
+        levels = [quad_scalar_str(Fraction(a, e.den), Fraction(b, e.den), d)
+                  for a, b, d in zip(e.row[::2], e.row[1::2], ds)]
+        want = levels[0] if len(levels) == 1 else "(" + ", ".join(levels) + ")"
+        assert str(e) == want
+        for a, b in zip(e.row[::2], e.row[1::2]):
+            seen.add(("a" if a else "") + ("b" if b else "") + ("-" if b < 0 else ""))
+        seen.add(f"levels {len(ds)}")
+        seen.add("den > 1" if e.den > 1 else "den 1")
+    assert seen == {"", "a", "b", "b-", "ab", "ab-", "levels 1", "levels 2", "levels 3",
+                    "den 1", "den > 1"}
 
 
 @pytest.mark.parametrize("den", [0, -1, 2.0, True], ids=repr)

@@ -129,7 +129,9 @@ def test_checks_past_the_schema_name_their_path():
     cases = [
         ({**_MONOMIAL, "ambient": {"levels": [{"d": 3.0}]}}, "place at $.ambient.levels: radicand"),
         ({**_MONOMIAL, "arity": 2}, "place at $.weights: need one weight per variable"),
-        ({**_MONOMIAL, "weights": [[]]}, "place at $.weights[0]: coordinate count"),
+        # the row width is MonomialPlace's check, so the path is its argument's
+        ({**_MONOMIAL, "weights": [[]]},
+         "place at $.weights: row 0 has 0 coordinates, not 2 (two per level)"),
         ({**_MONOMIAL, "base": {"p": 4}}, "place at $.base: "),
     ]
     deep = _MONOMIAL

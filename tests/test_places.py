@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,15 @@ from placeforge import (
 )
 from placeforge import lattice
 from placeforge._kernels import term_mins
-from placeforge.ordgroup import GroupElem, align_rows, combination_sign, row_sign, sqrt_convergents
+from placeforge.approx import signature
+from placeforge.ordgroup import (
+    GroupElem,
+    _add_combination,
+    align_rows,
+    combine,
+    row_sign,
+    sqrt_convergents,
+)
 from placeforge.places import (
     MAX_AXIOM_SAMPLE,
     MAX_TOWER_DEPTH,
@@ -455,6 +464,79 @@ def test_monomial_place_refuses_a_denominator_below_one(den):
         MonomialPlace(QQ, 2, AMB, [(1, 0), (0, 1)], den)
 
 
+def weights_json(rows):
+    """The place-schema weights of integer rows over denominator 1."""
+    return [[{"a": str(a), "b": str(b)} for a, b in zip(r[::2], r[1::2])] for r in rows]
+
+
+@pytest.mark.parametrize("ds, rows, reason", [
+    # two levels' worth of coordinates on a one-level group: this place was
+    # accepted and classified as rank 2, above its one level, and its
+    # residue(x2) raised AssertionError
+    ((2,), [(1, 0, 0, 0), (0, 0, 1, 0)], "row 0 has 4 coordinates, not 2"),
+    ((2,), [(1, 0), (0, 1, 0, 0)], "row 1 has 4 coordinates, not 2"),
+    ((2, 3), [(1, 0)], "row 0 has 2 coordinates, not 4"),
+    ((2, 3), [(1, 0, 0, 0), (0, 0, 1, 0), (1, 1)], "row 2 has 2 coordinates, not 4"),
+])
+def test_rows_of_the_wrong_width_are_refused(ds, rows, reason):
+    """A weight row takes two coordinates per level.  Subgroup.from_rows
+    checks that, so MonomialPlace refuses an over-wide or under-wide row
+    with one ValueError line naming the row, and place_from_json adds the
+    path of the weights."""
+    ambient = AmbientGroup(ds)
+    message = re.escape(reason) + r" \(two per level\)$"
+    with pytest.raises(ValueError, match="^" + message):
+        Subgroup.from_rows(ambient, rows)
+    with pytest.raises(ValueError, match="^" + message):
+        MonomialPlace(QQ, len(rows), ambient, rows)
+    obj = {"kind": "monomial", "base": "Q", "arity": len(rows), "ambient": ambient.to_json(),
+           "weights": weights_json(rows)}
+    with pytest.raises(ValueError, match=r"^place at \$\.weights: " + message):
+        place_from_json(obj)
+    # an odd width, which no JSON weight can spell
+    with pytest.raises(ValueError, match=r"^row 0 has 1 coordinates, not 2 \(two per level\)$"):
+        MonomialPlace(QQ, 1, AMB, [(1,)])
+
+
+def test_a_list_of_radicands_builds_the_tuple_group():
+    """AmbientGroup stores its radicands as a tuple: built from a list, it
+    equals and hashes as the group built from the tuple, elements of the two
+    combine, and towers compose across them.  Before, it was unhashable and
+    unequal, and compose raised TypeError concatenating a list and a tuple."""
+    listed, tupled = AmbientGroup([2]), AmbientGroup((2,))
+    assert listed == tupled and hash(listed) == hash(tupled) and listed.ds == (2,)
+    x, y = GroupElem.from_row(listed, (1, 0)), GroupElem.from_row(tupled, (0, 1))
+    assert combine([x, y], [1, 1], tupled) == GroupElem.from_row(tupled, (1, 1))
+    for inner_ds, outer_ds in (([2], (3,)), ((2,), [3]), ([2], [3])):
+        inner = MonomialPlace(QQ, 2, AmbientGroup(inner_ds), [(1, 0), (0, 0)])
+        outer = MonomialPlace(QQ, 1, AmbientGroup(outer_ds), [(0, 1)])
+        tower = compose(inner, outer)
+        assert tower.ambient == AmbientGroup((2, 3))
+        assert tower.value_row(q2("x2")) == [0, 0, 0, 1]
+        assert str(tower.value(q2("x1 + x2"))) == "(0, 1*sqrt(3))"
+
+
+def test_a_wrong_type_is_one_type_error_line():
+    """Each entry point that takes an element checks it in one place,
+    `_validate_match`, before reading it; CompositePlace checks both of its
+    parts.  A wrong type is one TypeError line, where `p.value("x1")` and
+    `compose(p, None)` raised AttributeError from inside."""
+    tower = compose(P_10, gauss_place(1))
+    for place in (P_SQRT, tower):
+        for call in (place.value, place.residue, place.value_row, place.sign_and_initial_form,
+                     lambda f: signature(place, [f])):
+            for bad in ("x1", None, q2("x1").num, 3):
+                with pytest.raises(TypeError) as info:
+                    call(bad)
+                assert str(info.value) == f"expected a RatFunc, got {type(bad).__name__}"
+    for inner, outer, names in ((P_10, None, "MonomialPlace and NoneType"),
+                                (None, P_10, "NoneType and MonomialPlace"),
+                                (P_10.to_json(), tower, "dict and CompositePlace")):
+        with pytest.raises(TypeError) as info:
+            compose(inner, outer)
+        assert str(info.value) == f"inner and outer must be places, got {names}"
+
+
 def test_invariants_of_a_48_by_48_place_match_fraction_elimination(hnf_calls):
     """Arity 48 and 48 levels (weights in +-9, radicand 2), eight variables
     valued in the span of the others: rr, dim and rank against the
@@ -874,8 +956,8 @@ def test_integer_signs_match_group_values():
     assert count == 2 * 3 * 8
     assert monomial_seen == seen == {-1, 0, 1}
 
-    # row_sign and combination_sign on integer qvec rows, against the oracle's
-    # sign of the same value, summed by the oracle's arithmetic
+    # row_sign of integer qvec rows and of their combinations, against the
+    # oracle's sign of the same value, summed by the oracle's arithmetic
     def row_elem(ambient, row):
         return GroupElem.from_row(ambient, row)
 
@@ -922,9 +1004,15 @@ def test_integer_signs_match_group_values():
     assert row_seen == combo_seen == {-1, 0, 1}
 
 
+def combination_sign(rows, coeffs, ds):
+    """The sign of sum_k coeffs[k] * rows[k] as order_embedding_check takes
+    it: `row_sign` of the summed row."""
+    return row_sign(_add_combination((0,) * (2 * len(ds)), coeffs, rows), ds)
+
+
 def test_monomial_sign_matches_the_combination_sign_form():
     """monomial_sign reads the level columns of the flat place; its
-    previous form summed the weight rows by `combination_sign`.  On seeded
+    previous form signed the sum of the weight rows.  On seeded
     places and towers of 1-3 levels per place, the two agree on random
     vectors, on kernel vectors (which tie on every level), on vectors that
     tie on the first level only, and on exponent differences of terms."""

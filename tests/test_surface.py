@@ -149,10 +149,17 @@ def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
     """A fresh interpreter importing the package, `approx` and the CLI
     module loads neither `dataclasses` nor `inspect`, which with `ast`,
     `dis` and `tokenize` cost a cold job about 30 ms; a module joining the
-    import path needs a measurement first."""
-    code = ("import sys, placeforge, placeforge.approx, placeforge.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    import path needs a measurement first.  Without the CLI, whose
+    `jsonschema` loads `fractions`, neither `fractions` nor its `decimal`
+    is loaded either: group values are integer rows, and only
+    `GroupElem.coords` builds Fractions, importing them when called."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    for modules, unwanted in (("placeforge, placeforge.approx, placeforge.cli",
+                               {"dataclasses", "inspect"}),
+                              ("placeforge, placeforge.approx",
+                               {"dataclasses", "inspect", "fractions", "decimal"})):
+        code = (f"import sys, {modules}; "
+                f"print(sorted(set(sys.modules).intersection({sorted(unwanted)})))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]", modules
