@@ -21,6 +21,7 @@ from .ordgroup import (
     EmbeddingVerdict,
     GroupElem,
     Record,
+    check_type,
     order_embedding_check,
     row_sign,
     sqrt_convergents,
@@ -250,6 +251,7 @@ def perturb_weights(sig: SignSignature, place: Place, shape: TargetShape) -> Per
     conditions are open, so refining the convergents and the level decay
     must eventually satisfy them all.
     """
+    check_type(sig, SignSignature), check_type(place, Place), check_type(shape, TargetShape)
     if shape.klass == "composite_drop":
         raise ValueError("composite_drop is handled by the tower construction")
     n = place.arity
@@ -468,13 +470,13 @@ def goodify(place: Place, elems, shape: TargetShape) -> GoodifyResult:
     preserved through an embedding into a composite tower whose outer place
     is chosen by deterministic enumeration.
     """
-    return _goodify(place, elems, shape, None)
+    check_type(place, Place), check_type(shape, TargetShape)
+    return _goodify(place, [_validate_match(place, f) for f in elems], shape, None)
 
 
 def _goodify(place: Place, elems, shape: TargetShape, rows):
     """goodify, given the value rows of the nonzero elements under `place`
     in order (None: computed here, on the paths that read them)."""
-    elems = list(elems)
     nonzero = [f for f in elems if not f.is_zero()]
 
     if shape.mode == "preserve_both":
@@ -584,8 +586,9 @@ def density_witness(place: Place, finite_on, vanishing_on, shape: TargetShape) -
     goodify's checks, whose `sign_p` is each nonzero element's value sign
     on the result place, in order; a zero element lies in every basic open set.
     """
-    finite_on = list(finite_on)
-    vanishing_on = list(vanishing_on)
+    check_type(place, Place), check_type(shape, TargetShape)
+    finite_on, vanishing_on = ([_validate_match(place, f) for f in elems]
+                               for elems in (finite_on, vanishing_on))
     ds = place.ambient.ds
     rows = []
     for elems, refused in ((finite_on, (-1,)), (vanishing_on, (-1, 0))):

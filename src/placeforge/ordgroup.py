@@ -81,6 +81,13 @@ def check_radicand(d: int):
         raise ValueError(f"radicand must be squarefree and >= 2, got {d}")
 
 
+def check_type(value, kind):
+    """`value` if it is an instance of `kind`, else one TypeError line."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def quad_sign_int(a: int, b: int, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for integers a, b and nonsquare d >= 2."""
     if b == 0:
@@ -180,7 +187,7 @@ class GroupElem(Record):
     @classmethod
     def from_row(cls, ambient: AmbientGroup, row, den: int = 1) -> "GroupElem":
         """The element row / den for an integer row and a positive den."""
-        if len(row) != 2 * len(ambient.ds):
+        if len(row) != 2 * len(check_type(ambient, AmbientGroup).ds):
             raise ValueError("coordinate count must match level count")
         if type(den) is not int or den < 1:  # a bool is not one
             raise ValueError(f"denominator must be a positive int, got {den!r:.40}")
@@ -264,13 +271,13 @@ class Subgroup(Record):
     def from_rows(cls, ambient: AmbientGroup, rows, den: int = 1) -> "Subgroup":
         if type(den) is not int or den < 1:
             raise ValueError(f"denominator must be a positive int, got {den!r:.40}")
-        width = 2 * len(ambient.ds)
+        width = 2 * len(check_type(ambient, AmbientGroup).ds)
         for i, r in enumerate(rows):
             if len(r) != width:
                 raise ValueError(f"row {i} has {len(r)} coordinates, not {width} (two per level)")
-        g = gcd(den, *(x for r in rows for x in r))
+        g = gcd(den, *(x for r in rows for x in r))  # and a TypeError for a non-int entry
         s = cls.__new__(cls)
-        rows = tuple(tuple(x // g for x in r) for r in rows)
+        rows = tuple(tuple(x // g for x in r) if g > 1 else tuple(r) for r in rows)
         f = s.__dict__
         f["ambient"], f["rows"], f["den"] = ambient, rows, den // g
         return s
@@ -285,7 +292,7 @@ class Subgroup(Record):
 def rational_rank(s: Subgroup) -> int:
     """Dimension of the rational span of the generators: the rank of their
     integer rows, the length of their rank profile (no HNF)."""
-    return len(s.rank_profile)
+    return len(check_type(s, Subgroup).rank_profile)
 
 
 def convex_rank(s: Subgroup) -> int:
@@ -299,7 +306,7 @@ def convex_rank(s: Subgroup) -> int:
     column: one rank profile (fraction-free elimination, no HNF) decides
     every level.
     """
-    return len({c // 2 for c in s.rank_profile})
+    return len({c // 2 for c in check_type(s, Subgroup).rank_profile})
 
 
 class EmbeddingVerdict(Record):
@@ -320,8 +327,8 @@ def _common_rows(elems):
     of their common ambient group."""
     if not elems:
         return [], ()
-    ambient = elems[0].ambient
-    if any(e.ambient != ambient for e in elems):
+    ambient = check_type(elems[0], GroupElem).ambient
+    if any(check_type(e, GroupElem).ambient != ambient for e in elems):
         raise ValueError("generator outside the ambient group")
     return align_rows((e.row, e.den) for e in elems)[0], ambient.ds
 

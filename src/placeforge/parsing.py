@@ -19,7 +19,7 @@ import re
 from functools import lru_cache
 from math import gcd
 
-from .ordgroup import MAX_LITERAL_DIGITS
+from .ordgroup import MAX_LITERAL_DIGITS, check_type
 from .ratfunc import EXP_LIMIT, MAX_TERM_PAIRS, BaseField, RatFunc, monic
 
 # Over Q, c^k has about |k| * log2|c| bits.  A "^" is refused when |k| times
@@ -347,9 +347,9 @@ def _format_terms(items, lead, names) -> str:
 
 def format_ratfunc(f: RatFunc, names=None) -> str:
     """f in the monic form, printed straight from its int coefficients."""
+    den = sorted(check_type(f, RatFunc).den.terms.items(), reverse=True)
     if names is None:
         names = default_names(f.arity)
-    den = sorted(f.den.terms.items(), reverse=True)
     top, lead = den[0]
     num = _format_terms(sorted(f.num.terms.items(), reverse=True), lead, names) or "0"
     if len(den) == 1 and not any(top):

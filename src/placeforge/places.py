@@ -26,6 +26,7 @@ from .ordgroup import (
     Subgroup,
     _add_combination,
     align_rows,
+    check_type,
     combine,
     convex_rank,
     quad_sign_int,
@@ -58,21 +59,21 @@ def sign_char(s) -> str:
     return "inf" if s is INFINITY else "-0+"[s + 1]
 
 
-# Deepest nesting of composite places: place_from_json refuses a deeper one
-# as it descends, and CompositePlace refuses to compose one, so no command
-# prints a place that it would refuse as input.  Decoding and classifying
-# build no flat place, kernel basis or HNF (every level's dim and ranks come
-# from rank profiles): a chain of trivial arity-1 places nested on its inner
-# side classifies in about 3 ms at depth 32 and 16 ms at depth 64.  Once a
-# tower's flat place is built, a value takes two term_mins passes and a
-# residue four (the inner value's sign, then the flat minimal terms, which
-# are rewritten once) at every depth.  Building the flat place walks every
-# level below, as each level's effective weights take the inner section and
-# inner residue of every variable's unit, so the first value and residue
-# cost time superlinear in the depth: on that chain over a 10-variable,
-# 5-level base, decoding plus the value and residue of x1 + x2 take about
-# 0.08 s at depth 32, 0.16 s at 48 and 0.26 s at 64, in process on a 2-core
-# x86 machine.
+# Deepest nesting of composite places: place_from_json refuses a deeper one as
+# it descends, and CompositePlace refuses to compose one, so no command prints
+# a place that it would refuse as input.  Decoding and classifying build no
+# flat place, kernel basis or HNF (a tower adds up its monomial places'
+# ranks): a chain of trivial arity-1 places nested on its inner side decodes
+# and classifies in about 0.6 ms at depth 32 and 1.3 ms at 64, on the machine
+# named below.  Once a tower's flat place is built, a value takes two term_mins
+# passes and a residue four (the inner value's sign, then the flat minimal
+# terms, which are rewritten once) at every depth.  Building the flat place
+# walks every level below, as each level's effective weights take the inner
+# section and inner residue of every variable's unit, so the first value and
+# residue cost time superlinear in the depth: on that chain over a
+# 10-variable, 5-level base, decoding plus the value and residue of x1 + x2
+# take about 0.08 s at depth 32, 0.16 s at 48 and 0.26 s at 64, in process on
+# a 2-core x86 machine.
 MAX_TOWER_DEPTH = 32
 
 # Largest sample check_spv_axioms accepts.  The axioms are checked on every
@@ -121,26 +122,18 @@ class PlaceInvariants(Record):
         f["maximal_rank"] = maximal_rank
 
     def to_json(self):
-        return {
-            "dim": self.dim,
-            "rr": self.rr,
-            "rank": self.rank,
-            "flags": {
-                "abhyankar": self.abhyankar,
-                "discrete": self.discrete,
-                "rational": self.rational,
-                "prime_divisor": self.prime_divisor,
-                "maximal_rank": self.maximal_rank,
-            },
-        }
+        flags = {k: getattr(self, k) for k in self._fields[3:]}
+        return {"dim": self.dim, "rr": self.rr, "rank": self.rank, "flags": flags}
 
 
-def _validate_match(place: "Place", f: RatFunc):
+def _validate_match(place: "Place", f: RatFunc) -> RatFunc:
+    """f, once it is a RatFunc of the place's function field."""
     if not isinstance(f, RatFunc):
         raise TypeError(f"expected a RatFunc, got {type(f).__name__}")
     field = f.field
     if (field is not place.field and field != place.field) or f.arity != place.arity:
         raise ValueError("element does not live in the place's function field")
+    return f
 
 
 def _difference_row(hi, lo):
@@ -155,7 +148,7 @@ class Place:
     values, initial forms, residues and the kernel lattice all come from
     it.  Each subclass defines `flat_place`, `value`, `residue`,
     `_raw_section`, `residue_desc`, `residue_dim` (the transcendence degree
-    of the residue field, from ranks alone), `value_group` and `to_json`.
+    of the residue field, from ranks alone), `_ranks` and `to_json`.
     A value's sign is `row_sign` of its `value_row`, or comes with the
     initial form from `sign_and_initial_form`.
     """
@@ -216,33 +209,24 @@ class Place:
         return row_sign(_difference_row(hi, lo), flat.ambient.ds), (num_mins, den_mins)
 
     def invariants(self) -> PlaceInvariants:
-        """dim, rr and rank from one rank profile of the value group's
-        integer rows: rr is its length, rank the number of levels that hold
-        a pivot column, and dim = n - rr.  No kernel, no HNF and, for a
-        tower, no flat place is built.
+        """dim, rr and rank from the rank profiles of the monomial places a
+        tower is built from (`_ranks`): rr is the rational rank of the value
+        group, rank its convex rank, and dim = n - rr.  No kernel, no HNF
+        and, for a tower, no flat place or joint value group is built.
 
         dim = n - rr is Abhyankar's equality.  For a monomial place the
         residue field is generated by the kernel lattice of the weight
         rows, of rank n - rr.  For a tower P∘Q the residue field is Q's
-        and the value group's rows are P's and Q's in block form, so
-        rr = rr_P + rr_Q; by induction dim_Q = arity_Q - rr_Q with
+        and the value group is the lexicographic extension of Q's by P's,
+        so rr = rr_P + rr_Q; by induction dim_Q = arity_Q - rr_Q with
         arity_Q = dim_P = n - rr_P, so dim = n - rr again, for every tower
         built on monomial places."""
         n = self.arity
-        group = self.value_group()
-        rr = rational_rank(group)
-        rank = convex_rank(group)
+        rr, rank = self._ranks()
         dim = n - rr
-        return PlaceInvariants(
-            dim=dim,
-            rr=rr,
-            rank=rank,
-            abhyankar=(dim + rr == n),
-            discrete=(rr == 1),
-            rational=(dim == 0),
-            prime_divisor=(dim == n - 1),
-            maximal_rank=(rank == n),
-        )
+        return PlaceInvariants(dim, rr, rank, abhyankar=(dim + rr == n), discrete=(rr == 1),
+                               rational=(dim == 0), prime_divisor=(dim == n - 1),
+                               maximal_rank=(rank == n))
 
 
 class MonomialPlace(Place):
@@ -255,19 +239,20 @@ class MonomialPlace(Place):
         matrix over one denominator.  Sections and the kernel read the
         rows; per level, the (a, b) column pair is the form term_mins
         takes, and `_den` turns its minima into group values."""
+        if type(arity) is not int:  # a bool is not one
+            raise TypeError(f"arity must be an int, got {type(arity).__name__}")
+        self.field = check_type(field, BaseField)
         group = Subgroup.from_rows(ambient, rows, den)
         if len(group.rows) != arity:
             raise ValueError("need one weight per variable")
-        self.field = field
         self.arity = arity
         self.ambient = ambient
         self._group = group
         self._den = group.den
         self._rows = rows = group.rows
-        self._levels = tuple(
-            (tuple(r[2 * lv] for r in rows), tuple(r[2 * lv + 1] for r in rows), d)
-            for lv, d in enumerate(ambient.ds)
-        )
+        cols = list(zip(*rows)) or [()] * (2 * len(ambient.ds))  # (a, b) per level
+        self._levels = tuple((cols[2 * lv], cols[2 * lv + 1], d)
+                             for lv, d in enumerate(ambient.ds))
 
     @cached_property
     def weights(self):
@@ -315,25 +300,26 @@ class MonomialPlace(Place):
                 return s
         return 0
 
-    def _minima(self, f: RatFunc):
-        """The minimal term values (hi, lo) of the nonzero f's numerator and
-        denominator: per level the integer (a, b) numerators over `_den`."""
-        return tuple(term_mins(list(p.terms), self._levels)[1] for p in (f.num, f.den))
-
     def value_row(self, f: RatFunc):
         """v(f) for nonzero f as an integer row over `_den`: the difference
-        of the minima of numerator and denominator."""
+        of the minimal term values of numerator and denominator, per level
+        the integer (a, b) numerators that term_mins finds."""
         _validate_match(self, f)
         if f.is_zero():
             raise ValueError("the zero function has no value row")
-        return _difference_row(*self._minima(f))
+        levels = self._levels
+        return _difference_row(term_mins(list(f.num.terms), levels)[1],
+                               term_mins(list(f.den.terms), levels)[1])
 
     def value(self, f: RatFunc):
         """v(f): its integer row over `_den`, as a group element."""
         _validate_match(self, f)
         if f.is_zero():
             return INFINITY
-        return GroupElem.from_row(self.ambient, _difference_row(*self._minima(f)), self._den)
+        levels = self._levels
+        row = _difference_row(term_mins(list(f.num.terms), levels)[1],
+                              term_mins(list(f.den.terms), levels)[1])
+        return GroupElem.from_row(self.ambient, row, self._den)
 
     def _raw_section(self, row, den: int):
         """The HNF-coordinate section of the value row / den, for an integer
@@ -378,22 +364,25 @@ class MonomialPlace(Place):
         k = len(basis)
         if f.is_zero():
             return RatFunc.zero(self.field, k)
-        _, num_mins, num_best = self._min_data(f.num)
-        den_canon, den_mins, den_best = self._min_data(f.den)
-        s = row_sign(_difference_row(num_best, den_best), self.ambient.ds)
+        num, den, levels = f.num.terms, f.den.terms, self._levels
+        num_exps, den_exps = list(num), list(den)
+        num_args, hi = term_mins(num_exps, levels)
+        den_args, lo = term_mins(den_exps, levels)
+        s = row_sign(_difference_row(hi, lo), self.ambient.ds)
         if s > 0:
             return RatFunc.zero(self.field, k)
         if s < 0:
             return INFINITY
+        den_canon = min(den_exps[i] for i in den_args)
         sides = []
         shift = [0] * k
-        for mins in (num_mins, den_mins):
+        for coeffs, exps, args in ((num, num_exps, num_args), (den, den_exps, den_args)):
             terms = {}
-            for e, c in mins.items():
+            for e in map(exps.__getitem__, args):
                 coords = lattice.express_int(basis, [x - y for x, y in zip(e, den_canon)])
                 if coords is None:
                     raise AssertionError("surviving monomial outside the kernel lattice")
-                terms[tuple(coords)] = c
+                terms[tuple(coords)] = coeffs[e]
                 for j in range(k):
                     if coords[j] < shift[j]:
                         shift[j] = coords[j]
@@ -402,17 +391,13 @@ class MonomialPlace(Place):
                                               for e, c in terms.items()}) for terms in sides)
         return RatFunc.make(num, den)
 
-    def value_group(self) -> Subgroup:
-        return self._group
+    def _ranks(self):
+        """(rational rank, convex rank) of the weights, from one cached rank profile."""
+        return rational_rank(self._group), convex_rank(self._group)
 
     def to_json(self):
-        return {
-            "kind": "monomial",
-            "base": self.field.to_json(),
-            "arity": self.arity,
-            "ambient": self.ambient.to_json(),
-            "weights": [w.to_json() for w in self.weights],
-        }
+        return {"kind": "monomial", "base": self.field.to_json(), "arity": self.arity,
+                "ambient": self.ambient.to_json(), "weights": [w.to_json() for w in self.weights]}
 
     def __repr__(self):
         ws = ", ".join(str(w) for w in self.weights)
@@ -531,21 +516,14 @@ class CompositePlace(Place):
         return ResidueFieldDesc(tuple(_add_combination(zero, m, igens)
                                       for m in self.outer.residue_desc().gens))
 
-    def value_group(self) -> Subgroup:
-        inner, outer = self.inner.value_group(), self.outer.value_group()
-        # Inner rows are padded with outer zeros on the right, outer ones
-        # with inner zeros on the left, over the common denominator.
-        zi, zo = (0,) * (2 * inner.ambient.num_levels), (0,) * (2 * outer.ambient.num_levels)
-        rows, den = align_rows([(r + zo, inner.den) for r in inner.rows]
-                               + [(zi + r, outer.den) for r in outer.rows])
-        return Subgroup.from_rows(self.ambient, rows, den)
+    def _ranks(self):
+        """The value group extends the outer one by the inner one: in block form its
+        pivot columns are the inner ones and the shifted outer ones, so both ranks add up."""
+        (rr_in, rank_in), (rr_out, rank_out) = self.inner._ranks(), self.outer._ranks()
+        return rr_in + rr_out, rank_in + rank_out
 
     def to_json(self):
-        return {
-            "kind": "composite",
-            "inner": self.inner.to_json(),
-            "outer": self.outer.to_json(),
-        }
+        return {"kind": "composite", "inner": self.inner.to_json(), "outer": self.outer.to_json()}
 
     def __repr__(self):
         return f"CompositePlace({self.inner!r}, {self.outer!r})"
@@ -559,7 +537,8 @@ def compose(inner: Place, outer: Place) -> CompositePlace:
 def place_from_json(obj) -> Place:
     """The place a place object spells, checked in one walk as place.schema.json
     checks it and past it (no bool or float ints, squarefree radicands, matching
-    counts, MAX_TOWER_DEPTH); a refusal is one ValueError line naming the path."""
+    counts, MAX_TOWER_DEPTH); a refusal is one ValueError line naming the path,
+    a tuple of keys that the checks extend by `at` only when they refuse."""
     return _walk(obj, (), 0)
 
 
@@ -570,30 +549,30 @@ def _refusal(path, reason, schema=True) -> ValueError:
                       if schema else f"place at {where}: {reason}")
 
 
-def _built(path, make, *args):
-    """make(*args), whose ValueError is refused at `path`."""
+def _built(make, args, path, at=()):
+    """make(*args), whose ValueError is refused at `path` + `at`."""
     try:
         return make(*args)
     except ValueError as exc:
-        raise _refusal(path, exc, False) from None
+        raise _refusal(path + at, exc, False) from None
 
 
-def _typed(value, kind, path):
+def _typed(value, kind, path, at=()):
     if type(value) is not kind:
-        raise _refusal(path, f"expected {kind.__name__}, got {type(value).__name__}")
+        raise _refusal(path + at, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def _fields(obj, keys, path):
+def _fields(obj, keys, path, at=()):
     """The values of `keys` in `obj`, an object with exactly these keys (one key: its value)."""
     if type(obj) is dict and len(obj) == len(keys):
         try:
             return itemgetter(*keys)(obj)
         except KeyError:
             pass
-    missing = [k for k in keys if k not in _typed(obj, dict, path)]
+    missing = [k for k in keys if k not in _typed(obj, dict, path, at)]
     extra = [k for k in obj if k not in keys]
-    raise _refusal(path, f"{missing[0]!r} is a required property" if missing else
+    raise _refusal(path + at, f"{missing[0]!r} is a required property" if missing else
                    f"Additional properties are not allowed ({extra[0]!r:.40} was unexpected)")
 
 
@@ -611,7 +590,7 @@ def _walk(obj, path, depth) -> Place:
     _, inner, outer = _fields(obj, ("kind", "inner", "outer"), path)
     inner = _walk(inner, path + ("inner",), depth + 1)
     outer = _walk(outer, path + ("outer",), depth + 1)
-    return _built(path, CompositePlace, inner, outer)
+    return _built(CompositePlace, (inner, outer), path)
 
 
 def _monomial(obj, path) -> MonomialPlace:
@@ -619,27 +598,34 @@ def _monomial(obj, path) -> MonomialPlace:
         obj, ("kind", "base", "arity", "ambient", "weights"), path)
     if base != "Q" and (type(base) is not dict or base.keys() != {"p"}):
         raise _refusal(path + ("base",), f'expected "Q" or {{"p": p}}, got {base!r:.40}')
-    field = _built(path + ("base",), BaseField.from_json, base)
+    field = _built(BaseField.from_json, (base,), path, ("base",))
     if type(arity) is not int or arity < 0:  # not a bool, nor jsonschema's 1.0
         raise _refusal(path + ("arity",), f"arity must be an int >= 0, got {arity!r:.40}", False)
-    at = path + ("ambient", "levels")
-    levels = _typed(_fields(ambient, ("levels",), path + ("ambient",)), list, at)
-    ds = tuple(_fields(lv, ("d",), at + (i,)) for i, lv in enumerate(levels))
-    ambient = _built(at, AmbientGroup, ds)
+    at = ("ambient", "levels")
+    levels = _typed(_fields(ambient, ("levels",), path, ("ambient",)), list, path, at)
+    ds = tuple(lv["d"] if type(lv) is dict and len(lv) == 1 and "d" in lv
+               else _fields(lv, ("d",), path, at + (i,)) for i, lv in enumerate(levels))
+    ambient = _built(AmbientGroup, (ds,), path, at)
     values = []
-    for i, w in enumerate(_typed(weights, list, path + ("weights",))):
-        at = path + ("weights", i)
-        texts = [x for j, c in enumerate(_typed(w, list, at))
-                 for x in _fields(c, ("a", "b"), at + (j,))]
+    for i, w in enumerate(_typed(weights, list, path, ("weights",))):
         row = []
         try:
-            for x in texts:
-                row.append(rat_from_str(x))
-        except ValueError as exc:  # at the literal after the last one read
-            raise _refusal(at + (len(row) // 2, "ab"[len(row) % 2]), exc) from None
+            if type(w) is not list:
+                raise TypeError
+            for c in w:
+                if type(c) is not dict or len(c) != 2:
+                    raise TypeError
+                row.append(rat_from_str(c["a"]))
+                row.append(rat_from_str(c["b"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            # the first misfit of the weight's form, else the literal after the last one read
+            at = ("weights", i)
+            for j, c in enumerate(_typed(w, list, path, at)):
+                _fields(c, ("a", "b"), path, at + (j,))
+            raise _refusal(path + at + (len(row) // 2, "ab"[len(row) % 2]), exc) from None
         values.append(row)
     rows, den = lattice.clear_denominators(values)
-    return _built(path + ("weights",), MonomialPlace, field, arity, ambient, rows, den)
+    return _built(MonomialPlace, (field, arity, ambient, rows, den), path, ("weights",))
 
 
 class SpvReport(Record):
@@ -652,11 +638,7 @@ class SpvReport(Record):
     def to_json(self):
         if self.passed:
             return {"result": "pass"}
-        return {
-            "result": "fail",
-            "axiom": self.axiom,
-            "witness": [str(w) for w in self.witness],
-        }
+        return {"result": "fail", "axiom": self.axiom, "witness": [str(w) for w in self.witness]}
 
 
 def check_spv_axioms(place: Place, sample, divides=None) -> SpvReport:
@@ -671,7 +653,8 @@ def check_spv_axioms(place: Place, sample, divides=None) -> SpvReport:
     rows, computed once per element, product and sum, so v(x*z) and v(y+z)
     still come from the products and sums themselves.
     """
-    sample = list(sample)
+    check_type(place, Place)
+    sample = [_validate_match(place, f) for f in sample]
     if len(sample) > MAX_AXIOM_SAMPLE:
         raise ValueError(f"check-axioms sample has {len(sample)} elements, more than "
                          f"MAX_AXIOM_SAMPLE = {MAX_AXIOM_SAMPLE}")

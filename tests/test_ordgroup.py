@@ -282,6 +282,24 @@ def test_subgroup_rows_are_in_lowest_terms():
     assert Subgroup.from_rows(AMB, []).rows == ()
 
 
+def test_subgroup_rows_given_as_lists_become_tuples():
+    """Rows given as lists are stored as tuples, whether the gcd divides
+    them out (above 1) or leaves them as they are (1)."""
+    reduced = Subgroup.from_rows(AMB2, [[6, 0, 0, 4], [12, 0, 0, 0]], 12)
+    assert (reduced.rows, reduced.den) == (((3, 0, 0, 2), (6, 0, 0, 0)), 6)
+    rows = [[1, 0, 0, 4], [12, 0, 0, 0]]
+    kept = Subgroup.from_rows(AMB2, rows, 12)
+    assert (kept.rows, kept.den) == (((1, 0, 0, 4), (12, 0, 0, 0)), 12)
+    for s in (reduced, kept):
+        assert all(type(r) is tuple for r in s.rows)
+        assert s == Subgroup.from_rows(AMB2, s.rows, s.den)
+        assert hash(s) == hash(Subgroup.from_rows(AMB2, s.rows, s.den))
+    rows[0][0] = 5  # the subgroup holds no list of the caller's
+    assert kept.rows[0] == (1, 0, 0, 4)
+    with pytest.raises(TypeError):
+        Subgroup.from_rows(AMB, [[1.5, 0]])
+
+
 class TestOrderEmbedding:
     def test_doubling(self):
         v = order_embedding_check([elem(AMB, 1)], [elem(AMB, 2)], [(1,)])
@@ -464,7 +482,7 @@ def decoded_rows(amb, objs):
     from the JSON elements `objs`, as the weights of a monomial place."""
     place = place_from_json({"kind": "monomial", "base": "Q", "arity": len(objs),
                              "ambient": amb.to_json(), "weights": objs})
-    return list(place.value_group().rows), place.value_group().den
+    return align_rows((w.row, w.den) for w in place.weights)
 
 
 def test_json_round_trip_bit_exact():

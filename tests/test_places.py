@@ -274,11 +274,32 @@ class TestInvariants:
             assert inv.dim + inv.rr == n
 
 
+def block_value_group(place) -> Subgroup:
+    """The value group of a place as one subgroup, as `invariants` once
+    built it: a monomial place's weight rows, or a tower's inner rows padded
+    with outer zeros on the right and its outer rows with inner zeros on
+    the left, aligned over one denominator."""
+    if not isinstance(place, CompositePlace):
+        return Subgroup.from_rows(place.ambient, *align_rows((w.row, w.den) for w in place.weights))
+    inner, outer = block_value_group(place.inner), block_value_group(place.outer)
+    zi, zo = (0,) * (2 * inner.ambient.num_levels), (0,) * (2 * outer.ambient.num_levels)
+    rows, den = align_rows([(r + zo, inner.den) for r in inner.rows]
+                           + [(zi + r, outer.den) for r in outer.rows])
+    return Subgroup.from_rows(place.ambient, rows, den)
+
+
+def block_invariants(place):
+    """(rr, rank) from one rank profile of the block rows: the deleted
+    joint-value-group form of `invariants`, kept as a reference."""
+    profile = lattice.rank_profile(block_value_group(place).rows)
+    return len(profile), len({c // 2 for c in profile})
+
+
 def reference_invariants(place):
     """(dim, rr, rank) by fraction elimination: rr and the convex rank from
     the prefix ranks of the value group's generators, dim from the rank of
     the variables' values computed through the tower."""
-    rows = list(place.value_group().rows)
+    rows = list(block_value_group(place).rows)
     prefix = [fraction_rank([row[: 2 * i] for row in rows]) if rows else 0
               for i in range(place.ambient.num_levels + 1)]
     rank = sum(prefix[i] > prefix[i - 1] for i in range(1, len(prefix)))
@@ -306,9 +327,81 @@ def test_invariants_match_fraction_reference():
         assert inv.abhyankar == (inv.dim + inv.rr == n)
         assert inv.maximal_rank == (inv.rank == n)
         assert inv.prime_divisor == (inv.dim == n - 1)
-        # the rows a place hands its value group are in lowest terms
-        group = place.value_group()
-        assert Subgroup.from_rows(place.ambient, group.rows, group.den) == group
+        assert (inv.rr, inv.rank) == block_invariants(place)
+
+
+def test_tower_ranks_add_up_as_the_block_rows_eliminate(monkeypatch):
+    """invariants adds up the ranks of a tower's monomial places; one rank
+    profile of their rows in block form gives the same rr and rank, on
+    seeded towers of depth 1-3 nested both ways, on towers whose outer
+    place has arity 0, and on a MAX_TOWER_DEPTH chain whose every level
+    adds a rank.  No subgroup is built for a tower."""
+    rng = random.Random(34)
+    towers = []
+    for i in range(36):
+        towers.append(random_tower(rng, (QQ, F5)[i % 2], 2 + i % 4, i % 3 == 0, 1 + i % 3,
+                                   ("inner", "outer")[i // 3 % 2]))
+    for inner in (P_SQRT, P_23, gauss_place(1, SQRT2, (1, 1), field=F5)):
+        outer = MonomialPlace(inner.field, inner.residue_dim(), AmbientGroup((3,)),
+                              [(1, 0)] * inner.residue_dim())
+        towers.append(compose(inner, outer))
+        if outer.arity:
+            towers.append(compose(compose(inner, outer), MonomialPlace(inner.field, 0, AMB, [])))
+    # each level values the first residue generator by 1 or sqrt(2)
+    chain = MonomialPlace(QQ, MAX_TOWER_DEPTH + 2, AMB, [(1, 0)] + [(0, 0)] * (MAX_TOWER_DEPTH + 1))
+    for level in range(MAX_TOWER_DEPTH):
+        k = chain.residue_dim()
+        chain = compose(chain, MonomialPlace(QQ, k, AMB, [(level % 2, 1 - level % 2)]
+                                             + [(0, 0)] * (k - 1)))
+    towers.append(chain)
+    built = []
+    monkeypatch.setattr(Subgroup, "from_rows", lambda *args: built.append(args))
+    invariants = [tower.invariants() for tower in towers]
+    monkeypatch.undo()
+    assert built == []
+    for tower, inv in zip(towers, invariants):
+        assert inv.dim == tower.arity - inv.rr == tower.residue_dim()
+        assert (inv.rr, inv.rank) == block_invariants(tower), tower
+    assert (chain.depth, invariants[-1].rr) == (MAX_TOWER_DEPTH, MAX_TOWER_DEPTH + 1)
+    assert invariants[-1].rank == MAX_TOWER_DEPTH + 1
+
+
+def test_a_monomial_place_of_arity_zero():
+    """No variables: every level has empty weight columns, every constant
+    has value 0 and is its own residue, and the place round-trips."""
+    place = MonomialPlace(F5, 0, AmbientGroup((2, 3)), [])
+    assert place._levels == (((), (), 2), ((), (), 3))
+    c = RatFunc.const(F5, 0, 3)
+    assert place.value(c).row == (0, 0, 0, 0) and place.value_row(c) == [0, 0, 0, 0]
+    assert place.residue(c) == c
+    assert place.residue(RatFunc.zero(F5, 0)) == RatFunc.zero(F5, 0)
+    inv = place.invariants()
+    assert (inv.dim, inv.rr, inv.rank) == (0, 0, 0)
+    back = place_from_json(place.to_json())
+    assert back.to_json() == place.to_json() and back.residue(c) == c
+
+
+def test_residues_with_tied_minimal_terms_match_the_oracle():
+    """Elements whose numerator and denominator each tie several minimal
+    terms: on the monomial place of weights 2, 3 the residue is read in
+    u = x1^3 / x2^2, and on a tower whose outer place ties the inner
+    residue generators too it agrees with tests/oracles.tower_residue."""
+    f = q2("(x1^3 + x2^2 + x1^4)/(2*x2^2 - x1^3 + x2^3)")
+    assert P_23.kernel_lattice() == ((3, -2),)
+    assert P_23.residue(f) == parse_expr("(x1 + 1)/(2 - x1)", 1, QQ)
+    inner = MonomialPlace(QQ, 3, AMB, [(2, 0), (3, 0), (0, 0)])
+    tower = compose(inner, MonomialPlace(QQ, 2, AMB, [(1, 0), (1, 0)]))
+    texts = ["(x1^3 + x2^2 + x1^4)/(2*x2^2 - x1^3 + x2^3)",
+             "(x1^3*x3 + x2^2 + x3^2*x2^2 + x1^5)/(x2^2 + x1^3 - x3*x2^2)",
+             "(x1^3 + x2^2*x3)/(x1^3*x3 + x2^2)", "(x1^3 + x3)/(x2^2 + x3)",
+             "(x1^3 + x2^2)/(x3*x1^3 + x3*x2^2)", "(x1^6 + x2^4 + x1^3*x2^2)/x1^3"]
+    residues = set()
+    for text in texts:
+        f = parse_expr(text, 3, QQ)
+        got = tower.residue(f)
+        assert got == tower_residue(tower, f), text
+        residues.add("inf" if got is INFINITY else str(got))
+    assert len(residues) >= 4
 
 
 def tower_levels(place):
@@ -421,7 +514,7 @@ def test_invariants_take_dim_from_abhyankars_equality():
         inv = place.invariants()
         assert inv.dim == place.residue_dim() == len(place.kernel_lattice()), place
         assert inv.abhyankar and inv.dim + inv.rr == place.arity
-        assert inv.rr == fraction_rank(place.value_group().rows)
+        assert inv.rr == fraction_rank(block_value_group(place).rows)
     assert {p.invariants().dim for p in places} >= {0, 1, 2, 3}
 
 
@@ -582,7 +675,7 @@ class TestValueGroupStructure:
         # weights (1, sqrt2, 0, 0): value group <1> + <sqrt2>, kernel rank 2
         amb = AMB
         place = MonomialPlace(QQ, 4, amb, [(1, 0), (0, 1), (0, 0), (0, 0)])
-        group = place.value_group()
+        group = block_value_group(place)
         target = Subgroup.from_rows(amb, [(1, 0), (0, 1)])
         # equal subgroups: one denominator and one HNF basis of the rows
         assert group.den == target.den
