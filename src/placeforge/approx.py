@@ -414,11 +414,17 @@ def _residue_checks(old: Place, new: Place, nonzero, texts, old_signs):
     `old_signs` their value signs under `old`, each computed once per call
     by the caller (the signature holds both).  On `new` one term scan of
     each element gives both its value sign and its initial form; `old`'s
-    initial form is taken only for value 0."""
+    initial form is taken only for value 0.
+
+    The initial form, the minimal-value terms of numerator and denominator,
+    is a basis-free fingerprint of the residue: two places assign an
+    element equal residues (under the generator matching induced by their
+    kernel lattices) exactly when its initial forms under both agree."""
     checks = []
     for f, text, sq in zip(nonzero, texts, old_signs):
         sp, form = new.sign_and_initial_form(f)
-        checks.append(_check(text, sq, sp, old.initial_form(f) == form if sq == 0 else None))
+        residue_equal = old.sign_and_initial_form(f)[1] == form if sq == 0 else None
+        checks.append(_check(text, sq, sp, residue_equal))
     return checks
 
 

@@ -267,10 +267,13 @@ class _Parser:
 
 
 def check_names(names, arity: int):
-    """`names`, or x1..xn when it is None: `arity` distinct identifiers
-    [A-Za-z_][A-Za-z0-9_]*, else a ValueError."""
+    """`names`, or x1..xn when it is None: a list or tuple of `arity`
+    distinct identifiers [A-Za-z_][A-Za-z0-9_]*, else a TypeError (not a
+    list or tuple) or a ValueError."""
     if names is None:
         return default_names(arity)
+    if type(names) not in (list, tuple):
+        raise TypeError(f"names must be a list or tuple, got {type(names).__name__}")
     if len(names) != arity:
         raise ValueError("need one name per variable")
     for name in names:
@@ -301,6 +304,11 @@ def _name_index(names, arity: int):
 def parse_expr(text: str, arity: int, field: BaseField, names=None) -> RatFunc:
     """Parse an expression into a canonical rational function in the
     variables `names`, checked by `check_names`."""
+    check_type(field, BaseField)
+    if type(arity) is not int:  # a bool is not one
+        raise TypeError(f"arity must be an int, got {type(arity).__name__}")
+    if arity < 0:
+        raise ValueError(f"arity must be >= 0, got {arity}")
     index_of = _name_index(names, arity)
     tokens = _TOKEN.findall(text)
     if _STRAY.search(text) or max(map(len, tokens), default=0) > MAX_LITERAL_DIGITS:
@@ -346,10 +354,10 @@ def _format_terms(items, lead, names) -> str:
 
 
 def format_ratfunc(f: RatFunc, names=None) -> str:
-    """f in the monic form, printed straight from its int coefficients."""
+    """f in the monic form, printed straight from its int coefficients, in
+    the variables `names`, checked by `check_names`."""
     den = sorted(check_type(f, RatFunc).den.terms.items(), reverse=True)
-    if names is None:
-        names = default_names(f.arity)
+    names = check_names(names, f.arity)
     top, lead = den[0]
     num = _format_terms(sorted(f.num.terms.items(), reverse=True), lead, names) or "0"
     if len(den) == 1 and not any(top):

@@ -136,21 +136,19 @@ def _validate_match(place: "Place", f: RatFunc) -> RatFunc:
     return f
 
 
-def _difference_row(hi, lo):
-    """hi - lo for two kernel minima, as one integer row."""
-    return [x for (ha, hb), (la, lb) in zip(hi, lo) for x in (ha - la, hb - lb)]
-
-
 class Place:
     """Common surface of monomial and composite places.
 
-    Every place evaluates through one monomial place, `flat_place`: term
-    values, initial forms, residues and the kernel lattice all come from
-    it.  Each subclass defines `flat_place`, `value`, `residue`,
-    `_raw_section`, `residue_desc`, `residue_dim` (the transcendence degree
-    of the residue field, from ranks alone), `_ranks` and `to_json`.
-    A value's sign is `row_sign` of its `value_row`, or comes with the
-    initial form from `sign_and_initial_form`.
+    Every place evaluates through one monomial place, `flat_place`, whose
+    `_scan` answers each question about an element (value, value row,
+    initial form, residue) with one term scan of its numerator and one of
+    its denominator.  Each subclass defines `flat_place`, `value`,
+    `residue`, `_raw_section`, `residue_desc`, `residue_dim` (the
+    transcendence degree of the residue field, from ranks alone), `_ranks`
+    and `to_json`; `Place` holds `monomial_value`, `monomial_sign`,
+    `value_row`, `sign_and_initial_form` and `invariants`.  A value's sign
+    is `row_sign` of its `value_row`, or comes with the initial form from
+    `sign_and_initial_form`.
     """
 
     field: BaseField
@@ -172,41 +170,18 @@ class Place:
         flat place's denominator; no group element is built."""
         return self.flat_place.value_row(f)
 
-    def kernel_lattice(self):
-        """HNF basis of the integer vectors m with v(x^m) = 0."""
-        return self.flat_place._kernel
-
-    def section(self, v: GroupElem):
-        """Canonical integer vector m with v(x^m) = v.
-
-        The raw section gives one solution; it is then reduced to the
-        balanced representative modulo the kernel lattice, so equal inputs
-        always produce the same vector.
-        """
-        return lattice.reduce_mod_lattice(self._raw_section(v.row, v.den),
-                                          list(self.kernel_lattice()))
-
-    def initial_form(self, f: RatFunc):
-        """Minimal-value terms of numerator and denominator.
-
-        The pair of sub-dicts is a basis-free fingerprint of the residue:
-        two places assign an element equal residues (under the generator
-        matching induced by their kernel lattices) exactly when its initial
-        forms under both agree.
-        """
-        return self.sign_and_initial_form(f)[1]
-
     def sign_and_initial_form(self, f: RatFunc):
         """(sign of v(f), initial form) of the nonzero f from one term scan
         of its numerator and one of its denominator: the difference of their
-        minima is v(f), and their minimal terms are the initial form."""
+        minima is v(f), and their minimal terms, one sub-dict per side, are
+        the initial form."""
         _validate_match(self, f)
         if f.is_zero():
             raise ValueError("the zero function has no initial form")
         flat = self.flat_place
-        _, num_mins, hi = flat._min_data(f.num)
-        _, den_mins, lo = flat._min_data(f.den)
-        return row_sign(_difference_row(hi, lo), flat.ambient.ds), (num_mins, den_mins)
+        sides, row = flat._scan(f)
+        return row_sign(row, flat.ambient.ds), tuple(
+            {exps[i]: terms[exps[i]] for i in args} for terms, exps, args in sides)
 
     def invariants(self) -> PlaceInvariants:
         """dim, rr and rank from the rank profiles of the monomial places a
@@ -264,15 +239,6 @@ class MonomialPlace(Place):
     def flat_place(self) -> "MonomialPlace":
         return self
 
-    def _min_data(self, poly: Poly):
-        """Canonical minimizing exponent, the sub-dict of minimal terms, and
-        the minimal term value as term_mins found it: per level the integer
-        (a, b) numerators over `_den`."""
-        exps = list(poly.terms)
-        argmins, best = term_mins(exps, self._levels)
-        mins = {exps[i]: poly.terms[exps[i]] for i in argmins}
-        return min(mins), mins, best
-
     @cached_property
     def _lattice_data(self):
         """The kernel basis of the weight rows, and their HNF basis with its
@@ -300,26 +266,31 @@ class MonomialPlace(Place):
                 return s
         return 0
 
+    def _scan(self, f: RatFunc):
+        """One term_mins pass over each side of the nonzero f: per side its
+        terms, their exponents and the indices of the minimal ones, and
+        v(f) as an integer row over `_den`, the difference of the two
+        minima (per level the integer (a, b) numerators)."""
+        num, den, levels = f.num.terms, f.den.terms, self._levels
+        num_exps, den_exps = list(num), list(den)
+        num_args, hi = term_mins(num_exps, levels)
+        den_args, lo = term_mins(den_exps, levels)
+        row = [x for (ha, hb), (la, lb) in zip(hi, lo) for x in (ha - la, hb - lb)]
+        return ((num, num_exps, num_args), (den, den_exps, den_args)), row
+
     def value_row(self, f: RatFunc):
-        """v(f) for nonzero f as an integer row over `_den`: the difference
-        of the minimal term values of numerator and denominator, per level
-        the integer (a, b) numerators that term_mins finds."""
+        """v(f) for nonzero f as an integer row over `_den`."""
         _validate_match(self, f)
         if f.is_zero():
             raise ValueError("the zero function has no value row")
-        levels = self._levels
-        return _difference_row(term_mins(list(f.num.terms), levels)[1],
-                               term_mins(list(f.den.terms), levels)[1])
+        return self._scan(f)[1]
 
     def value(self, f: RatFunc):
         """v(f): its integer row over `_den`, as a group element."""
         _validate_match(self, f)
         if f.is_zero():
             return INFINITY
-        levels = self._levels
-        row = _difference_row(term_mins(list(f.num.terms), levels)[1],
-                              term_mins(list(f.den.terms), levels)[1])
-        return GroupElem.from_row(self.ambient, row, self._den)
+        return GroupElem.from_row(self.ambient, self._scan(f)[1], self._den)
 
     def _raw_section(self, row, den: int):
         """The HNF-coordinate section of the value row / den, for an integer
@@ -364,19 +335,17 @@ class MonomialPlace(Place):
         k = len(basis)
         if f.is_zero():
             return RatFunc.zero(self.field, k)
-        num, den, levels = f.num.terms, f.den.terms, self._levels
-        num_exps, den_exps = list(num), list(den)
-        num_args, hi = term_mins(num_exps, levels)
-        den_args, lo = term_mins(den_exps, levels)
-        s = row_sign(_difference_row(hi, lo), self.ambient.ds)
+        scanned, row = self._scan(f)
+        s = row_sign(row, self.ambient.ds)
         if s > 0:
             return RatFunc.zero(self.field, k)
         if s < 0:
             return INFINITY
+        _, den_exps, den_args = scanned[1]
         den_canon = min(den_exps[i] for i in den_args)
         sides = []
         shift = [0] * k
-        for coeffs, exps, args in ((num, num_exps, num_args), (den, den_exps, den_args)):
+        for coeffs, exps, args in scanned:
             terms = {}
             for e in map(exps.__getitem__, args):
                 coords = lattice.express_int(basis, [x - y for x, y in zip(e, den_canon)])
@@ -442,9 +411,10 @@ class CompositePlace(Place):
         self.ambient = AmbientGroup(inner.ambient.ds + outer.ambient.ds)
 
     @cached_property
-    def effective_weights(self):
-        """Values of the variables as integer rows over one positive
-        denominator, (rows, den); they generate the term-value homomorphism.
+    def flat_place(self) -> MonomialPlace:
+        """The monomial place of the variables' values, from integer rows
+        over one positive denominator; they generate the term-value
+        homomorphism.
 
         x_i has the inner value w_i; dividing it by the inner section of w_i
         leaves an inner unit, whose residue is a Laurent monomial u^c that
@@ -460,12 +430,8 @@ class CompositePlace(Place):
             v = self.outer.monomial_value(tuple(x - y for x, y in zip(top, bottom)))
             outer.append((v.row, v.den))
         rows, den = align_rows([(w, flat._den) for w in flat._rows] + outer)
-        return [w + u for w, u in zip(rows, rows[self.arity:])], den
-
-    @cached_property
-    def flat_place(self) -> MonomialPlace:
-        rows, den = self.effective_weights
-        return MonomialPlace(self.field, self.arity, self.ambient, rows, den)
+        return MonomialPlace(self.field, self.arity, self.ambient,
+                             [w + u for w, u in zip(rows, rows[self.arity:])], den)
 
     def value(self, f: RatFunc):
         return self.flat_place.value(f)

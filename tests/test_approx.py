@@ -23,6 +23,7 @@ from placeforge import (
     signature,
 )
 from placeforge import approx
+from placeforge._kernels import term_mins
 from placeforge.approx import (
     GoodifyResult,
     SignatureError,
@@ -165,10 +166,10 @@ def signature_elements(rng, place):
     field, n = place.field, place.arity
     one = Poly.const(field, n, 1)
     g, h = (RatFunc.make(random_poly(rng, field, n, nonzero=True), one) for _ in range(2))
-    eg, eh = (min(place.initial_form(f)[0]) for f in (g, h))
+    eg, eh = (min(place.sign_and_initial_form(f)[1][0]) for f in (g, h))
     z = g * RatFunc.monomial(field, n, eh) / (h * RatFunc.monomial(field, n, eg))
     elems = [g, h, g * h, g + h, z, z * z, RatFunc.const(field, n, 3), RatFunc.zero(field, n)]
-    for k in place.kernel_lattice()[:2]:
+    for k in place.flat_place.residue_desc().gens[:2]:
         e = [rng.randint(0, 2) for _ in range(n)]
         hi = tuple(x + max(c, 0) for x, c in zip(e, k))
         lo = tuple(x + max(-c, 0) for x, c in zip(e, k))
@@ -218,7 +219,7 @@ def ties_above_the_minimum(rng, place):
     field, n = place.field, place.arity
     one = Poly.const(field, n, 1)
     elems = []
-    for k in place.kernel_lattice()[:2]:
+    for k in place.flat_place.residue_desc().gens[:2]:
         e = [rng.randint(0, 2) for _ in range(n)]
         hi = tuple(x + max(c, 0) for x, c in zip(e, k))
         lo = tuple(x + max(-c, 0) for x, c in zip(e, k))
@@ -681,12 +682,16 @@ class TestGoodify:
             goodify(P_10, [q2("x1")], TargetShape("preserve_values", "discrete"))
 
 
+def initial_form(place, f):
+    return place.sign_and_initial_form(f)[1]
+
+
 def two_pass_residue_checks(old, new, nonzero, texts, old_signs):
     """_residue_checks as it was before its one pass: the new place's value
     sign and its initial form each take their own pair of term scans."""
     return [
         _check(text, sq, row_value_sign(new, f),
-               old.initial_form(f) == new.initial_form(f) if sq == 0 else None)
+               initial_form(old, f) == initial_form(new, f) if sq == 0 else None)
         for f, text, sq in zip(nonzero, texts, old_signs)
     ]
 
@@ -706,7 +711,7 @@ def residue_check_inputs(rng):
                else random_tower(rng, field, n, irrational_inner=i % 2 == 0))
         elems = [random_ratfunc(rng, field, n, nonzero=True) for _ in range(5)]
         # f over one of its numerator's minimal terms has value 0
-        canon, _, _ = old.flat_place._min_data(elems[0].num)
+        canon = min(initial_form(old, elems[0])[0])
         elems.append(elems[0] / RatFunc.monomial(field, n, canon))
         sig = signature(old, elems)
         try:
@@ -730,25 +735,25 @@ class TestResidueChecks:
         assert seen == {"residue_equal": {None, True, False}, "agree": {True, False}}, seen
 
     def test_one_term_scan_pair_per_element_on_the_new_place(self, monkeypatch):
-        """Each element takes one _min_data call on its numerator and one
-        on its denominator on the new place, and value_row and
-        initial_form are not called on it."""
+        """Each element takes one term_mins pass over its numerator's
+        exponents and one over its denominator's on the new place, and
+        value and value_row are not called on it."""
         calls = []
-        min_data = MonomialPlace._min_data
 
-        def counted(self, poly):
-            calls.append((self, poly))
-            return min_data(self, poly)
+        def counted(exps, levels):
+            calls.append((exps, levels))
+            return term_mins(exps, levels)
 
-        monkeypatch.setattr(MonomialPlace, "_min_data", counted)
+        monkeypatch.setattr("placeforge.places.term_mins", counted)
         rng = random.Random(61)
         for old, new, elems, sig in residue_check_inputs(rng):
-            for name in ("value_row", "initial_form"):
-                monkeypatch.setattr(new, name, None, raising=False)
+            for name in ("value", "value_row"):
+                monkeypatch.setattr(new, name, None)
             calls.clear()
             approx._residue_checks(old, new, elems, sig.sources, sig.signs)
-            assert [poly for place, poly in calls if place is new] == [
-                poly for f in elems for poly in (f.num, f.den)]
+            levels = new.flat_place._levels
+            assert [exps for exps, at in calls if at is levels] == [
+                list(poly.terms) for f in elems for poly in (f.num, f.den)]
 
 
 @pytest.fixture

@@ -67,6 +67,10 @@ WRONG_TYPES = [
     (lambda: perturb_weights(None, PLACE, SHAPE), "expected SignSignature, got NoneType"),
     (lambda: perturb_weights(SIG, None, SHAPE), "expected Place, got NoneType"),
     (lambda: format_ratfunc("x"), "expected RatFunc, got str"),
+    (lambda: format_ratfunc(F, 3), "names must be a list or tuple, got int"),
+    (lambda: parse_expr("x1", 1, None), "expected BaseField, got NoneType"),
+    (lambda: parse_expr("3", True, QQ), "arity must be an int, got bool"),
+    (lambda: parse_expr("3", 1.0, QQ), "arity must be an int, got float"),
     (lambda: GroupElem.from_row(None, (1, 0)), "expected AmbientGroup, got NoneType"),
     (lambda: Subgroup.from_rows((2,), [(1, 0)]), "expected AmbientGroup, got tuple"),
     (lambda: MonomialPlace(None, 1, AMB, [(1, 0)]), "expected BaseField, got NoneType"),
@@ -79,6 +83,23 @@ def test_a_wrong_type_is_one_type_error_line(call, message):
     with pytest.raises(TypeError) as info:
         call()
     assert "\n" not in str(info.value) and message in str(info.value)
+
+
+# (call, its refusal): each raised an IndexError, or was accepted and
+# returned what parse_expr cannot read back or a RatFunc of that arity
+WRONG_VALUES = [
+    (lambda: parse_expr("3", -1, QQ), "arity must be >= 0, got -1"),
+    (lambda: format_ratfunc(F, ["a"]), "need one name per variable"),
+    (lambda: format_ratfunc(F, ["a", "b", "c"]), "need one name per variable"),
+    (lambda: format_ratfunc(F, ["a b", "c"]), "variable name 'a b' is not an identifier"),
+]
+
+
+@pytest.mark.parametrize("call, message", WRONG_VALUES)
+def test_a_wrong_value_is_one_value_error_line(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def elements(field, arity):
@@ -104,6 +125,8 @@ small = st.integers(-3, 4)
 hostile = odd | small
 bad_rows = st.lists(st.lists(small | st.sampled_from([True, 2.0, None]), max_size=5), max_size=4)
 ambients = st.sampled_from([AMB, AMB23])
+name_lists = st.lists(st.sampled_from(["a", "b", "x1", "x2", "a b", "", 1, None]), max_size=3)
+hostile_names = hostile | name_lists | name_lists.map(tuple)
 PLACES = [PLACE, TOWER, MonomialPlace(F5, 0, AMB, []), MonomialPlace(QQ, 3, AMB, [(1, 0)] * 3)]
 
 
@@ -193,7 +216,9 @@ CALLS = {
                       [hostile]),
     "convex_rank": (convex_rank, group_args(True).map(lambda a: [Subgroup.from_rows(*a)]),
                     [hostile]),
-    "format_ratfunc": (format_ratfunc, fixed(F), [hostile]),
+    "format_ratfunc": (format_ratfunc, fixed(F, ("s", "t")), [hostile, hostile_names]),
+    "parse_expr": (parse_expr, fixed("x1*x2 - 1/(2*x1)", 2, QQ, None),
+                   [hostile, hostile | st.integers(-3, -1), hostile, hostile_names]),
     "check_spv_axioms": (check_spv_axioms, place_and("elems"),
                          [hostile, st.lists(hostile, min_size=1, max_size=2)]),
     "order_embedding_check": (order_embedding_check, embedding_args(),
@@ -232,7 +257,14 @@ def test_hostile_arguments_return_or_raise_one_line(call):
         assert "\n" not in str(exc), (name, str(exc))
         return
     out = getattr(out, "place", out)  # goodify and density_witness: the place found
-    if isinstance(out, Place):
+    # an element printed in the names given reads back in them
+    if name == "format_ratfunc":
+        f, names = args
+        assert parse_expr(out, f.arity, f.field, names) == f
+    elif name == "parse_expr":
+        names = args[3]
+        assert parse_expr(format_ratfunc(out, names), out.arity, out.field, names) == out
+    elif isinstance(out, Place):
         assert_round_trip(out)
     elif isinstance(out, GroupElem):
         back = place_from_json({"kind": "monomial", "base": "Q", "arity": 1,

@@ -61,7 +61,6 @@ class TestLexInputPerturbation:
             place = random_monomial_place(rng, QQ, 3, levels=2)
             m = tuple(rng.randint(-3, 3) for _ in range(3))
             v = place.monomial_value(m)
-            assert place.monomial_value(place.section(v)) == v
             assert place.monomial_value(place._raw_section(v.row, v.den)) == v
 
     def test_raw_section_is_additive(self):
@@ -124,7 +123,7 @@ class TestDegenerateArity:
         res = goodify(place, [f], TargetShape("preserve_residues", "discrete"))
         assert res.place.invariants().discrete
         assert res.place.value(f).sign() == 0  # the sign 0 survives
-        assert place.initial_form(f) == res.place.initial_form(f)
+        assert place.sign_and_initial_form(f)[1] == res.place.sign_and_initial_form(f)[1]
 
     def test_goodify_from_trivial_place_can_be_impossible(self):
         place = MonomialPlace(QQ, 2, AmbientGroup((2,)), [(0, 0)] * 2)
@@ -162,7 +161,7 @@ class TestGoodifyFuzz:
                 assert result.place.monomial_value(m).sign() == s
             for f in elems:
                 if place.value(f).sign() == 0:
-                    assert place.initial_form(f) == result.place.initial_form(f)
+                    assert place.sign_and_initial_form(f)[1] == result.place.sign_and_initial_form(f)[1]
             inv = result.place.invariants()
             if shape.klass == "discrete":
                 assert inv.discrete

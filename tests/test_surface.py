@@ -3,11 +3,14 @@ public method in src/placeforge has a user outside the tests, and every
 public name resolves.
 
 A function, class or method that only tests reach is code no command runs,
-though every CLI job still compiles it.  A name counts as used when it is
-named, as a whole word outside its own definition, in another part of
-src/placeforge (not `__init__.py`, which only re-exports) or in
-perfbench/*.py, read as text without importing anything there; a public
-method counts as used when it is named as an attribute, `.name`, there.
+though every CLI job still compiles it.  A name counts as used only where
+code reads it, outside its own definition, in src/placeforge (not
+`__init__.py`, which only re-exports) or in perfbench/*.py, parsed without
+importing anything there: as a name, an attribute or an imported name, or
+as a part of a dotted name in one of perfbench's string constants (its
+tracer wraps functions named that way).  A public method counts as used
+when it is read as an attribute, `.name`, or named in such a string.
+Comments and docstrings are not reads.
 """
 
 import ast
@@ -22,6 +25,48 @@ from placeforge import approx
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "placeforge"
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+
+def reads(path):
+    """(name, line, as an attribute) of each name the code of `path` reads:
+    a Name, an attribute, an imported name and, in perfbench, each part of
+    a dotted string constant."""
+    strings = path.parent.name == "perfbench"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno, True
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                for part in alias.name.split("."):
+                    yield part, node.lineno, False
+        elif strings and isinstance(node, ast.Constant) and type(node.value) is str:
+            if DOTTED.fullmatch(node.value):
+                for part in node.value.split("."):
+                    yield part, node.lineno, True
+
+
+def code_reads():
+    """{name: [(path, line, as an attribute)]} of the reads in
+    src/placeforge without `__init__.py`, and in perfbench/*.py."""
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    out = {}
+    for path in paths + sorted((ROOT / "perfbench").glob("*.py")):
+        for name, line, attribute in reads(path):
+            out.setdefault(name, []).append((path, line, attribute))
+    return out
+
+
+CODE_READS = code_reads()
+
+
+def is_read(name, path, first, last, attribute=False):
+    """Whether code outside lines first..last of `path` reads `name` (as an
+    attribute, when `attribute`)."""
+    return any((where != path or not first <= line <= last) and (as_attribute or not attribute)
+               for where, line, as_attribute in CODE_READS.get(name, ()))
 
 
 def module_level_definitions():
@@ -50,17 +95,10 @@ def module_level_definitions():
 
 
 def test_every_module_level_name_has_a_user_outside_the_tests():
-    modules = {path: path.read_text() for path in SRC.glob("*.py") if path.name != "__init__.py"}
-    perfbench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
     defined, unused = 0, []
     for path, name, first, last in module_level_definitions():
         defined += 1
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        texts = perfbench + [text for other, text in modules.items() if other != path]
-        if path in modules:
-            lines = modules[path].splitlines()
-            texts.append("\n".join(lines[:first - 1] + lines[last:]))
-        if not any(word.search(text) for text in texts):
+        if not is_read(name, path, first, last):
             unused.append(f"{path.stem}.{name}")
     assert defined > 50
     assert unused == []
@@ -82,16 +120,10 @@ def public_methods():
 
 
 def test_every_public_method_has_a_user_outside_the_tests():
-    texts = {path: path.read_text() for path in SRC.glob("*.py")}
-    perfbench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
     defined, unused = 0, []
     for path, cls, name, first, last in public_methods():
         defined += 1
-        attribute = re.compile(rf"\.{re.escape(name)}\b")
-        lines = texts[path].splitlines()
-        others = [text for other, text in texts.items() if other != path]
-        others.append("\n".join(lines[:first - 1] + lines[last:]))
-        if not any(attribute.search(text) for text in perfbench + others):
+        if not is_read(name, path, first, last, attribute=True):
             unused.append(f"{path.stem}.{cls}.{name}")
     assert defined > 50
     assert unused == []
